@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .families import Family, family_names, get_family
+from .errors import ConvergenceError, DomainError, SupportError
+from .families import _MVN_ALIASES, Family, family_names, get_family
 from .measures import (
     MEASURE_NAMES,
     MeasureResult,
@@ -126,7 +128,7 @@ def _parse_params(parser, family_name: str, text: str, flag: str):
     if not isinstance(obj, dict):
         parser.error(f"{flag}: expected a JSON object")
     key = family_name.strip().lower().replace("_", "-")
-    if key in ("mvn", "gaussian-multivariate", "multivariate-gaussian"):
+    if key in _MVN_ALIASES:
         expected = {"mu", "sigma"}
     else:
         try:
@@ -143,18 +145,12 @@ def _parse_params(parser, family_name: str, text: str, flag: str):
 
 def _family_from_params(parser, family_name: str, params_obj: dict) -> Family:
     key = family_name.strip().lower().replace("_", "-")
-    if key in ("mvn", "gaussian-multivariate", "multivariate-gaussian"):
+    if key in _MVN_ALIASES:
         mu = params_obj.get("mu")
         if not isinstance(mu, list) or not mu:
             raise DomainError("mu: expected a non-empty list of numbers")
         return get_family("mvn", dim=len(mu))
     return get_family(key)
-
-
-def _natural_from_obj(fam: Family, obj: dict):
-    if fam.name == "mvn":
-        return fam.to_natural({"mu": obj["mu"], "sigma": obj["sigma"]})
-    return fam.to_natural(dict(obj))
 
 
 def _check_alphas(parser, alphas) -> None:
@@ -163,34 +159,81 @@ def _check_alphas(parser, alphas) -> None:
             parser.error(f"--alpha: values must be positive reals, got {a}")
 
 
-def _read_observations(fam: Family, path: str) -> np.ndarray:
-    """Read headerless CSV observations; width and integrality are enforced."""
-    width = fam.support.dim if fam.support.kind == "real-vector" else 1
-    rows = []
+def _parse_csv(source) -> np.ndarray:
+    """numpy's parse of a headerless CSV path or list of lines, shape (rows, fields)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy warns on input without rows
+        return np.loadtxt(
+            source, delimiter=",", ndmin=2, comments=None, quotechar='"', encoding="utf-8"
+        )
+
+
+def _lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        return handle.read().split("\n")
+
+
+def _fields(lines: list[str]) -> int | None:
+    """Fields per row of some lines, 0 if they hold no row, None if they do not parse."""
     try:
-        handle = open(path, newline="")
+        rows = _parse_csv(lines)
+    except ValueError:
+        return None
+    return rows.shape[1] if rows.size else 0
+
+
+def _bad_line(path: str, width: int) -> str:
+    """Describe the first line of a file that does not parse as ``width`` numbers.
+
+    Runs only after the whole-file parse failed. Lines parse independently,
+    so bisection finds the line in O(log n) parses of ever smaller chunks.
+    """
+    lines = _lines(path)
+    lo, hi = 0, len(lines)  # the first bad line lies in lines[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _fields(lines[lo:mid]) in (0, width):
+            lo = mid
+        else:
+            hi = mid
+    fields = _fields(lines[lo : lo + 1])
+    if fields is None:
+        return f"row {lo + 1} is not numeric: {lines[lo]!r}"
+    return f"row {lo + 1} has {fields} fields, expected {width}"
+
+
+def _read_observations(fam: Family, path: str) -> np.ndarray:
+    """Read headerless CSV observations, one per line, in one numpy parse.
+
+    Fields are comma-separated and may be double-quoted; empty lines are
+    skipped and there are no comments. Errors name the 1-based line.
+    """
+    width = fam.support.dim if fam.support.kind == "real-vector" else 1
+    try:
+        obs = _parse_csv(path)
     except OSError as exc:
         raise DomainError(f"data: cannot read {path!r} ({exc})") from exc
-    with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DomainError(
-                    f"data: row {lineno} has {len(row)} fields, expected {width}"
-                )
-            try:
-                values = [float(field) for field in row]
-            except ValueError:
-                raise DomainError(f"data: row {lineno} is not numeric: {row}") from None
-            if fam.support.is_discrete and any(not v.is_integer() for v in values):
-                raise DomainError(
-                    f"data: row {lineno} must be an integer for family {fam.name}"
-                )
-            rows.append(values if width > 1 else values[0])
-    if not rows:
+    except ValueError:
+        obs = None
+    if obs is None or (obs.size and obs.shape[1] != width):
+        raise DomainError(f"data: {_bad_line(path, width)}")
+    if not obs.size:
         raise DomainError(f"data: {path!r} contains no observations")
-    return np.asarray(rows)
+    return obs[:, 0] if width == 1 else obs
+
+
+def _sample_set(fam: Family, path: str):
+    """Validated observations of one data file; a support error names its line."""
+    obs = _read_observations(fam, path)
+    try:
+        return SampleSet(fam, obs)
+    except SupportError:
+        row = int(np.argmin(fam.in_support_batch(obs)))
+        line = [n for n, text in enumerate(_lines(path), start=1) if text][row]
+        raise DomainError(
+            f"data: row {line}: {obs[row].tolist()!r} is outside the support of {fam.name} "
+            f"(must be {fam.support.requirement})"
+        ) from None
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +303,7 @@ def _run_measures(parser, args, *, pair: bool) -> dict:
 
     params_obj = _parse_params(parser, args.family, args.params, "--params")
     fam = _family_from_params(parser, args.family, params_obj)
-    theta = _natural_from_obj(fam, params_obj)
+    theta = fam.to_natural(dict(params_obj))
     theta2 = None
     params2_obj = None
     if pair:
@@ -268,7 +311,7 @@ def _run_measures(parser, args, *, pair: bool) -> dict:
         fam2 = _family_from_params(parser, args.family, params2_obj)
         if fam2 != fam:
             raise DomainError("params2: dimension differs from params")
-        theta2 = _natural_from_obj(fam, params2_obj)
+        theta2 = fam.to_natural(dict(params2_obj))
 
     alphas = args.alpha if needs_alpha else [None]
     results = []
@@ -308,21 +351,15 @@ def _run_estimate(parser, args) -> dict:
     if args.measure is not None and args.measure not in MEASURE_NAMES:
         parser.error(f"--measure: unknown measure {args.measure!r}")
     _check_alphas(parser, args.alpha)
-    key = args.family.strip().lower().replace("_", "-")
-    if key in ("mvn", "gaussian-multivariate", "multivariate-gaussian"):
-        if args.dim is None:
-            parser.error("--dim is required for the mvn family")
-        fam = get_family("mvn", dim=args.dim)
-    else:
-        try:
-            fam = get_family(key)
-        except ValueError as exc:
-            parser.error(str(exc))
+    if args.dim is None and args.family.strip().lower().replace("_", "-") in _MVN_ALIASES:
+        parser.error("--dim is required for the mvn family")
+    try:
+        fam = get_family(args.family, dim=args.dim)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    sample_p = SampleSet(fam, _read_observations(fam, args.data))
-    sample_q = None
-    if args.data2 is not None:
-        sample_q = SampleSet(fam, _read_observations(fam, args.data2))
+    sample_p = _sample_set(fam, args.data)
+    sample_q = None if args.data2 is None else _sample_set(fam, args.data2)
 
     est_p = mle(sample_p)
     estimates = {"data": _estimate_block(fam, est_p)}
@@ -380,8 +417,8 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
     for name in names:
         obj_p, obj_q = VERIFY_PAIRS[name]
         fam = get_family(name, dim=len(obj_p["mu"])) if name == "mvn" else get_family(name)
-        theta = _natural_from_obj(fam, obj_p)
-        theta2 = _natural_from_obj(fam, obj_q)
+        theta = fam.to_natural(dict(obj_p))
+        theta2 = fam.to_natural(dict(obj_q))
         for measure, alpha in _verify_cells(name):
             second = theta2 if measure_needs_pair(measure) else None
             closed = evaluate_measure(fam, measure, theta, second, alpha)
@@ -432,9 +469,13 @@ def _run_families() -> dict:
     return {"request": {"subcommand": "families"}, "families": entries}
 
 
+# Built once per process: parsing is stateless, building costs ~1 ms.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
     """Parse argv, execute, print the report; returns the exit code."""
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "entropy":

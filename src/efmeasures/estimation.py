@@ -30,22 +30,20 @@ class SampleSet:
     observations: np.ndarray
 
     def __post_init__(self) -> None:
+        fam = self.family
         obs = np.asarray(self.observations)
-        if self.family.support.kind == "real-vector":
-            obs = np.asarray(obs, dtype=float).reshape(-1, self.family.support.dim)
-            if not np.all(np.isfinite(obs)):
-                raise ValueError("observations must be finite")
+        if fam.support.kind == "real-vector":
+            obs = np.asarray(obs, dtype=float).reshape(-1, fam.support.dim)
         else:
             obs = np.atleast_1d(obs)
             if obs.ndim != 1:
                 raise ValueError("observations must form a flat sequence")
-            bad = next((x for x in obs if not self.family.in_support(x)), None)
-            if bad is not None:
-                self.family.require_support(bad)
-            obs = np.asarray(obs, dtype=float)
+        ok = fam.in_support_batch(obs)
+        if not ok.all():
+            fam.require_support(obs[int(np.argmin(ok))])
         if len(obs) < 1:
             raise ValueError("a sample set needs at least one observation")
-        obs = obs.copy()
+        obs = np.array(obs, dtype=float)
         obs.setflags(write=False)
         object.__setattr__(self, "observations", obs)
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DomainError,
@@ -181,17 +180,43 @@ class Support:
     def is_discrete(self) -> bool:
         return self.kind in ("nonneg-int", "binary")
 
+    @property
+    def requirement(self) -> str:
+        """What one observation must be, in words."""
+        return {
+            "nonneg-real": "a finite number >= 0",
+            "real": "a finite number",
+            "nonneg-int": "an integer >= 0",
+            "binary": "the integer 0 or 1",
+            "real-vector": f"a vector of {self.dim} finite numbers",
+        }[self.kind]
 
-def _is_integral(x) -> bool:
-    if isinstance(x, (bool, np.bool_)):
-        return False
-    if isinstance(x, (int, np.integer)):
-        return True
-    try:
-        xf = float(x)
-    except (TypeError, ValueError):
-        return False
-    return math.isfinite(xf) and xf == math.floor(xf)
+
+def _flat_values(xs) -> np.ndarray:
+    """Scalar observations as a flat float array; raises on other shapes."""
+    x = np.asarray(xs, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a flat array of observations, got shape {x.shape}")
+    return x
+
+
+def _counts(xs) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar observations as floats, and which are finite integers (booleans are not)."""
+    raw = np.asarray(xs)
+    x = _flat_values(raw)
+    return x, (raw.dtype != np.bool_) & np.isfinite(x) & (x == np.floor(x))
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular factor by forward substitution, row by row,
+    scaling by the reciprocal diagonal as LAPACK's triangular solve does."""
+    d = chol.shape[0]
+    identity = np.eye(d)
+    inv_diag = 1.0 / np.diag(chol)
+    out = np.zeros((d, d))
+    for i in range(d):
+        out[i] = (identity[i] - chol[i, :i] @ out[:i]) * inv_diag[i]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -434,9 +459,19 @@ class Family(ABC):
         if not self.in_natural_domain(theta):
             raise exc(f"{self.name}: {label} outside the natural domain")
 
+    def in_support(self, x) -> bool:
+        """Whether one observation lies in the support: in_support_batch at N=1."""
+        try:
+            return bool(self.in_support_batch(np.asarray([x]))[0])
+        except (TypeError, ValueError):
+            return False
+
     def require_support(self, x) -> None:
         if not self.in_support(x):
-            raise SupportError(f"{self.name}: observation {x!r} outside the support")
+            raise SupportError(
+                f"{self.name}: observation {x!r} outside the support "
+                f"(must be {self.support.requirement})"
+            )
 
     # -- generic density assembly --------------------------------------
 
@@ -446,6 +481,16 @@ class Family(ABC):
         self.require_support(x)
         stat = self.sufficient_stat(x)
         return stat.dot(theta) - self.log_normalizer(theta) + self.carrier(x)
+
+    def sufficient_stat(self, x) -> NaturalParam:
+        """t(x) of one observation: sufficient_stat_batch at N=1."""
+        self.require_support(x)
+        return self.compose(self.sufficient_stat_batch(np.asarray([x]))[0])
+
+    def carrier(self, x) -> float:
+        """k(x) of one observation; zero unless the family overrides it."""
+        self.require_support(x)
+        return 0.0
 
     # -- carrier moments (identically trivial unless k(x) != 0) ---------
 
@@ -505,13 +550,8 @@ class Family(ABC):
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam: ...
 
     @abstractmethod
-    def sufficient_stat(self, x) -> NaturalParam: ...
-
-    @abstractmethod
-    def carrier(self, x) -> float: ...
-
-    @abstractmethod
-    def in_support(self, x) -> bool: ...
+    def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Support membership of many observations, a bool array of shape (n,)."""
 
     @abstractmethod
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -582,20 +622,9 @@ class ExponentialDistFamily(Family):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
         return NaturalParam([-1.0 / e])
 
-    def sufficient_stat(self, x) -> NaturalParam:
-        self.require_support(x)
-        return NaturalParam([float(x)])
-
-    def carrier(self, x) -> float:
-        self.require_support(x)
-        return 0.0
-
-    def in_support(self, x) -> bool:
-        try:
-            xf = float(x)
-        except (TypeError, ValueError):
-            return False
-        return math.isfinite(xf) and xf >= 0
+    def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
+        x = _flat_values(xs)
+        return np.isfinite(x) & (x >= 0)
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(xs, dtype=float).reshape(-1, 1)
@@ -656,16 +685,13 @@ class PoissonFamily(Family):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
         return NaturalParam([math.log(e)])
 
-    def sufficient_stat(self, x) -> NaturalParam:
-        self.require_support(x)
-        return NaturalParam([float(x)])
-
     def carrier(self, x) -> float:
         self.require_support(x)
         return -math.lgamma(float(x) + 1.0)
 
-    def in_support(self, x) -> bool:
-        return _is_integral(x) and float(x) >= 0
+    def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
+        x, integral = _counts(xs)
+        return integral & (x >= 0)
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(xs, dtype=float).reshape(-1, 1)
@@ -765,16 +791,9 @@ class BernoulliFamily(Family):
             )
         return NaturalParam([math.log(e) - math.log1p(-e)])
 
-    def sufficient_stat(self, x) -> NaturalParam:
-        self.require_support(x)
-        return NaturalParam([float(x)])
-
-    def carrier(self, x) -> float:
-        self.require_support(x)
-        return 0.0
-
-    def in_support(self, x) -> bool:
-        return _is_integral(x) and float(x) in (0.0, 1.0)
+    def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
+        x, integral = _counts(xs)
+        return integral & ((x == 0.0) | (x == 1.0))
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(xs, dtype=float).reshape(-1, 1)
@@ -843,21 +862,8 @@ class GaussianFamily(Family):
             )
         return self.to_natural(GaussianParams(mu=float(e[0]), var=var))
 
-    def sufficient_stat(self, x) -> NaturalParam:
-        self.require_support(x)
-        xf = float(x)
-        return NaturalParam([xf, xf * xf])
-
-    def carrier(self, x) -> float:
-        self.require_support(x)
-        return 0.0
-
-    def in_support(self, x) -> bool:
-        try:
-            xf = float(x)
-        except (TypeError, ValueError):
-            return False
-        return math.isfinite(xf)
+    def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
+        return np.isfinite(_flat_values(xs))
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -926,17 +932,13 @@ class MultivariateGaussianFamily(Family):
         if not isinstance(params, MultivariateGaussianParams):
             d = _params_as_dict(params)
             params = MultivariateGaussianParams(mu=d["mu"], cov=d.get("cov", d.get("sigma")))
-        chol = np.linalg.cholesky(params.cov)
-        identity = np.eye(params.dim)
-        inv_chol = solve_triangular(chol, identity, lower=True)
+        inv_chol = _lower_inverse(np.linalg.cholesky(params.cov))
         precision = inv_chol.T @ inv_chol
         return NaturalParam(precision @ params.mu, -0.5 * precision)
 
     def from_natural(self, theta: NaturalParam) -> MultivariateGaussianParams:
         self.require_natural(theta)
-        chol = self._precision_chol(theta)
-        identity = np.eye(self.dim)
-        inv_chol = solve_triangular(chol, identity, lower=True)
+        inv_chol = _lower_inverse(self._precision_chol(theta))
         cov = inv_chol.T @ inv_chol
         return MultivariateGaussianParams(mu=cov @ theta.vector, cov=cov)
 
@@ -953,7 +955,7 @@ class MultivariateGaussianFamily(Family):
         self.require_natural(theta)
         chol = self._precision_chol(theta)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        y = solve_triangular(chol, theta.vector, lower=True)
+        y = np.linalg.solve(chol, theta.vector)
         return 0.5 * self.dim * _LOG_2PI - 0.5 * log_det + 0.5 * float(y @ y)
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
@@ -973,21 +975,11 @@ class MultivariateGaussianFamily(Family):
             ) from None
         return self.to_natural(MultivariateGaussianParams(mu=eta.vector, cov=cov))
 
-    def sufficient_stat(self, x) -> NaturalParam:
-        self.require_support(x)
-        xv = np.asarray(x, dtype=float).reshape(-1)
-        return NaturalParam(xv, np.outer(xv, xv))
-
-    def carrier(self, x) -> float:
-        self.require_support(x)
-        return 0.0
-
-    def in_support(self, x) -> bool:
-        try:
-            xv = np.asarray(x, dtype=float)
-        except (TypeError, ValueError):
-            return False
-        return xv.shape == (self.dim,) and bool(np.all(np.isfinite(xv)))
+    def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
+        x = np.asarray(xs, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"{self.name}: expected observations of shape (n, {self.dim})")
+        return np.isfinite(x).all(axis=1)
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
@@ -1052,20 +1044,8 @@ class CenteredLaplacianFamily(Family):
             )
         return NaturalParam([-1.0 / e])
 
-    def sufficient_stat(self, x) -> NaturalParam:
-        self.require_support(x)
-        return NaturalParam([abs(float(x))])
-
-    def carrier(self, x) -> float:
-        self.require_support(x)
-        return 0.0
-
-    def in_support(self, x) -> bool:
-        try:
-            xf = float(x)
-        except (TypeError, ValueError):
-            return False
-        return math.isfinite(xf)
+    def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
+        return np.isfinite(_flat_values(xs))
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(xs, dtype=float)).reshape(-1, 1)

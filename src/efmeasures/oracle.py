@@ -27,10 +27,9 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, NaturalDomainError
-from .families import Family, NaturalParam
+from .families import Family, NaturalParam, _kahan_sum_terms
 
 __all__ = [
     "OracleConfig",
@@ -99,6 +98,9 @@ def _substream_seed(seed: int, tag: str) -> int:
 
 
 def _quad(fn, lo: float, hi: float, cfg: OracleConfig, points=None) -> tuple[float, float]:
+    # Imported here: scipy is needed only by the oracle, not by the closed forms or `estimate`.
+    from scipy import integrate
+
     pts = None
     if points:
         pts = sorted(p for p in points if lo < p < hi)
@@ -128,15 +130,6 @@ def _mode(fam: Family, theta: NaturalParam) -> float:
     return 0.5 * (lo + hi)
 
 
-def _log_density_fn(fam: Family, theta: NaturalParam):
-    frozen = theta
-
-    def fn(x: float) -> float:
-        return float(fam.log_density_batch(frozen, np.asarray([x]))[0])
-
-    return fn
-
-
 # Fast scalar closures; quad calls the integrand pointwise, so the generic
 # batch path would dominate the runtime.
 def _fast_log_density(fam: Family, theta: NaturalParam):
@@ -152,7 +145,7 @@ def _fast_log_density(fam: Family, theta: NaturalParam):
     if name == "laplacian":
         t = float(v[0])
         return lambda x: t * abs(x) - norm
-    return _log_density_fn(fam, theta)
+    return lambda x: float(fam.log_density_batch(theta, np.asarray([x]))[0])
 
 
 def _quad_estimate(fam, integrand, windows, cfg, points) -> OracleEstimate:
@@ -167,24 +160,10 @@ def _quad_estimate(fam, integrand, windows, cfg, points) -> OracleEstimate:
 
 
 def _discrete_sum(term_fn, peak: float, cfg: OracleConfig) -> OracleEstimate:
-    cutoff = peak + 10.0 * math.sqrt(max(peak, 0.0)) + 20.0
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    k = 0
-    while True:
-        t = term_fn(k)
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        abs_total += abs(t)
-        if k > cutoff and abs(t) <= cfg.tail_mass_bound * max(abs_total, 1e-300):
-            break
-        k += 1
+    total, abs_total, last, _ = _kahan_sum_terms(term_fn, peak, cfg.tail_mass_bound)
     # Terms decay super-exponentially past the cutoff; a dozen copies of the
     # last term dominates the discarded tail. Kahan keeps round-off at eps.
-    err = 12.0 * abs(t) + 4.0 * _EPS * abs_total
+    err = 12.0 * last + 4.0 * _EPS * abs_total
     return OracleEstimate(total, err, DISCRETE_SUM)
 
 

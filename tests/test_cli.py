@@ -1,12 +1,17 @@
 """CLI behavior: reports, exit codes, CSV ingestion, determinism."""
 
+import csv
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import efmeasures as em
+from efmeasures import cli
+from efmeasures.errors import DomainError
 
 from conftest import run_cli
 
@@ -184,8 +189,9 @@ class TestEstimateCommand:
         assert "degenerate" in err
 
     def test_missing_file_is_domain_error(self):
-        code, _, _ = run_cli("estimate", "--family", "gaussian", "--data", "/nonexistent.csv")
+        code, _, err = run_cli("estimate", "--family", "gaussian", "--data", "/nonexistent.csv")
         assert code == 3
+        assert "cannot read '/nonexistent.csv'" in err
 
     def test_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -207,6 +213,115 @@ class TestEstimateCommand:
         mu = json.loads(out)["estimates"]["data"]["params"]["mu"]
         assert mu[0] == pytest.approx(1.0, abs=0.1)
         assert mu[1] == pytest.approx(-1.0, abs=0.1)
+
+
+def _csv_module_reader(fam, path):
+    """Reference reader: the csv module plus float() on every field."""
+    width = fam.support.dim if fam.support.kind == "real-vector" else 1
+    with open(path, newline="") as handle:
+        rows = [[float(f) for f in row] for row in csv.reader(handle) if row]
+    assert all(len(row) == width for row in rows)
+    return np.asarray([row if width > 1 else row[0] for row in rows])
+
+
+class TestObservationReader:
+    """The numpy reader returns what the csv module reads, and names bad lines."""
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("blank lines", "1.5\n\n2.5\n\n\n3\n"),
+            ("crlf", "1.5\r\n2.25\r\n\r\n-3e-4\r\n"),
+            ("padded", " 1.5\n2.5  \n\t3\n"),
+            ("quoted", '"1.5"\n" 2.5 "\n3\n'),
+            ("single row", "0.125"),
+            ("no final newline", "1\n2"),
+        ],
+    )
+    def test_scalar_rows_match_csv_module(self, tmp_path, name, text):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(text.encode())
+        got = cli._read_observations(em.GAUSSIAN, str(path))
+        want = _csv_module_reader(em.GAUSSIAN, path)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_mvn_rows_match_csv_module(self, tmp_path):
+        path = tmp_path / "vecs.csv"
+        path.write_text('1.5,-2\n\n"3", 4.25 \r\n5," 6"\n')
+        fam = em.get_family("mvn", 2)
+        got = cli._read_observations(fam, str(path))
+        want = _csv_module_reader(fam, path)
+        assert got.shape == want.shape == (3, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_shortest_repr_floats_round_trip(self, tmp_path):
+        rng = np.random.default_rng(17)
+        values = np.concatenate(
+            [rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500), [5e-324, 1.7976931348623157e308]]
+        )
+        path = tmp_path / "repr.csv"
+        path.write_text("\n".join(map(repr, values.tolist())) + "\n")
+        got = cli._read_observations(em.GAUSSIAN, str(path))
+        assert got.tobytes() == values.tobytes()
+        assert got.tobytes() == _csv_module_reader(em.GAUSSIAN, path).tobytes()
+
+    @pytest.mark.parametrize(
+        "family, text, message",
+        [
+            ("gaussian", "1\n2\n\n3,4\n5\n", "row 4 has 2 fields, expected 1"),
+            ("gaussian", "0.1,0.2\n0.3,0.4\n", "row 1 has 2 fields, expected 1"),
+            ("mvn", "1,2\n3,4\n5\n", "row 3 has 1 fields, expected 2"),
+            ("gaussian", "1\n\n2\nabc\n", "row 4 is not numeric"),
+            ("gaussian", "1\r\n2\r\n\r\n\r\nx\r\n", "row 5 is not numeric"),
+            ("gaussian", "1\n2,\n", "row 2 is not numeric"),
+            ("gaussian", "1\n   \n2\n", "row 2 is not numeric"),
+            ("exponential", "1\n# a comment\n2\n", "row 2 is not numeric"),
+            ("poisson", "1\n\n2.5\n3\n", "row 3: 2.5 is outside the support of poisson"),
+            ("poisson", "1\n-2\n", "row 2: -2.0 is outside the support of poisson"),
+            ("bernoulli", "0\n1\n\n\n2\n", "row 5: 2.0 is outside the support of bernoulli"),
+            ("exponential", "", "contains no observations"),
+            ("exponential", "\n\n", "contains no observations"),
+        ],
+    )
+    def test_bad_input_names_its_line(self, tmp_path, capsys, family, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        argv = ["estimate", "--family", family, "--data", str(path)]
+        if family == "mvn":
+            argv += ["--dim", "2"]
+        assert cli.run(argv) == 3
+        assert message in capsys.readouterr().err
+
+    def test_late_error_in_large_file(self, tmp_path):
+        path = tmp_path / "big.csv"
+        lines = ["1.0"] * 50_000
+        lines[41_234] = "1.0,2.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match="row 41235 has 2 fields"):
+            cli._read_observations(em.EXPONENTIAL, str(path))
+
+
+class TestColdStart:
+    def test_estimate_entropy_divergence_never_import_scipy(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("1\n2\n4\n")
+        script = f"""
+import sys
+from efmeasures import cli
+assert cli.run(["estimate", "--family", "poisson", "--data", {str(path)!r}, "--measure", "shannon"]) == 0
+assert cli.run(["entropy", "--family", "mvn", "--params", '{{"mu": [0, 1], "sigma": [[1, 0], [0, 2]]}}',
+                "--measure", "renyi", "--alpha", "2"]) == 0
+assert cli.run(["divergence", "--family", "gaussian", "--params", '{{"mu": 0, "var": 1}}',
+                "--params2", '{{"mu": 1, "var": 2}}', "--measure", "kl"]) == 0
+print("SCIPY", sorted(m for m in sys.modules if m.startswith("scipy")))
+assert cli.run(["verify", "--family", "gaussian"]) == 0
+print("SCIPY", any(m.startswith("scipy") for m in sys.modules))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        marks = [line for line in proc.stdout.splitlines() if line.startswith("SCIPY")]
+        assert marks == ["SCIPY []", "SCIPY True"]
 
 
 class TestVerifyCommand:

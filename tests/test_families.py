@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efmeasures as em
 from efmeasures.errors import (
@@ -12,6 +14,7 @@ from efmeasures.errors import (
     ParameterDomainError,
     SupportError,
 )
+from efmeasures.estimation import SampleSet
 from efmeasures.families import NaturalParam
 
 from conftest import ALL_FAMILY_NAMES, make_family, random_source
@@ -85,6 +88,21 @@ class TestConversions:
             theta = fam.to_natural(src)
             again = fam.to_natural(fam.from_natural(theta))
             assert np.allclose(theta.flat(), again.flat(), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_mvn_precision_matches_triangular_solve(self, dim):
+        # The numpy forward substitution against LAPACK's triangular solve.
+        linalg = pytest.importorskip("scipy.linalg")
+        fam = em.get_family("mvn", dim)
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            a = rng.normal(size=(dim, dim))
+            cov = a @ a.T + 0.1 * np.eye(dim)
+            inv_chol = linalg.solve_triangular(np.linalg.cholesky(cov), np.eye(dim), lower=True)
+            precision = inv_chol.T @ inv_chol
+            theta = fam.to_natural(em.MultivariateGaussianParams(mu=np.ones(dim), cov=cov))
+            assert np.max(np.abs(-2.0 * theta.matrix - precision)) <= 1e-12 * np.max(np.abs(precision))
+            assert np.allclose(fam.from_natural(theta).cov, cov, rtol=1e-9, atol=1e-12)
 
     def test_bad_source_params_rejected(self):
         with pytest.raises(ParameterDomainError):
@@ -361,3 +379,70 @@ class TestSamplers:
         draws = fam.sample(theta, 200, seed=5)
         for x in draws:
             assert fam.in_support(x)
+
+
+# Values on and around every support boundary: negatives, non-integers,
+# zero and one, huge integers, NaN and both infinities.
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, -0.5, 1e300, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(min_value=-5, max_value=5).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_EDGE_ARRAYS = st.one_of(
+    st.lists(_EDGE_VALUES, min_size=1, max_size=12).map(lambda v: np.asarray(v, dtype=float)),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=12).map(np.asarray),
+    st.lists(st.booleans(), min_size=1, max_size=12).map(lambda v: np.asarray(v, dtype=bool)),
+)
+
+
+def _documented_support(name: str, x) -> bool:
+    """Plain-Python statement of each family's support, one observation."""
+    if name == "mvn":
+        return all(math.isfinite(float(v)) for v in x)
+    v = float(x)
+    integral = not isinstance(x, (bool, np.bool_)) and math.isfinite(v) and v == math.floor(v)
+    return {
+        "exponential": math.isfinite(v) and v >= 0,
+        "poisson": integral and v >= 0,
+        "bernoulli": integral and v in (0.0, 1.0),
+        "gaussian": math.isfinite(v),
+        "laplacian": math.isfinite(v),
+    }[name]
+
+
+class TestSupportBatch:
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    @settings(max_examples=80, deadline=None)
+    @given(xs=_EDGE_ARRAYS)
+    def test_batch_matches_scalar_and_documented_support(self, name, xs):
+        fam = make_family(name)
+        if name == "mvn":
+            xs = np.column_stack([xs, xs[::-1]])
+        batch = fam.in_support_batch(xs)
+        assert batch.dtype == np.bool_ and batch.shape == (len(xs),)
+        assert batch.tolist() == [fam.in_support(x) for x in xs]
+        assert batch.tolist() == [_documented_support(name, x) for x in xs]
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    @settings(max_examples=40, deadline=None)
+    @given(xs=_EDGE_ARRAYS)
+    def test_sample_set_names_first_bad_observation(self, name, xs):
+        fam = make_family(name)
+        if name == "mvn":
+            xs = np.column_stack([xs, xs[::-1]])
+        ok = [fam.in_support(x) for x in xs]
+        if all(ok):
+            assert len(SampleSet(fam, xs)) == len(xs)
+            return
+        with pytest.raises(SupportError) as info:
+            SampleSet(fam, xs)
+        assert repr(xs[ok.index(False)]) in str(info.value)
+
+    def test_non_numeric_and_misshapen_input_is_outside(self):
+        assert not em.EXPONENTIAL.in_support("abc")
+        assert not em.POISSON.in_support(None)
+        assert not em.GAUSSIAN.in_support([1.0, 2.0])
+        mvn = em.get_family("mvn", 2)
+        assert mvn.in_support([1.0, 2.0])
+        assert not mvn.in_support([1.0, 2.0, 3.0])
+        assert not mvn.in_support([[1.0, 2.0]])
