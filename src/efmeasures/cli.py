@@ -31,9 +31,10 @@ import warnings
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SupportError
-from .families import _MVN_ALIASES, Family, family_names, get_family
+from .families import Family, family_names, get_family
 from .measures import (
     MEASURE_NAMES,
+    MEASURES,
     MeasureResult,
     evaluate_measure,
     measure_needs_alpha,
@@ -42,10 +43,15 @@ from .measures import (
 from .estimation import MeasureRequest, SampleSet, mle, plugin_measure
 from .oracle import DISCRETE_SUM, MONTE_CARLO, QUADRATURE, OracleConfig, oracle_measure
 
-ENTROPY_MEASURES = ("renyi", "tsallis", "shannon")
-DIVERGENCE_MEASURES = tuple(m for m in MEASURE_NAMES if measure_needs_pair(m))
+ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
+DIVERGENCE_MEASURES = tuple(m.name for m in MEASURES if m.needs_pair)
 
 VERIFY_ALPHAS = (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 2.0)
+
+# The (measure, alpha) cells `verify` runs for each family, in table order.
+VERIFY_CELLS = tuple(
+    (m.name, alpha) for m in MEASURES for alpha in (VERIFY_ALPHAS if m.needs_alpha else (None,))
+)
 
 # Closed form vs oracle agreement floors per oracle method; Monte Carlo
 # relies purely on its reported 3-sigma bound.
@@ -119,38 +125,35 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def _parse_params(parser, family_name: str, text: str, flag: str):
-    """Parse a source-parameter JSON object; schema problems are usage errors."""
+def _parse_params(parser, family_name: str, text: str, flag: str) -> tuple[Family, dict]:
+    """Parse a source-parameter JSON object and look up the family it belongs to."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         parser.error(f"{flag}: invalid JSON ({exc})")
     if not isinstance(obj, dict):
         parser.error(f"{flag}: expected a JSON object")
-    key = family_name.strip().lower().replace("_", "-")
-    if key in _MVN_ALIASES:
-        expected = {"mu", "sigma"}
-    else:
-        try:
-            expected = set(get_family(key).source_keys)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if set(obj) != expected:
+    return _family_of(parser, family_name, obj, flag), obj
+
+
+def _family_of(parser, family_name: str, obj: dict, flag: str) -> Family:
+    """The family of a source-parameter object, sized by its ``mu`` if multivariate.
+
+    An unknown name or wrong keys are usage errors; a bad mvn ``mu`` a domain error."""
+    mu = obj.get("mu")
+    sized = isinstance(mu, list) and len(mu) > 0
+    try:
+        fam = get_family(family_name, dim=len(mu) if sized else 1)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if set(obj) != set(fam.source_keys):
         parser.error(
-            f"{flag}: expected keys {sorted(expected)} for family {family_name!r}, "
+            f"{flag}: expected keys {sorted(fam.source_keys)} for family {family_name!r}, "
             f"got {sorted(obj)}"
         )
-    return obj
-
-
-def _family_from_params(parser, family_name: str, params_obj: dict) -> Family:
-    key = family_name.strip().lower().replace("_", "-")
-    if key in _MVN_ALIASES:
-        mu = params_obj.get("mu")
-        if not isinstance(mu, list) or not mu:
-            raise DomainError("mu: expected a non-empty list of numbers")
-        return get_family("mvn", dim=len(mu))
-    return get_family(key)
+    if fam.support.kind == "real-vector" and not sized:
+        raise DomainError("mu: expected a non-empty list of numbers")
+    return fam
 
 
 def _check_alphas(parser, alphas) -> None:
@@ -301,14 +304,12 @@ def _run_measures(parser, args, *, pair: bool) -> dict:
     if needs_alpha and not args.alpha:
         parser.error(f"--measure {args.measure} requires at least one --alpha")
 
-    params_obj = _parse_params(parser, args.family, args.params, "--params")
-    fam = _family_from_params(parser, args.family, params_obj)
+    fam, params_obj = _parse_params(parser, args.family, args.params, "--params")
     theta = fam.to_natural(dict(params_obj))
     theta2 = None
     params2_obj = None
     if pair:
-        params2_obj = _parse_params(parser, args.family, args.params2, "--params2")
-        fam2 = _family_from_params(parser, args.family, params2_obj)
+        fam2, params2_obj = _parse_params(parser, args.family, args.params2, "--params2")
         if fam2 != fam:
             raise DomainError("params2: dimension differs from params")
         theta2 = fam.to_natural(dict(params2_obj))
@@ -351,12 +352,12 @@ def _run_estimate(parser, args) -> dict:
     if args.measure is not None and args.measure not in MEASURE_NAMES:
         parser.error(f"--measure: unknown measure {args.measure!r}")
     _check_alphas(parser, args.alpha)
-    if args.dim is None and args.family.strip().lower().replace("_", "-") in _MVN_ALIASES:
-        parser.error("--dim is required for the mvn family")
     try:
-        fam = get_family(args.family, dim=args.dim)
+        fam = get_family(args.family, dim=1 if args.dim is None else args.dim)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.dim is None and fam.support.kind == "real-vector":
+        parser.error("--dim is required for the mvn family")
 
     sample_p = _sample_set(fam, args.data)
     sample_q = None if args.data2 is None else _sample_set(fam, args.data2)
@@ -388,22 +389,6 @@ def _run_estimate(parser, args) -> dict:
     return {"request": request, "estimates": estimates, "results": results}
 
 
-def _verify_cells(fam_name: str):
-    """Yield (measure, alpha) cells of the verification grid for one family."""
-    for measure in ("renyi", "tsallis"):
-        for alpha in VERIFY_ALPHAS:
-            yield measure, alpha
-    yield "shannon", None
-    yield "cross-entropy", None
-    yield "kl", None
-    yield "bregman", None
-    yield "bhattacharyya", None
-    yield "hellinger", None
-    for measure in ("renyi-div", "tsallis-div", "jensen"):
-        for alpha in VERIFY_ALPHAS:
-            yield measure, alpha
-
-
 def _run_verify(parser, args) -> tuple[dict, bool]:
     if args.family is not None and args.family not in VERIFY_PAIRS:
         parser.error(
@@ -416,10 +401,10 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
     all_pass = True
     for name in names:
         obj_p, obj_q = VERIFY_PAIRS[name]
-        fam = get_family(name, dim=len(obj_p["mu"])) if name == "mvn" else get_family(name)
+        fam = _family_of(parser, name, obj_p, "--family")
         theta = fam.to_natural(dict(obj_p))
         theta2 = fam.to_natural(dict(obj_q))
-        for measure, alpha in _verify_cells(name):
+        for measure, alpha in VERIFY_CELLS:
             second = theta2 if measure_needs_pair(measure) else None
             closed = evaluate_measure(fam, measure, theta, second, alpha)
             est = oracle_measure(fam, measure, theta, second, alpha, cfg)
@@ -457,11 +442,11 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
 def _run_families() -> dict:
     entries = []
     for name in family_names():
-        fam = get_family(name, dim=2) if name == "mvn" else get_family(name)
+        fam = get_family(name, dim=2)
         entries.append(
             {
                 "name": fam.name,
-                "order": fam.order if name != "mvn" else "d + d^2",
+                "order": "d + d^2" if fam.support.kind == "real-vector" else fam.order,
                 "source_keys": list(fam.source_keys),
                 **fam.decomposition,
             }

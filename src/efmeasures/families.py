@@ -468,19 +468,20 @@ class Family(ABC):
 
     def require_support(self, x) -> None:
         if not self.in_support(x):
+            # Plain values read 2.5 and [1.0, nan], not np.float64(2.5) and array([1., nan]).
+            plain = x.tolist() if isinstance(x, (np.ndarray, np.generic)) else x
             raise SupportError(
-                f"{self.name}: observation {x!r} outside the support "
+                f"{self.name}: observation {plain!r} outside the support "
                 f"(must be {self.support.requirement})"
             )
 
     # -- generic density assembly --------------------------------------
 
     def log_density(self, theta: NaturalParam, x) -> float:
-        """<t(x), theta> - F(theta) + k(x)."""
+        """<t(x), theta> - F(theta) + k(x) of one observation: log_density_batch at N=1."""
         self.require_natural(theta)
         self.require_support(x)
-        stat = self.sufficient_stat(x)
-        return stat.dot(theta) - self.log_normalizer(theta) + self.carrier(x)
+        return float(self.log_density_batch(theta, np.asarray([x]))[0])
 
     def sufficient_stat(self, x) -> NaturalParam:
         """t(x) of one observation: sufficient_stat_batch at N=1."""

@@ -21,6 +21,7 @@ the result. Natural logarithms throughout, so values are in nats.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError, MixedParameterError, ScaledParameterError
@@ -47,6 +48,8 @@ __all__ = [
     "hellinger_distance",
     "renyi_to_tsallis",
     "tsallis_to_renyi",
+    "Measure",
+    "MEASURES",
     "MEASURE_NAMES",
     "measure_needs_alpha",
     "measure_needs_pair",
@@ -236,35 +239,55 @@ def tsallis_to_renyi(h_tsallis: float, alpha: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Name-based dispatch shared by the CLI, the plug-in estimator, and tests.
+# The measure table: one row per measure, read by the name-based dispatch
+# below, the CLI, `verify` and the plug-in estimator.
 # --------------------------------------------------------------------------
 
-_ALPHA_MEASURES = frozenset({"renyi", "tsallis", "renyi-div", "tsallis-div", "jensen"})
-_PAIR_MEASURES = frozenset(
-    {"cross-entropy", "kl", "renyi-div", "tsallis-div", "bhattacharyya", "hellinger", "jensen", "bregman"}
+
+@dataclass(frozen=True)
+class Measure:
+    """One measure: its name, what it takes, and its closed form
+    ``closed_form(fam, theta, theta2, alpha)``, which ignores what it does not take."""
+
+    name: str
+    needs_pair: bool
+    needs_alpha: bool
+    closed_form: Callable[..., MeasureResult]
+
+
+def _plain(fn) -> Callable[..., MeasureResult]:
+    """Table form of a plain-valued measure ``fn(fam, theta, theta2)``."""
+    return lambda fam, p, q, a: MeasureResult(fn(fam, p, q), CLOSED_FORM)
+
+
+MEASURES: tuple[Measure, ...] = (
+    Measure("renyi", False, True, lambda fam, p, q, a: renyi_entropy(fam, p, a)),
+    Measure("tsallis", False, True, lambda fam, p, q, a: tsallis_entropy(fam, p, a)),
+    Measure("shannon", False, False, _plain(lambda fam, p, q: shannon_entropy(fam, p))),
+    Measure("cross-entropy", True, False, _plain(shannon_cross_entropy)),
+    Measure("kl", True, False, _plain(kl_divergence)),
+    Measure("renyi-div", True, True, renyi_divergence),
+    Measure("tsallis-div", True, True, tsallis_divergence),
+    Measure("bhattacharyya", True, False, _plain(bhattacharyya_coefficient)),
+    Measure("hellinger", True, False, _plain(hellinger_distance)),
+    Measure(
+        "jensen", True, True,
+        lambda fam, p, q, a: MeasureResult(skew_jensen(fam, p, q, a), CLOSED_FORM, a),
+    ),
+    Measure("bregman", True, False, _plain(bregman)),
 )
 
-MEASURE_NAMES = (
-    "renyi",
-    "tsallis",
-    "shannon",
-    "cross-entropy",
-    "kl",
-    "renyi-div",
-    "tsallis-div",
-    "bhattacharyya",
-    "hellinger",
-    "jensen",
-    "bregman",
-)
+_BY_NAME = {m.name: m for m in MEASURES}
+
+MEASURE_NAMES = tuple(_BY_NAME)
 
 
 def measure_needs_alpha(measure: str) -> bool:
-    return measure in _ALPHA_MEASURES
+    return measure in _BY_NAME and _BY_NAME[measure].needs_alpha
 
 
 def measure_needs_pair(measure: str) -> bool:
-    return measure in _PAIR_MEASURES
+    return measure in _BY_NAME and _BY_NAME[measure].needs_pair
 
 
 def evaluate_measure(
@@ -275,31 +298,11 @@ def evaluate_measure(
     alpha: float | None = None,
 ) -> MeasureResult:
     """Evaluate a measure by name, wrapping plain values as closed-form results."""
-    if measure not in MEASURE_NAMES:
+    row = _BY_NAME.get(measure)
+    if row is None:
         raise ValueError(f"unknown measure {measure!r}; known: {', '.join(MEASURE_NAMES)}")
-    if measure_needs_pair(measure) and theta2 is None:
+    if row.needs_pair and theta2 is None:
         raise ValueError(f"measure {measure!r} needs a second parameter")
-    if measure_needs_alpha(measure) and alpha is None:
+    if row.needs_alpha and alpha is None:
         raise ValueError(f"measure {measure!r} needs an alpha order")
-
-    if measure == "renyi":
-        return renyi_entropy(fam, theta, alpha)
-    if measure == "tsallis":
-        return tsallis_entropy(fam, theta, alpha)
-    if measure == "shannon":
-        return MeasureResult(shannon_entropy(fam, theta), CLOSED_FORM)
-    if measure == "cross-entropy":
-        return MeasureResult(shannon_cross_entropy(fam, theta, theta2), CLOSED_FORM)
-    if measure == "kl":
-        return MeasureResult(kl_divergence(fam, theta, theta2), CLOSED_FORM)
-    if measure == "renyi-div":
-        return renyi_divergence(fam, theta, theta2, alpha)
-    if measure == "tsallis-div":
-        return tsallis_divergence(fam, theta, theta2, alpha)
-    if measure == "bhattacharyya":
-        return MeasureResult(bhattacharyya_coefficient(fam, theta, theta2), CLOSED_FORM)
-    if measure == "hellinger":
-        return MeasureResult(hellinger_distance(fam, theta, theta2), CLOSED_FORM)
-    if measure == "jensen":
-        return MeasureResult(skew_jensen(fam, theta, theta2, alpha), CLOSED_FORM, alpha)
-    return MeasureResult(bregman(fam, theta, theta2), CLOSED_FORM)
+    return row.closed_form(fam, theta, theta2, alpha)

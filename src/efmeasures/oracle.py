@@ -120,11 +120,6 @@ def _quad(fn, lo: float, hi: float, cfg: OracleConfig, points=None) -> tuple[flo
     return float(result[0]), float(result[1])
 
 
-def _hull(*windows: tuple[float, float]) -> tuple[float, float]:
-    los, his = zip(*windows)
-    return min(los), max(his)
-
-
 def _mode(fam: Family, theta: NaturalParam) -> float:
     lo, hi = fam.window(theta, 1e-9)
     return 0.5 * (lo + hi)
@@ -148,33 +143,37 @@ def _fast_log_density(fam: Family, theta: NaturalParam):
     return lambda x: float(fam.log_density_batch(theta, np.asarray([x]))[0])
 
 
-def _quad_estimate(fam, integrand, windows, cfg, points) -> OracleEstimate:
-    lo, hi = _hull(*windows)
-    value, err = _quad(integrand, lo, hi, cfg, points=points)
-    return OracleEstimate(value, err, QUADRATURE)
-
-
 # --------------------------------------------------------------------------
-# Discrete backend.
+# One backend for the univariate families: sum or integrate an integrand.
 # --------------------------------------------------------------------------
-
-
-def _discrete_sum(term_fn, peak: float, cfg: OracleConfig) -> OracleEstimate:
-    total, abs_total, last, _ = _kahan_sum_terms(term_fn, peak, cfg.tail_mass_bound)
-    # Terms decay super-exponentially past the cutoff; a dozen copies of the
-    # last term dominates the discarded tail. Kahan keeps round-off at eps.
-    err = 12.0 * last + 4.0 * _EPS * abs_total
-    return OracleEstimate(total, err, DISCRETE_SUM)
-
-
-def _binary_sum(term_fn) -> OracleEstimate:
-    total = term_fn(0) + term_fn(1)
-    err = 4.0 * _EPS * (abs(term_fn(0)) + abs(term_fn(1)))
-    return OracleEstimate(total, err, DISCRETE_SUM)
 
 
 def _poisson_rate(theta: NaturalParam) -> float:
     return math.exp(float(theta.vector[0]))
+
+
+def _univariate(fam: Family, integrand, members, cfg, *, margin=(), peak=None) -> OracleEstimate:
+    """Sum or integrate one pointwise integrand over a univariate support.
+
+    Binary supports add the two terms. Counts are summed out past ``peak()``,
+    by default the largest rate among ``members``. Continuous supports are
+    integrated by quadrature over the hull of the windows of ``members`` and
+    ``margin``, with breakpoints at the modes of ``members``.
+    """
+    kind = fam.support.kind
+    if kind == "binary":
+        t0, t1 = integrand(0), integrand(1)
+        return OracleEstimate(t0 + t1, 4.0 * _EPS * (abs(t0) + abs(t1)), DISCRETE_SUM)
+    if kind == "nonneg-int":
+        top = peak() if peak else max(_poisson_rate(m) for m in members)
+        total, abs_total, last, _ = _kahan_sum_terms(integrand, top, cfg.tail_mass_bound)
+        # Terms decay super-exponentially past the cutoff; a dozen copies of the
+        # last term dominates the discarded tail. Kahan keeps round-off at eps.
+        return OracleEstimate(total, 12.0 * last + 4.0 * _EPS * abs_total, DISCRETE_SUM)
+    windows = [fam.window(m, WINDOW_NATS) for m in (*members, *margin)]
+    lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+    value, err = _quad(integrand, lo, hi, cfg, points=[_mode(fam, m) for m in members])
+    return OracleEstimate(value, err, QUADRATURE)
 
 
 # --------------------------------------------------------------------------
@@ -234,18 +233,7 @@ def oracle_i_alpha_self(
     """Direct integral/sum of p^alpha over the support."""
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
-    kind = fam.support.kind
-    if kind == "binary":
-        ld = _fast_log_density(fam, theta)
-        return _binary_sum(lambda k: math.exp(alpha * ld(float(k))))
-    if kind == "nonneg-int":
-        ldb = fam.log_density_batch
-        return _discrete_sum(
-            lambda k: math.exp(alpha * float(ldb(theta, np.asarray([k]))[0])),
-            _poisson_rate(theta),
-            cfg,
-        )
-    if kind == "real-vector":
+    if fam.support.kind == "real-vector":
         scaled = theta.scaled(alpha)
         if fam.in_natural_domain(scaled):
             return _mc_importance(
@@ -262,16 +250,11 @@ def oracle_i_alpha_self(
             cfg,
             f"i-self:{alpha!r}",
         )
+    ld = _fast_log_density(fam, theta)
     # p^alpha is proportional to the alpha-scaled member's density, so that
     # member's window covers the integrand's mass exactly.
-    ld = _fast_log_density(fam, theta)
-    windows = [fam.window(theta.scaled(alpha), WINDOW_NATS), fam.window(theta, WINDOW_NATS)]
-    return _quad_estimate(
-        fam,
-        lambda x: math.exp(alpha * ld(x)),
-        windows,
-        cfg,
-        points=[_mode(fam, theta)],
+    return _univariate(
+        fam, lambda x: math.exp(alpha * ld(x)), [theta], cfg, margin=[theta.scaled(alpha)]
     )
 
 
@@ -286,34 +269,13 @@ def oracle_i_alpha_cross(
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
     fam.require_natural(theta2, "second natural parameter")
-    kind = fam.support.kind
     mixed = theta.mix(theta2, alpha)
-    mixed_ok = fam.in_natural_domain(mixed)
-
-    if kind == "binary":
-        ldp = _fast_log_density(fam, theta)
-        ldq = _fast_log_density(fam, theta2)
-        return _binary_sum(
-            lambda k: math.exp(alpha * ldp(float(k)) + (1.0 - alpha) * ldq(float(k)))
+    if not fam.in_natural_domain(mixed):
+        raise ConvergenceError(
+            "the alpha-mixture parameter leaves the natural domain; "
+            "the cross integral diverges"
         )
-    if kind == "nonneg-int":
-        ldb = fam.log_density_batch
-        rp, rq = _poisson_rate(theta), _poisson_rate(theta2)
-        peak = max(rp, rq, rp**alpha * rq ** (1.0 - alpha))
-
-        def term(k: int) -> float:
-            arr = np.asarray([k])
-            return math.exp(
-                alpha * float(ldb(theta, arr)[0]) + (1.0 - alpha) * float(ldb(theta2, arr)[0])
-            )
-
-        return _discrete_sum(term, peak, cfg)
-    if kind == "real-vector":
-        if not mixed_ok:
-            raise ConvergenceError(
-                "the alpha-mixture parameter leaves the natural domain; "
-                "the cross integral diverges"
-            )
+    if fam.support.kind == "real-vector":
         return _mc_importance(
             fam,
             mixed,
@@ -322,59 +284,39 @@ def oracle_i_alpha_cross(
             cfg,
             f"i-cross:{alpha!r}",
         )
-
-    if not mixed_ok:
-        raise ConvergenceError(
-            "the alpha-mixture parameter leaves the natural domain; "
-            "the cross integral diverges"
-        )
-    # p^alpha q^(1-alpha) is proportional to the mixture member's density for
-    # these zero-carrier families, so its window carries the mass; both
-    # members' windows are added as margin.
     ldp = _fast_log_density(fam, theta)
     ldq = _fast_log_density(fam, theta2)
-    windows = [
-        fam.window(mixed, WINDOW_NATS),
-        fam.window(theta, WINDOW_NATS),
-        fam.window(theta2, WINDOW_NATS),
-    ]
-    points = [_mode(fam, mixed), _mode(fam, theta), _mode(fam, theta2)]
-    return _quad_estimate(
+
+    def count_peak() -> float:
+        rp, rq = _poisson_rate(theta), _poisson_rate(theta2)
+        return max(rp, rq, rp**alpha * rq ** (1.0 - alpha))
+
+    # p^alpha q^(1-alpha) is proportional to the mixture member's density for
+    # the zero-carrier continuous families, so its window carries the mass;
+    # both members' windows are added as margin.
+    return _univariate(
         fam,
         lambda x: math.exp(alpha * ldp(x) + (1.0 - alpha) * ldq(x)),
-        windows,
+        [mixed, theta, theta2],
         cfg,
-        points=points,
+        peak=count_peak,
     )
 
 
 def oracle_shannon_entropy(fam: Family, theta: NaturalParam, cfg: OracleConfig) -> OracleEstimate:
     """Direct -integral/sum of p log p."""
     fam.require_natural(theta)
-    kind = fam.support.kind
-    if kind == "binary":
-        ld = _fast_log_density(fam, theta)
-        return _binary_sum(lambda k: -math.exp(ld(float(k))) * ld(float(k)))
-    if kind == "nonneg-int":
-        ldb = fam.log_density_batch
-
-        def term(k: int) -> float:
-            lp = float(ldb(theta, np.asarray([k]))[0])
-            return -math.exp(lp) * lp
-
-        return _discrete_sum(term, _poisson_rate(theta), cfg)
-    if kind == "real-vector":
+    if fam.support.kind == "real-vector":
         return _mc_plain(
             fam, theta, lambda xs: -fam.log_density_batch(theta, xs), cfg, "shannon"
         )
     ld = _fast_log_density(fam, theta)
-    return _quad_estimate(
-        fam,
-        lambda x: -math.exp(ld(x)) * ld(x),
-        [fam.window(theta, WINDOW_NATS)],
-        cfg,
-        points=[_mode(fam, theta)],
-    )
+
+    def integrand(x) -> float:
+        lp = ld(x)
+        return -math.exp(lp) * lp
+
+    return _univariate(fam, integrand, [theta], cfg)
 
 
 def oracle_shannon_cross_entropy(
@@ -383,33 +325,13 @@ def oracle_shannon_cross_entropy(
     """Direct -integral/sum of p log q."""
     fam.require_natural(theta)
     fam.require_natural(theta2, "second natural parameter")
-    kind = fam.support.kind
-    if kind == "binary":
-        ldp = _fast_log_density(fam, theta)
-        ldq = _fast_log_density(fam, theta2)
-        return _binary_sum(lambda k: -math.exp(ldp(float(k))) * ldq(float(k)))
-    if kind == "nonneg-int":
-        ldb = fam.log_density_batch
-
-        def term(k: int) -> float:
-            arr = np.asarray([k])
-            return -math.exp(float(ldb(theta, arr)[0])) * float(ldb(theta2, arr)[0])
-
-        return _discrete_sum(term, max(_poisson_rate(theta), _poisson_rate(theta2)), cfg)
-    if kind == "real-vector":
+    if fam.support.kind == "real-vector":
         return _mc_plain(
             fam, theta, lambda xs: -fam.log_density_batch(theta2, xs), cfg, "cross-entropy"
         )
     ldp = _fast_log_density(fam, theta)
     ldq = _fast_log_density(fam, theta2)
-    windows = [fam.window(theta, WINDOW_NATS), fam.window(theta2, WINDOW_NATS)]
-    return _quad_estimate(
-        fam,
-        lambda x: -math.exp(ldp(x)) * ldq(x),
-        windows,
-        cfg,
-        points=[_mode(fam, theta), _mode(fam, theta2)],
-    )
+    return _univariate(fam, lambda x: -math.exp(ldp(x)) * ldq(x), [theta, theta2], cfg)
 
 
 def oracle_kl(
@@ -418,23 +340,7 @@ def oracle_kl(
     """Direct integral/sum of p log(p/q)."""
     fam.require_natural(theta)
     fam.require_natural(theta2, "second natural parameter")
-    kind = fam.support.kind
-    if kind == "binary":
-        ldp = _fast_log_density(fam, theta)
-        ldq = _fast_log_density(fam, theta2)
-        return _binary_sum(
-            lambda k: math.exp(ldp(float(k))) * (ldp(float(k)) - ldq(float(k)))
-        )
-    if kind == "nonneg-int":
-        ldb = fam.log_density_batch
-
-        def term(k: int) -> float:
-            arr = np.asarray([k])
-            lp = float(ldb(theta, arr)[0])
-            return math.exp(lp) * (lp - float(ldb(theta2, arr)[0]))
-
-        return _discrete_sum(term, max(_poisson_rate(theta), _poisson_rate(theta2)), cfg)
-    if kind == "real-vector":
+    if fam.support.kind == "real-vector":
         return _mc_plain(
             fam,
             theta,
@@ -444,14 +350,12 @@ def oracle_kl(
         )
     ldp = _fast_log_density(fam, theta)
     ldq = _fast_log_density(fam, theta2)
-    windows = [fam.window(theta, WINDOW_NATS), fam.window(theta2, WINDOW_NATS)]
-    return _quad_estimate(
-        fam,
-        lambda x: math.exp(ldp(x)) * (ldp(x) - ldq(x)),
-        windows,
-        cfg,
-        points=[_mode(fam, theta), _mode(fam, theta2)],
-    )
+
+    def integrand(x) -> float:
+        lp = ldp(x)
+        return math.exp(lp) * (lp - ldq(x))
+
+    return _univariate(fam, integrand, [theta, theta2], cfg)
 
 
 def oracle_normalization(fam: Family, theta: NaturalParam, cfg: OracleConfig) -> OracleEstimate:
@@ -499,6 +403,49 @@ def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> f
 # --------------------------------------------------------------------------
 
 
+def _renyi(est: OracleEstimate, denom: float) -> OracleEstimate:
+    """log(I) / denom for a power integral I, with denom = +-(1 - alpha)."""
+    err = est.error_bound / (abs(est.value) * abs(denom))
+    return OracleEstimate(math.log(est.value) / denom, err, est.method)
+
+
+def _tsallis(est: OracleEstimate, denom: float) -> OracleEstimate:
+    """(I - 1) / denom for a power integral I, with denom = +-(1 - alpha)."""
+    return OracleEstimate((est.value - 1.0) / denom, est.error_bound / abs(denom), est.method)
+
+
+def _jensen(est: OracleEstimate) -> OracleEstimate:
+    return OracleEstimate(-math.log(est.value), est.error_bound / abs(est.value), est.method)
+
+
+def _hellinger(est: OracleEstimate) -> OracleEstimate:
+    gap = max(0.0, 1.0 - est.value)
+    # d sqrt(1-b)/db = -1/(2 sqrt(1-b)); guard the coincident-member case.
+    err = est.error_bound / (2.0 * math.sqrt(max(gap, 1e-12)))
+    return OracleEstimate(math.sqrt(gap), err, est.method)
+
+
+# How each measure is assembled from the oracle primitives, keyed and ordered
+# like the closed-form measure table. Kept here rather than in that table:
+# this module must not import the closed forms it checks.
+_ASSEMBLY = {
+    "renyi": lambda fam, p, q, a, cfg: _renyi(oracle_i_alpha_self(fam, p, a, cfg), 1.0 - a),
+    "tsallis": lambda fam, p, q, a, cfg: _tsallis(oracle_i_alpha_self(fam, p, a, cfg), 1.0 - a),
+    "shannon": lambda fam, p, q, a, cfg: oracle_shannon_entropy(fam, p, cfg),
+    "cross-entropy": lambda fam, p, q, a, cfg: oracle_shannon_cross_entropy(fam, p, q, cfg),
+    "kl": lambda fam, p, q, a, cfg: oracle_kl(fam, p, q, cfg),
+    "renyi-div": lambda fam, p, q, a, cfg: _renyi(oracle_i_alpha_cross(fam, p, q, a, cfg), a - 1.0),
+    "tsallis-div": lambda fam, p, q, a, cfg: _tsallis(
+        oracle_i_alpha_cross(fam, p, q, a, cfg), a - 1.0
+    ),
+    "bhattacharyya": lambda fam, p, q, a, cfg: oracle_i_alpha_cross(fam, p, q, 0.5, cfg),
+    "hellinger": lambda fam, p, q, a, cfg: _hellinger(oracle_i_alpha_cross(fam, p, q, 0.5, cfg)),
+    "jensen": lambda fam, p, q, a, cfg: _jensen(oracle_i_alpha_cross(fam, p, q, a, cfg)),
+    # The Bregman gap of (q, p) is the relative entropy of p against q.
+    "bregman": lambda fam, p, q, a, cfg: oracle_kl(fam, q, p, cfg),
+}
+
+
 def oracle_measure(
     fam: Family,
     measure: str,
@@ -508,45 +455,7 @@ def oracle_measure(
     cfg: OracleConfig = OracleConfig(),
 ) -> OracleEstimate:
     """Numerical value of a named measure, assembled from oracle primitives only."""
-    if measure == "shannon":
-        return oracle_shannon_entropy(fam, theta, cfg)
-    if measure == "cross-entropy":
-        return oracle_shannon_cross_entropy(fam, theta, theta2, cfg)
-    if measure == "kl":
-        return oracle_kl(fam, theta, theta2, cfg)
-    if measure == "bregman":
-        # The Bregman gap of (q, p) is the relative entropy of p against q.
-        return oracle_kl(fam, theta2, theta, cfg)
-    if measure == "renyi":
-        est = oracle_i_alpha_self(fam, theta, alpha, cfg)
-        value = math.log(est.value) / (1.0 - alpha)
-        err = est.error_bound / (abs(est.value) * abs(1.0 - alpha))
-        return OracleEstimate(value, err, est.method)
-    if measure == "tsallis":
-        est = oracle_i_alpha_self(fam, theta, alpha, cfg)
-        return OracleEstimate(
-            (est.value - 1.0) / (1.0 - alpha), est.error_bound / abs(1.0 - alpha), est.method
-        )
-    if measure == "renyi-div":
-        est = oracle_i_alpha_cross(fam, theta, theta2, alpha, cfg)
-        value = math.log(est.value) / (alpha - 1.0)
-        err = est.error_bound / (abs(est.value) * abs(1.0 - alpha))
-        return OracleEstimate(value, err, est.method)
-    if measure == "tsallis-div":
-        est = oracle_i_alpha_cross(fam, theta, theta2, alpha, cfg)
-        return OracleEstimate(
-            (est.value - 1.0) / (alpha - 1.0), est.error_bound / abs(1.0 - alpha), est.method
-        )
-    if measure == "jensen":
-        est = oracle_i_alpha_cross(fam, theta, theta2, alpha, cfg)
-        return OracleEstimate(-math.log(est.value), est.error_bound / abs(est.value), est.method)
-    if measure == "bhattacharyya":
-        return oracle_i_alpha_cross(fam, theta, theta2, 0.5, cfg)
-    if measure == "hellinger":
-        est = oracle_i_alpha_cross(fam, theta, theta2, 0.5, cfg)
-        gap = max(0.0, 1.0 - est.value)
-        value = math.sqrt(gap)
-        # d sqrt(1-b)/db = -1/(2 sqrt(1-b)); guard the coincident-member case.
-        err = est.error_bound / (2.0 * math.sqrt(max(gap, 1e-12)))
-        return OracleEstimate(value, err, est.method)
-    raise ValueError(f"unknown measure {measure!r}")
+    assemble = _ASSEMBLY.get(measure)
+    if assemble is None:
+        raise ValueError(f"unknown measure {measure!r}")
+    return assemble(fam, theta, theta2, alpha, cfg)

@@ -215,6 +215,68 @@ class TestEstimateCommand:
         assert mu[1] == pytest.approx(-1.0, abs=0.1)
 
 
+class TestFamilyAliases:
+    """mvn aliases resolve in every subcommand that takes a family name."""
+
+    P = '{"mu":[0,0],"sigma":[[1,0],[0,1]]}'
+    Q = '{"mu":[1,0],"sigma":[[1,0],[0,2]]}'
+
+    def _run(self, capsys, *args):
+        try:
+            code = cli.run(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.fixture
+    def vec_csv(self, tmp_path):
+        path = tmp_path / "vecs.csv"
+        np.savetxt(path, np.random.default_rng(5).normal(size=(200, 2)), delimiter=",")
+        return str(path)
+
+    @pytest.mark.parametrize("alias", ["multivariate_gaussian", "Gaussian-Multivariate"])
+    def test_divergence(self, capsys, alias):
+        args = ("--params", self.P, "--params2", self.Q, "--measure", "kl")
+        code, out, _ = self._run(capsys, "divergence", "--family", "mvn", *args)
+        assert code == 0
+        code_alias, out_alias, _ = self._run(capsys, "divergence", "--family", alias, *args)
+        assert (code_alias, out_alias) == (0, out)
+
+    @pytest.mark.parametrize("alias", ["multivariate_gaussian", "Gaussian-Multivariate"])
+    def test_estimate(self, capsys, vec_csv, alias):
+        args = ("--dim", "2", "--data", vec_csv)
+        code, out, _ = self._run(capsys, "estimate", "--family", "mvn", *args)
+        assert code == 0
+        code_alias, out_alias, _ = self._run(capsys, "estimate", "--family", alias, *args)
+        assert (code_alias, out_alias) == (0, out)
+
+    def test_estimate_without_dim_is_usage_error(self, capsys, vec_csv):
+        code, _, err = self._run(capsys, "estimate", "--family", "MVN", "--data", vec_csv)
+        assert code == 2
+        assert "--dim is required for the mvn family" in err
+
+    def test_dimension_mismatch_and_empty_mu_are_domain_errors(self, capsys):
+        code, _, err = self._run(
+            capsys, "divergence", "--family", "Multivariate_Gaussian", "--params", self.P,
+            "--params2", '{"mu":[1],"sigma":[[1]]}', "--measure", "kl",
+        )
+        assert (code, err) == (3, "error: params2: dimension differs from params\n")
+        code, _, err = self._run(
+            capsys, "entropy", "--family", "mvn", "--params", '{"mu":[],"sigma":[]}',
+            "--measure", "shannon",
+        )
+        assert (code, err) == (3, "error: mu: expected a non-empty list of numbers\n")
+
+    def test_mvn_keys_are_checked_before_mu(self, capsys):
+        code, _, err = self._run(
+            capsys, "entropy", "--family", "gaussian-multivariate", "--params", '{"mu":[0]}',
+            "--measure", "shannon",
+        )
+        assert code == 2
+        assert "expected keys ['mu', 'sigma'] for family 'gaussian-multivariate'" in err
+
+
 def _csv_module_reader(fam, path):
     """Reference reader: the csv module plus float() on every field."""
     width = fam.support.dim if fam.support.kind == "real-vector" else 1
@@ -337,6 +399,18 @@ class TestVerifyCommand:
         code, out, _ = run_cli("verify", "--family", "poisson", "--seed", "1")
         assert code == 0
         assert json.loads(out)["all_pass"] is True
+
+    def test_rows_follow_the_measure_table(self):
+        code, out, _ = run_cli("verify", "--family", "bernoulli")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        table = {m.name: m for m in em.measures.MEASURES}
+        assert {r["measure"] for r in rows} == set(table)
+        for row in rows:
+            assert (row["alpha"] is not None) == table[row["measure"]].needs_alpha
+        assert [r["measure"] for r in rows] == sorted(
+            (r["measure"] for r in rows), key=em.measures.MEASURE_NAMES.index
+        )
 
     def test_reports_are_byte_identical_across_runs(self):
         args = ("verify", "--family", "mvn", "--seed", "7", "--mc-samples", "50000")

@@ -1,5 +1,7 @@
 """Closed-form measures: values, branches, conversions, and error paths."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import efmeasures as em
 from efmeasures import measures as M
+from efmeasures import oracle as O
 from efmeasures.errors import DomainError, MixedParameterError
 from efmeasures.families import NaturalParam
 
@@ -291,3 +294,33 @@ class TestAlphaValidation:
             M.evaluate_measure(em.GAUSSIAN, "kl", std_gauss)  # missing second parameter
         with pytest.raises(ValueError):
             M.evaluate_measure(em.GAUSSIAN, "renyi", std_gauss)  # missing alpha
+
+
+class TestMeasureTable:
+    def test_names_and_flags_are_pinned(self):
+        assert M.MEASURE_NAMES == (
+            "renyi", "tsallis", "shannon", "cross-entropy", "kl", "renyi-div",
+            "tsallis-div", "bhattacharyya", "hellinger", "jensen", "bregman",
+        )
+        assert tuple(m.name for m in M.MEASURES) == M.MEASURE_NAMES
+        assert {m for m in M.MEASURE_NAMES if M.measure_needs_alpha(m)} == {
+            "renyi", "tsallis", "renyi-div", "tsallis-div", "jensen"
+        }
+        assert {m for m in M.MEASURE_NAMES if M.measure_needs_pair(m)} == {
+            "cross-entropy", "kl", "renyi-div", "tsallis-div", "bhattacharyya",
+            "hellinger", "jensen", "bregman",
+        }
+        assert not M.measure_needs_alpha("nope") and not M.measure_needs_pair("nope")
+
+    def test_oracle_assembles_every_measure_in_table_order(self):
+        assert tuple(O._ASSEMBLY) == M.MEASURE_NAMES
+
+    def test_oracle_imports_nothing_from_measures(self):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(O))):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        assert not any("measures" in name.split(".") for name in imported), imported
