@@ -390,12 +390,12 @@ def _run_estimate(parser, args) -> dict:
 
 
 def _run_verify(parser, args) -> tuple[dict, bool]:
-    if args.family is not None and args.family not in VERIFY_PAIRS:
-        parser.error(
-            f"--family: unknown family {args.family!r}; known: {', '.join(VERIFY_PAIRS)}"
-        )
-    cfg = OracleConfig(abs_tol=args.abs_tol, seed=args.seed, mc_samples=args.mc_samples)
-    names = [args.family] if args.family else list(VERIFY_PAIRS)
+    try:
+        family = None if args.family is None else get_family(args.family, dim=1).name
+        cfg = OracleConfig(abs_tol=args.abs_tol, seed=args.seed, mc_samples=args.mc_samples)
+    except ValueError as exc:
+        parser.error(str(exc))
+    names = [family] if family else list(VERIFY_PAIRS)
 
     results = []
     all_pass = True
@@ -430,7 +430,7 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
 
     request = {
         "subcommand": "verify",
-        "family": args.family,
+        "family": family,
         "alpha": list(VERIFY_ALPHAS),
         "seed": args.seed,
         "mc_samples": args.mc_samples,

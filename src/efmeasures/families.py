@@ -86,9 +86,6 @@ _MATRIX_ASYMMETRY_TOL = 1e-9
 # rates up to ~1e4 because Poisson-type tails decay super-exponentially.
 _SERIES_TERM_CUTOFF = 1e-16
 
-# Switch point between the Knuth product sampler and transformed rejection.
-_POISSON_KNUTH_MAX_RATE = 30.0
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
@@ -303,79 +300,6 @@ class LaplacianParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ParameterDomainError(f"scale must be > 0, got {self.scale}")
-
-
-# --------------------------------------------------------------------------
-# Seeded samplers built from a uniform stream only.
-# --------------------------------------------------------------------------
-
-
-def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via the Marsaglia polar variant of Box-Muller."""
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(16, int((n - filled) * 0.7) + 16)
-        v1 = 2.0 * rng.random(m) - 1.0
-        v2 = 2.0 * rng.random(m) - 1.0
-        s = v1 * v1 + v2 * v2
-        ok = (s > 0.0) & (s < 1.0)
-        s_ok = s[ok]
-        f = np.sqrt(-2.0 * np.log(s_ok) / s_ok)
-        z = np.concatenate([v1[ok] * f, v2[ok] * f])
-        take = min(z.size, n - filled)
-        out[filled : filled + take] = z[:take]
-        filled += take
-    return out
-
-
-def _exponential_draws(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
-    return -np.log1p(-rng.random(n)) / rate
-
-
-def _poisson_knuth(rng: np.random.Generator, rate: float, n: int) -> np.ndarray:
-    """Knuth's product-of-uniforms counter; expected rate+1 passes."""
-    limit = math.exp(-rate)
-    counts = np.zeros(n, dtype=np.int64)
-    prod = rng.random(n)
-    active = prod > limit
-    while active.any():
-        counts[active] += 1
-        prod[active] *= rng.random(int(active.sum()))
-        active = prod > limit
-    return counts
-
-
-def _poisson_ptrs(rng: np.random.Generator, rate: float, n: int) -> np.ndarray:
-    """Transformed-rejection Poisson sampler for large rates (PTRS)."""
-    from scipy.special import gammaln
-
-    log_rate = math.log(rate)
-    b = 0.931 + 2.53 * math.sqrt(rate)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-
-    out = np.empty(n, dtype=np.int64)
-    pending = np.arange(n)
-    while pending.size:
-        m = pending.size
-        u = rng.random(m) - 0.5
-        v = rng.random(m)
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + rate + 0.43).astype(np.int64)
-
-        accept = (us >= 0.07) & (v <= v_r)
-        plausible = ~accept & (k >= 0) & ~((us < 0.013) & (v > us))
-        if plausible.any():
-            kp = k[plausible]
-            lhs = np.log(v[plausible]) + math.log(inv_alpha) - np.log(a / us[plausible] ** 2 + b)
-            rhs = kp * log_rate - rate - gammaln(kp + 1.0)
-            accept[np.flatnonzero(plausible)[lhs <= rhs]] = True
-
-        out[pending[accept]] = k[accept]
-        pending = pending[~accept]
-    return out
 
 
 def _kahan_sum_terms(term_fn, peak: float, term_cutoff: float):
@@ -640,8 +564,7 @@ class ExponentialDistFamily(Family):
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
-        rng = np.random.default_rng(seed)
-        return _exponential_draws(rng, n, -float(theta.vector[0]))
+        return np.random.default_rng(seed).exponential(-1.0 / float(theta.vector[0]), n)
 
 
 @dataclass(frozen=True)
@@ -740,11 +663,7 @@ class PoissonFamily(Family):
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
-        rate = math.exp(float(theta.vector[0]))
-        rng = np.random.default_rng(seed)
-        if rate <= _POISSON_KNUTH_MAX_RATE:
-            return _poisson_knuth(rng, rate, n)
-        return _poisson_ptrs(rng, rate, n)
+        return np.random.default_rng(seed).poisson(math.exp(float(theta.vector[0])), n)
 
 
 @dataclass(frozen=True)
@@ -883,8 +802,7 @@ class GaussianFamily(Family):
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
         p = self.from_natural(theta)
-        rng = np.random.default_rng(seed)
-        return p.mu + math.sqrt(p.var) * _standard_normals(rng, n)
+        return p.mu + math.sqrt(p.var) * np.random.default_rng(seed).standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -988,15 +906,18 @@ class MultivariateGaussianFamily(Family):
         return np.concatenate([xs, outer.reshape(len(xs), -1)], axis=1)
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
-        quad = np.einsum("ni,ij,nj->n", xs, theta.matrix, xs)
-        return xs @ theta.vector + quad - self.log_normalizer(theta)
+        cols = np.asarray(xs, dtype=float).reshape(-1, self.dim).T
+        d, v, m = self.dim, theta.vector, theta.matrix
+        # Elementwise terms summed in a fixed order, so a row's value does not
+        # depend on the batch size (BLAS orders einsum and matmul sums by it).
+        linear = sum(v[i] * cols[i] for i in range(d))
+        quad = sum(m[i, j] * cols[i] * cols[j] for i in range(d) for j in range(d))
+        return linear + quad - self.log_normalizer(theta)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
         p = self.from_natural(theta)
-        rng = np.random.default_rng(seed)
-        z = _standard_normals(rng, n * self.dim).reshape(n, self.dim)
+        z = np.random.default_rng(seed).standard_normal((n, self.dim))
         return p.mu + z @ np.linalg.cholesky(p.cov).T
 
 
@@ -1061,11 +982,7 @@ class CenteredLaplacianFamily(Family):
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
-        scale = -1.0 / float(theta.vector[0])
-        rng = np.random.default_rng(seed)
-        magnitudes = scale * -np.log1p(-rng.random(n))
-        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return signs * magnitudes
+        return np.random.default_rng(seed).laplace(0.0, -1.0 / float(theta.vector[0]), n)
 
 
 def _sigmoid(t: float) -> float:

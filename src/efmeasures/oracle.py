@@ -55,27 +55,28 @@ WINDOW_NATS = 60.0
 
 _EPS = float(np.finfo(float).eps)
 
+_QUAD_REL_TOL = 1e-10
+_QUAD_MAX_SUBDIVISIONS = 2000
+
+# A discrete sum stops once its term falls below this share of the running sum.
+_TAIL_MASS_BOUND = 1e-15
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tolerances, truncation rules, and the Monte Carlo seed."""
+    """Quadrature absolute tolerance and the Monte Carlo sample count and seed."""
 
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
     mc_samples: int = 1_000_000
     seed: int = 0
-    tail_mass_bound: float = 1e-15
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.tail_mass_bound > 0):
-            raise ValueError("all tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if self.mc_samples < 1000:
-            raise ValueError("mc_samples must be >= 1000")
+            raise ValueError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ def _quad(fn, lo: float, hi: float, cfg: OracleConfig, points=None) -> tuple[flo
         lo,
         hi,
         epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        epsrel=_QUAD_REL_TOL,
+        limit=_QUAD_MAX_SUBDIVISIONS,
         points=pts,
         full_output=1,
     )
@@ -166,7 +167,7 @@ def _univariate(fam: Family, integrand, members, cfg, *, margin=(), peak=None) -
         return OracleEstimate(t0 + t1, 4.0 * _EPS * (abs(t0) + abs(t1)), DISCRETE_SUM)
     if kind == "nonneg-int":
         top = peak() if peak else max(_poisson_rate(m) for m in members)
-        total, abs_total, last, _ = _kahan_sum_terms(integrand, top, cfg.tail_mass_bound)
+        total, abs_total, last, _ = _kahan_sum_terms(integrand, top, _TAIL_MASS_BOUND)
         # Terms decay super-exponentially past the cutoff; a dozen copies of the
         # last term dominates the discarded tail. Kahan keeps round-off at eps.
         return OracleEstimate(total, 12.0 * last + 4.0 * _EPS * abs_total, DISCRETE_SUM)

@@ -251,6 +251,20 @@ class TestFamilyAliases:
         code_alias, out_alias, _ = self._run(capsys, "estimate", "--family", alias, *args)
         assert (code_alias, out_alias) == (0, out)
 
+    @pytest.mark.parametrize("alias", ["MVN", "multivariate_gaussian"])
+    def test_verify(self, capsys, alias):
+        args = ("--mc-samples", "2000")
+        code, out, _ = self._run(capsys, "verify", "--family", "mvn", *args)
+        assert code == 0
+        assert json.loads(out)["request"]["family"] == "mvn"
+        code_alias, out_alias, _ = self._run(capsys, "verify", "--family", alias, *args)
+        assert (code_alias, out_alias) == (0, out)
+
+    def test_verify_unknown_family_is_usage_error(self, capsys):
+        code, out, err = self._run(capsys, "verify", "--family", "gamma")
+        assert (code, out) == (2, "")
+        assert "unknown family 'gamma'" in err
+
     def test_estimate_without_dim_is_usage_error(self, capsys, vec_csv):
         code, _, err = self._run(capsys, "estimate", "--family", "MVN", "--data", vec_csv)
         assert code == 2
@@ -385,6 +399,18 @@ print("SCIPY", any(m.startswith("scipy") for m in sys.modules))
         marks = [line for line in proc.stdout.splitlines() if line.startswith("SCIPY")]
         assert marks == ["SCIPY []", "SCIPY True"]
 
+    def test_samplers_never_import_scipy(self):
+        script = """
+import sys
+import efmeasures as em
+em.POISSON.sample(em.POISSON.to_natural(em.PoissonParams(rate=80.0)), 1000, seed=0)
+em.GAUSSIAN.sample(em.GAUSSIAN.to_natural(em.GaussianParams(mu=0.0, var=1.0)), 1000, seed=0)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestVerifyCommand:
     def test_single_family_grid_passes(self):
@@ -411,6 +437,22 @@ class TestVerifyCommand:
         assert [r["measure"] for r in rows] == sorted(
             (r["measure"] for r in rows), key=em.measures.MEASURE_NAMES.index
         )
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mc-samples", "10", "mc_samples must be >= 1000"),
+            ("--abs-tol", "0", "abs_tol must be positive and finite"),
+            ("--abs-tol", "inf", "abs_tol must be positive and finite"),
+            ("--seed", "-1", "seed must be a non-negative integer"),
+        ],
+    )
+    def test_bad_config_is_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["verify", "--family", "bernoulli", flag, value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert message in err
 
     def test_reports_are_byte_identical_across_runs(self):
         args = ("verify", "--family", "mvn", "--seed", "7", "--mc-samples", "50000")

@@ -289,12 +289,7 @@ class TestLogDensity:
         batch = fam.log_density_batch(theta, xs)
         singles = [fam.log_density(theta, x) for x in xs]
         assert singles == [fam.log_density_batch(theta, np.asarray([x]))[0] for x in xs]
-        if name == "mvn":
-            # numpy's einsum and matmul order a row's sums by the number of
-            # rows, so a row's value moves by an ulp between batch sizes.
-            assert np.allclose(batch, singles, rtol=1e-12, atol=1e-12)
-        else:
-            assert batch.tolist() == singles
+        assert batch.tolist() == singles
 
 
 class TestCarrierMoments:
@@ -372,7 +367,6 @@ class TestSamplers:
             em.EXPONENTIAL.sample(theta, 0, seed=0)
 
     def test_large_rate_poisson_moments(self):
-        # exercises the rejection sampler branch (rate > 30)
         theta = em.POISSON.to_natural(em.PoissonParams(rate=80.0))
         draws = em.POISSON.sample(theta, 200_000, seed=11)
         assert draws.min() >= 0
