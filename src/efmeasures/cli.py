@@ -41,7 +41,8 @@ from .measures import (
     measure_needs_pair,
 )
 from .estimation import MeasureRequest, SampleSet, mle, plugin_measure
-from .oracle import DISCRETE_SUM, MONTE_CARLO, QUADRATURE, OracleConfig, oracle_measure
+from .oracle import DISCRETE_SUM, MONTE_CARLO, QUADRATURE, QUADRATURE_FLOOR, OracleConfig
+from .oracle import oracle_measure
 
 ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
 DIVERGENCE_MEASURES = tuple(m.name for m in MEASURES if m.needs_pair)
@@ -55,7 +56,7 @@ VERIFY_CELLS = tuple(
 
 # Closed form vs oracle agreement floors per oracle method; Monte Carlo
 # relies purely on its reported 3-sigma bound.
-VERIFY_BASE_TOL = {QUADRATURE: 1e-7, DISCRETE_SUM: 1e-9, MONTE_CARLO: 0.0}
+VERIFY_BASE_TOL = {QUADRATURE: QUADRATURE_FLOOR, DISCRETE_SUM: 1e-9, MONTE_CARLO: 0.0}
 
 # Built-in parameter pairs for `verify`, chosen so that every grid alpha
 # (including 2) keeps the mixed parameter inside the natural domain.

@@ -42,6 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DomainError,
     ExpectationDomainError,
     NaturalDomainError,
@@ -81,10 +82,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # genuinely asymmetric matrices.
 _MATRIX_ASYMMETRY_TOL = 1e-9
 
-# Poisson series truncation: stop once k exceeds peak + 10 sqrt(peak) + 20
-# and the running term is below 1e-16 of the accumulated sum. Robust for
-# rates up to ~1e4 because Poisson-type tails decay super-exponentially.
-_SERIES_TERM_CUTOFF = 1e-16
+# A count series widens its window until both tails are certified below this
+# share of the summed magnitudes.
+_SERIES_TAIL = 2.0**-60
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -302,29 +302,51 @@ class LaplacianParams:
             raise ParameterDomainError(f"scale must be > 0, got {self.scale}")
 
 
-def _kahan_sum_terms(term_fn, peak: float, term_cutoff: float):
-    """Sum term_fn(k) for k = 0, 1, ... under the compound truncation rule.
+def _log_factorials(ks: np.ndarray) -> np.ndarray:
+    """log k! over a run of consecutive counts, one ``math.lgamma`` each (no scipy)."""
+    first = int(ks[0]) + 1
+    return np.fromiter(map(math.lgamma, range(first, first + ks.size)), float, ks.size)
 
-    Stops once k exceeds peak + 10 sqrt(peak) + 20 and the current term has
-    magnitude below ``term_cutoff`` times the accumulated absolute sum.
-    Returns (sum, abs_sum, last_term, n_terms). Compensated summation keeps
-    round-off independent of the term count.
+
+def _tail(edge: float, inner: float) -> float:
+    """``edge r / (1 - r)`` with r = edge / inner: the terms past an edge term
+    whose ratio to its inner neighbour bounds every later ratio."""
+    if edge == 0.0:
+        return 0.0
+    return edge * edge / (inner - edge) if edge < inner else math.inf
+
+
+def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float, int]:
+    """Sum ``terms(ks)`` over the counts k = 0, 1, 2, ... from a window around ``peaks``.
+
+    The window spans the peaks +- (9 sqrt(peak / min(alpha, 1)) + 20), nine
+    standard deviations of a Poisson-type series of that mode and power, and
+    doubles its half-width until both tails are below 2^-60 of the summed
+    magnitudes. ``terms`` maps an array of consecutive counts to the terms.
+    Their magnitudes must be log-concave in k outside the window (a count
+    density times a log-concave weight is), so each tail is at most
+    ``|t_edge| r / (1 - r)`` for the ratio r of the edge term to its neighbour.
+    Returns (sum, sum of magnitudes, tail bound, number of terms); a
+    non-finite term raises OverflowError.
     """
-    cutoff = peak + 10.0 * math.sqrt(max(peak, 0.0)) + 20.0
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    k = 0
-    while True:
-        t = term_fn(k)
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        abs_total += abs(t)
-        if k > cutoff and abs(t) <= term_cutoff * max(abs_total, 1e-300):
-            return total, abs_total, abs(t), k + 1
-        k += 1
+    low, high = min(peaks), max(peaks)  # where the window's edges are outermost
+    spread = 9.0 / math.sqrt(min(alpha, 1.0))
+    for widen in (1.0, 2.0, 4.0, 8.0):
+        lo = max(0, math.floor(low - widen * (spread * math.sqrt(low) + 20.0)))
+        ks = np.arange(lo, math.ceil(high + widen * (spread * math.sqrt(high) + 20.0)) + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ts = np.asarray(terms(ks), dtype=float)
+        total = math.fsum(ts.tolist())
+        if not math.isfinite(total):
+            raise OverflowError("a count series term is not finite")
+        mags = np.abs(ts)
+        tail = _tail(float(mags[-1]), float(mags[-2]))
+        if lo > 0:
+            tail += _tail(float(mags[0]), float(mags[1]))
+        abs_total = float(mags.sum())
+        if tail <= _SERIES_TAIL * abs_total:
+            return total, abs_total, tail, ks.size
+    raise ConvergenceError("a count series did not converge within 8 widenings of its window")
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +369,8 @@ class Family(ABC):
     source_keys: ClassVar[tuple[str, ...]]
     # Human-readable decomposition strings for the CLI `families` listing.
     decomposition: ClassVar[dict[str, str]]
+    # Whether k(x) is nonzero; the closed forms skip the carrier terms otherwise.
+    has_carrier: ClassVar[bool] = False
 
     @property
     def order(self) -> int:
@@ -380,7 +404,11 @@ class Family(ABC):
         label: str = "natural parameter",
         exc: type[NaturalDomainError] = NaturalDomainError,
     ) -> None:
-        if not self.in_natural_domain(theta):
+        self._guard(self.in_natural_domain(theta), label, exc)
+
+    def _guard(self, inside: bool, label: str = "natural parameter", exc=NaturalDomainError):
+        """Raise unless ``inside``; F, grad F and the carrier terms guard inline with it."""
+        if not inside:
             raise exc(f"{self.name}: {label} outside the natural domain")
 
     def in_support(self, x) -> bool:
@@ -418,6 +446,8 @@ class Family(ABC):
         return 0.0
 
     # -- carrier moments (identically trivial unless k(x) != 0) ---------
+    # Both raise outside the domain. The closed forms call them only when
+    # ``has_carrier``, and such a family checks theta and alpha*theta inline.
 
     def carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
         """Expectation of exp((alpha-1) k(x)) under the alpha-scaled member."""
@@ -427,19 +457,19 @@ class Family(ABC):
         """Log of carrier_moment; the scale-safe form used by the entropies."""
         if not (math.isfinite(alpha) and alpha > 0):
             raise DomainError(f"alpha must be > 0, got {alpha}")
-        self.require_natural(theta)
-        self.require_natural(theta.scaled(alpha), "alpha-scaled parameter", ScaledParameterError)
         return self._log_carrier_moment(theta, alpha)
 
     def _log_carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
+        self.require_natural(theta)
+        self.require_natural(theta.scaled(alpha), "alpha-scaled parameter", ScaledParameterError)
         return 0.0
 
     def carrier_expectation(self, theta: NaturalParam) -> float:
         """Expectation of k(x) under theta; zero for zero-carrier families."""
-        self.require_natural(theta)
         return self._carrier_expectation(theta)
 
     def _carrier_expectation(self, theta: NaturalParam) -> float:
+        self.require_natural(theta)
         return 0.0
 
     # -- coordinate packing helpers -------------------------------------
@@ -534,11 +564,11 @@ class ExponentialDistFamily(Family):
         return math.isfinite(t) and t < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         return -math.log(-float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         return NaturalParam([-1.0 / float(theta.vector[0])])
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
@@ -582,6 +612,7 @@ class PoissonFamily(Family):
         "carrier": "k(x) = -log x!",
         "support": "x in {0, 1, 2, ...}",
     }
+    has_carrier: ClassVar[bool] = True
 
     def to_natural(self, params: PoissonParams) -> NaturalParam:
         if not isinstance(params, PoissonParams):
@@ -596,11 +627,11 @@ class PoissonFamily(Family):
         return math.isfinite(float(theta.vector[0]))
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         return math.exp(float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         return NaturalParam([math.exp(float(theta.vector[0]))])
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
@@ -628,37 +659,38 @@ class PoissonFamily(Family):
         return ks * t - math.exp(t) - gammaln(ks + 1.0)
 
     def _log_carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
+        t = float(theta.vector[0])
+        log_rho = alpha * t
+        self._guard(math.isfinite(t))
+        self._guard(math.isfinite(log_rho), "alpha-scaled parameter", ScaledParameterError)
         if alpha == 1.0:
             return 0.0
         # E over the alpha-scaled member of (x!)^(1-alpha):
-        #   exp(-rho) * sum_k rho^k / (k!)^alpha, with rho = exp(alpha*theta).
-        # Summed in shifted log space: the raw terms can under- or overflow
-        # (rho can reach rate^alpha) while the sum itself is well-scaled.
-        log_rho = alpha * float(theta.vector[0])
-        rho = math.exp(log_rho)
-        # log-concave summand; its peak sits near the original rate e^theta
-        peak = math.exp(float(theta.vector[0]))
+        #   exp(-rho) * sum_k rho^k / (k!)^alpha, with rho = exp(alpha*theta),
+        # summed in log space shifted by the log of the largest term: the raw
+        # terms can under- or overflow (rho can reach rate^alpha). The terms are
+        # log-concave; their ratio rho / (k+1)^alpha falls through 1 at k+1 = rate.
+        rho, rate = math.exp(log_rho), math.exp(t)
+        mode = int(rate)
+        shift = mode * log_rho - rho - alpha * math.lgamma(mode + 1.0)
 
-        def log_term(k: int) -> float:
-            return k * log_rho - rho - alpha * math.lgamma(k + 1.0)
+        def terms(ks: np.ndarray) -> np.ndarray:
+            return np.exp(ks * log_rho - rho - alpha * _log_factorials(ks) - shift)
 
-        anchor = int(peak)
-        shift = max(log_term(k) for k in range(max(0, anchor - 3), anchor + 4))
-        total, _, _, _ = _kahan_sum_terms(
-            lambda k: math.exp(log_term(k) - shift), peak, _SERIES_TERM_CUTOFF
-        )
+        total, _, _, _ = count_series(terms, [rate], alpha)
         return shift + math.log(total)
 
     def _carrier_expectation(self, theta: NaturalParam) -> float:
         # E[k(x)] = -E[log x!] under the member itself.
-        rate = math.exp(float(theta.vector[0]))
-        log_rate = float(theta.vector[0])
+        t = float(theta.vector[0])
+        self._guard(math.isfinite(t))
+        rate = math.exp(t)
 
-        def term(k: int) -> float:
-            lg = math.lgamma(k + 1.0)
-            return math.exp(k * log_rate - rate - lg) * lg
+        def terms(ks: np.ndarray) -> np.ndarray:
+            lg = _log_factorials(ks)
+            return np.exp(ks * t - rate - lg) * lg
 
-        total, _, _, _ = _kahan_sum_terms(term, rate, _SERIES_TERM_CUTOFF)
+        total, _, _, _ = count_series(terms, [rate])
         return -total
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
@@ -695,12 +727,12 @@ class BernoulliFamily(Family):
         return math.isfinite(float(theta.vector[0]))
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         t = float(theta.vector[0])
         return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         return NaturalParam([_sigmoid(float(theta.vector[0]))])
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
@@ -760,14 +792,14 @@ class GaussianFamily(Family):
         return math.isfinite(t1) and math.isfinite(t2) and t2 < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         t1, t2 = (float(v) for v in theta.vector)
         # In natural coordinates F = -t1^2/(4 t2) + log(pi / -t2) / 2, which
         # equals mu^2/(2 var) + log(2 pi var) / 2 in source coordinates.
         return -t1 * t1 / (4.0 * t2) + 0.5 * (math.log(math.pi) - math.log(-t2))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         t1, t2 = (float(v) for v in theta.vector)
         return NaturalParam([-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)])
 
@@ -839,12 +871,11 @@ class MultivariateGaussianFamily(Family):
 
     def _precision_chol(self, theta: NaturalParam) -> np.ndarray:
         """Cholesky factor of -2M (the precision matrix); raises if not PD."""
-        a = -2.0 * theta.matrix
         try:
-            return np.linalg.cholesky(a)
+            return np.linalg.cholesky(-2.0 * theta.matrix)
         except np.linalg.LinAlgError:
             raise NaturalDomainError(
-                f"{self.name}: matrix block is not negative-definite"
+                f"{self.name}: natural parameter outside the natural domain"
             ) from None
 
     def to_natural(self, params: MultivariateGaussianParams) -> NaturalParam:
@@ -870,17 +901,22 @@ class MultivariateGaussianFamily(Family):
             return False
         return True
 
+    # F and grad F factor -2M once; the factorization, and a finite result,
+    # is their domain check.
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self.require_natural(theta)
         chol = self._precision_chol(theta)
         log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
         y = np.linalg.solve(chol, theta.vector)
-        return 0.5 * self.dim * _LOG_2PI - 0.5 * log_det + 0.5 * float(y @ y)
+        value = 0.5 * self.dim * _LOG_2PI - 0.5 * log_det + 0.5 * float(y @ y)
+        self._guard(math.isfinite(value))
+        return value
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self.require_natural(theta)
-        p = self.from_natural(theta)
-        return NaturalParam(p.mu, p.cov + np.outer(p.mu, p.mu))
+        inv_chol = _lower_inverse(self._precision_chol(theta))
+        cov = inv_chol.T @ inv_chol
+        mu = cov @ theta.vector
+        self._guard(bool(np.isfinite(mu).all() and np.isfinite(cov).all()))
+        return NaturalParam(mu, cov + np.outer(mu, mu))
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
         if eta.matrix is None or eta.vector.size != self.dim:
@@ -951,11 +987,11 @@ class CenteredLaplacianFamily(Family):
         return math.isfinite(t) and t < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         return math.log(2.0) - math.log(-float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self.require_natural(theta)
+        self._guard(self._in_domain(theta))
         return NaturalParam([-1.0 / float(theta.vector[0])])
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:

@@ -81,39 +81,58 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _scaled(fam: Family, theta: NaturalParam, alpha: float) -> NaturalParam:
+# The public closed forms check each member they are given once, then hand
+# the checked members to these private forms, which check only the members
+# they derive. F, grad F and the carrier terms they call keep an inline guard.
+
+
+def _log_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> float:
     scaled = theta.scaled(alpha)
     fam.require_natural(scaled, "alpha-scaled parameter", ScaledParameterError)
-    return scaled
+    gap = fam.log_normalizer(scaled) - alpha * fam.log_normalizer(theta)
+    return gap + fam.log_carrier_moment(theta, alpha) if fam.has_carrier else gap
 
 
-def _mixed(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float) -> NaturalParam:
+def _cross_entropy(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
+    value = fam.log_normalizer(theta2) - theta2.dot(fam.grad_log_normalizer(theta))
+    return value - fam.carrier_expectation(theta) if fam.has_carrier else value
+
+
+def _jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float) -> float:
     mixed = theta.mix(theta2, alpha)
-    fam.require_natural(
-        mixed,
-        f"mixed parameter alpha*theta + (1-alpha)*theta' at alpha={alpha:g}",
-        MixedParameterError,
+    label = f"mixed parameter alpha*theta + (1-alpha)*theta' at alpha={alpha:g}"
+    fam.require_natural(mixed, label, MixedParameterError)
+    return (
+        alpha * fam.log_normalizer(theta)
+        + (1.0 - alpha) * fam.log_normalizer(theta2)
+        - fam.log_normalizer(mixed)
     )
-    return mixed
+
+
+def _bregman(fam: Family, theta_q: NaturalParam, theta_p: NaturalParam) -> float:
+    grad_p = fam.grad_log_normalizer(theta_p)
+    gap = fam.log_normalizer(theta_q) - fam.log_normalizer(theta_p)
+    return gap - (theta_q.dot(grad_p) - theta_p.dot(grad_p))
+
+
+def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> None:
+    fam.require_natural(theta)
+    fam.require_natural(theta2, "second natural parameter")
 
 
 def i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> float:
     """Integral of p^alpha over the support, in closed form."""
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
-    scaled = _scaled(fam, theta, alpha)
-    gap = fam.log_normalizer(scaled) - alpha * fam.log_normalizer(theta)
-    return math.exp(gap + fam.log_carrier_moment(theta, alpha))
+    return math.exp(_log_i_alpha_self(fam, theta, alpha))
 
 
 def renyi_entropy(fam: Family, theta: NaturalParam, alpha: float) -> MeasureResult:
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
     if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(shannon_entropy(fam, theta), SHANNON_LIMIT, alpha)
-    scaled = _scaled(fam, theta, alpha)
-    gap = fam.log_normalizer(scaled) - alpha * fam.log_normalizer(theta)
-    value = (gap + fam.log_carrier_moment(theta, alpha)) / (1.0 - alpha)
+        return MeasureResult(_cross_entropy(fam, theta, theta), SHANNON_LIMIT, alpha)
+    value = _log_i_alpha_self(fam, theta, alpha) / (1.0 - alpha)
     return MeasureResult(value, CLOSED_FORM, alpha)
 
 
@@ -121,23 +140,20 @@ def tsallis_entropy(fam: Family, theta: NaturalParam, alpha: float) -> MeasureRe
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
     if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(shannon_entropy(fam, theta), SHANNON_LIMIT, alpha)
-    value = (i_alpha_self(fam, theta, alpha) - 1.0) / (1.0 - alpha)
+        return MeasureResult(_cross_entropy(fam, theta, theta), SHANNON_LIMIT, alpha)
+    value = (math.exp(_log_i_alpha_self(fam, theta, alpha)) - 1.0) / (1.0 - alpha)
     return MeasureResult(value, CLOSED_FORM, alpha)
 
 
 def shannon_entropy(fam: Family, theta: NaturalParam) -> float:
     fam.require_natural(theta)
-    grad = fam.grad_log_normalizer(theta)
-    return fam.log_normalizer(theta) - theta.dot(grad) - fam.carrier_expectation(theta)
+    return _cross_entropy(fam, theta, theta)
 
 
 def shannon_cross_entropy(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
     """Cross entropy of the theta member against the theta' model."""
-    fam.require_natural(theta)
-    fam.require_natural(theta2, "second natural parameter")
-    grad = fam.grad_log_normalizer(theta)
-    return fam.log_normalizer(theta2) - theta2.dot(grad) - fam.carrier_expectation(theta)
+    _check_pair(fam, theta, theta2)
+    return _cross_entropy(fam, theta, theta2)
 
 
 def skew_jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float) -> float:
@@ -149,23 +165,14 @@ def skew_jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: f
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
-    fam.require_natural(theta)
-    fam.require_natural(theta2, "second natural parameter")
-    mixed = _mixed(fam, theta, theta2, alpha)
-    return (
-        alpha * fam.log_normalizer(theta)
-        + (1.0 - alpha) * fam.log_normalizer(theta2)
-        - fam.log_normalizer(mixed)
-    )
+    _check_pair(fam, theta, theta2)
+    return _jensen(fam, theta, theta2, alpha)
 
 
 def bregman(fam: Family, theta_q: NaturalParam, theta_p: NaturalParam) -> float:
     """Bregman gap F(q) - F(p) - <q - p, grad F(p)>; zero iff q = p."""
-    fam.require_natural(theta_q)
-    fam.require_natural(theta_p, "second natural parameter")
-    grad_p = fam.grad_log_normalizer(theta_p)
-    gap = fam.log_normalizer(theta_q) - fam.log_normalizer(theta_p)
-    return gap - (theta_q.dot(grad_p) - theta_p.dot(grad_p))
+    _check_pair(fam, theta_q, theta_p)
+    return _bregman(fam, theta_q, theta_p)
 
 
 def kl_divergence(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
@@ -177,11 +184,10 @@ def renyi_divergence(
     fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> MeasureResult:
     alpha = _check_alpha(alpha)
-    fam.require_natural(theta)
-    fam.require_natural(theta2, "second natural parameter")
+    _check_pair(fam, theta, theta2)
     if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(kl_divergence(fam, theta, theta2), KL_LIMIT, alpha)
-    value = skew_jensen(fam, theta, theta2, alpha) / (1.0 - alpha)
+        return MeasureResult(_bregman(fam, theta2, theta), KL_LIMIT, alpha)
+    value = _jensen(fam, theta, theta2, alpha) / (1.0 - alpha)
     return MeasureResult(value, CLOSED_FORM, alpha)
 
 
@@ -189,11 +195,10 @@ def tsallis_divergence(
     fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> MeasureResult:
     alpha = _check_alpha(alpha)
-    fam.require_natural(theta)
-    fam.require_natural(theta2, "second natural parameter")
+    _check_pair(fam, theta, theta2)
     if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(kl_divergence(fam, theta, theta2), KL_LIMIT, alpha)
-    gap = skew_jensen(fam, theta, theta2, alpha)
+        return MeasureResult(_bregman(fam, theta2, theta), KL_LIMIT, alpha)
+    gap = _jensen(fam, theta, theta2, alpha)
     value = (math.exp(-gap) - 1.0) / (alpha - 1.0)
     return MeasureResult(value, CLOSED_FORM, alpha)
 

@@ -1,11 +1,12 @@
 """Independent numerical verification of the closed forms.
 
 Each measure is recomputed directly from the log-density: adaptive
-quadrature for continuous univariate families, exact truncated summation
-for discrete ones, and seeded Monte Carlo for the multivariate Gaussian.
-Nothing in this module consults ``measures``; the only family surface used
-is the log-density (scalar and batch), the sampler, and the support
-description, so agreement between the two routes is a real check.
+quadrature for continuous univariate families, windowed summation with a
+certified tail bound for discrete ones, and seeded Monte Carlo for the
+multivariate Gaussian. Nothing in this module consults ``measures``; the
+only family surface used is the log-density (scalar and batch), the
+sampler, and the support description, so agreement between the two routes
+is a real check.
 
 Continuous integrals run on a finite window {x : log p(x) >= peak - 60},
 computed analytically per family; densities below exp(-60) of the peak
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NaturalDomainError
-from .families import Family, NaturalParam, _kahan_sum_terms
+from .families import Family, NaturalParam, count_series
 
 __all__ = [
     "OracleConfig",
@@ -58,8 +59,9 @@ _EPS = float(np.finfo(float).eps)
 _QUAD_REL_TOL = 1e-10
 _QUAD_MAX_SUBDIVISIONS = 2000
 
-# A discrete sum stops once its term falls below this share of the running sum.
-_TAIL_MASS_BOUND = 1e-15
+# The smallest band `verify` passes a quadrature cell in. Quadrature's error
+# bound grows with abs_tol, so a larger abs_tol would widen that band.
+QUADRATURE_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,11 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+        if self.abs_tol > QUADRATURE_FLOOR:
+            raise ValueError(
+                f"abs_tol must be at most the quadrature pass floor {QUADRATURE_FLOOR:g}, "
+                f"got {self.abs_tol:g}"
+            )
         if self.mc_samples < 1000:
             raise ValueError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if self.seed < 0:
@@ -153,11 +160,12 @@ def _poisson_rate(theta: NaturalParam) -> float:
     return math.exp(float(theta.vector[0]))
 
 
-def _univariate(fam: Family, integrand, members, cfg, *, margin=(), peak=None) -> OracleEstimate:
+def _univariate(fam: Family, integrand, members, cfg, *, margin=(), alpha=1.0) -> OracleEstimate:
     """Sum or integrate one pointwise integrand over a univariate support.
 
-    Binary supports add the two terms. Counts are summed out past ``peak()``,
-    by default the largest rate among ``members``. Continuous supports are
+    Binary supports add the two terms. Counts are summed over a window around
+    the rates of ``members``, as wide as a p^alpha power needs, and the bound
+    adds the certified tails to the rounding. Continuous supports are
     integrated by quadrature over the hull of the windows of ``members`` and
     ``margin``, with breakpoints at the modes of ``members``.
     """
@@ -166,11 +174,12 @@ def _univariate(fam: Family, integrand, members, cfg, *, margin=(), peak=None) -
         t0, t1 = integrand(0), integrand(1)
         return OracleEstimate(t0 + t1, 4.0 * _EPS * (abs(t0) + abs(t1)), DISCRETE_SUM)
     if kind == "nonneg-int":
-        top = peak() if peak else max(_poisson_rate(m) for m in members)
-        total, abs_total, last, _ = _kahan_sum_terms(integrand, top, _TAIL_MASS_BOUND)
-        # Terms decay super-exponentially past the cutoff; a dozen copies of the
-        # last term dominates the discarded tail. Kahan keeps round-off at eps.
-        return OracleEstimate(total, 12.0 * last + 4.0 * _EPS * abs_total, DISCRETE_SUM)
+        total, abs_total, tail, _ = count_series(
+            lambda ks: [integrand(k) for k in ks.tolist()],
+            [_poisson_rate(m) for m in members],
+            alpha,
+        )
+        return OracleEstimate(total, tail + 4.0 * _EPS * abs_total, DISCRETE_SUM)
     windows = [fam.window(m, WINDOW_NATS) for m in (*members, *margin)]
     lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
     value, err = _quad(integrand, lo, hi, cfg, points=[_mode(fam, m) for m in members])
@@ -252,11 +261,13 @@ def oracle_i_alpha_self(
             f"i-self:{alpha!r}",
         )
     ld = _fast_log_density(fam, theta)
+
+    def integrand(x: float) -> float:
+        return math.exp(alpha * ld(x))
+
     # p^alpha is proportional to the alpha-scaled member's density, so that
     # member's window covers the integrand's mass exactly.
-    return _univariate(
-        fam, lambda x: math.exp(alpha * ld(x)), [theta], cfg, margin=[theta.scaled(alpha)]
-    )
+    return _univariate(fam, integrand, [theta], cfg, margin=[theta.scaled(alpha)], alpha=alpha)
 
 
 def oracle_i_alpha_cross(
@@ -287,20 +298,13 @@ def oracle_i_alpha_cross(
         )
     ldp = _fast_log_density(fam, theta)
     ldq = _fast_log_density(fam, theta2)
-
-    def count_peak() -> float:
-        rp, rq = _poisson_rate(theta), _poisson_rate(theta2)
-        return max(rp, rq, rp**alpha * rq ** (1.0 - alpha))
-
-    # p^alpha q^(1-alpha) is proportional to the mixture member's density for
-    # the zero-carrier continuous families, so its window carries the mass;
-    # both members' windows are added as margin.
+    # p^alpha q^(1-alpha) is proportional to the mixture member's density, so
+    # its window carries the mass; both members' windows are added as margin.
     return _univariate(
         fam,
         lambda x: math.exp(alpha * ldp(x) + (1.0 - alpha) * ldq(x)),
         [mixed, theta, theta2],
         cfg,
-        peak=count_peak,
     )
 
 

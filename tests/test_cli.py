@@ -444,6 +444,8 @@ class TestVerifyCommand:
             ("--mc-samples", "10", "mc_samples must be >= 1000"),
             ("--abs-tol", "0", "abs_tol must be positive and finite"),
             ("--abs-tol", "inf", "abs_tol must be positive and finite"),
+            ("--abs-tol", "1e300", "abs_tol must be at most the quadrature pass floor 1e-07"),
+            ("--abs-tol", "2e-7", "abs_tol must be at most the quadrature pass floor 1e-07"),
             ("--seed", "-1", "seed must be a non-negative integer"),
         ],
     )
@@ -453,6 +455,16 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         assert message in err
+
+    def test_abs_tol_cannot_widen_the_pass_band(self, capsys):
+        # The quadrature error bound grows with the requested tolerance, so a
+        # tolerance above the pass floor would pass any closed-form value.
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["verify", "--family", "gaussian", "--abs-tol", "1e300"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli("verify", "--family", "gaussian", "--abs-tol", "1e-7")
+        assert code == 0 and json.loads(out)["all_pass"] is True
 
     def test_reports_are_byte_identical_across_runs(self):
         args = ("verify", "--family", "mvn", "--seed", "7", "--mc-samples", "50000")

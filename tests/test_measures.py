@@ -1,6 +1,7 @@
 """Closed-form measures: values, branches, conversions, and error paths."""
 
 import ast
+import functools
 import inspect
 import math
 
@@ -8,12 +9,19 @@ import numpy as np
 import pytest
 
 import efmeasures as em
+from efmeasures import families as F
 from efmeasures import measures as M
 from efmeasures import oracle as O
-from efmeasures.errors import DomainError, MixedParameterError
+from efmeasures.errors import (
+    ConvergenceError,
+    DomainError,
+    MixedParameterError,
+    NaturalDomainError,
+    ScaledParameterError,
+)
 from efmeasures.families import NaturalParam
 
-from conftest import make_family, random_source
+from conftest import ALL_FAMILY_NAMES, make_family, random_source, random_theta_pair
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -324,3 +332,205 @@ class TestMeasureTable:
             elif isinstance(node, ast.Import):
                 imported.update(a.name for a in node.names)
         assert not any("measures" in name.split(".") for name in imported), imported
+
+
+# --------------------------------------------------------------------------
+# Domain guards: every out-of-domain member raises, with the same class.
+# --------------------------------------------------------------------------
+
+_MVN_ZERO = np.zeros(2)
+_EYE = np.eye(2)
+
+# Per family: a member outside the natural domain; a member inside whose
+# 20-fold scaling leaves it; and two members inside whose alpha = 2 mixture
+# alpha*theta + (1-alpha)*theta' leaves it.
+_OUTSIDE = {
+    "exponential": ([0.5], [-1e307], ([-1.0], [-4.0])),
+    "poisson": ([math.inf], [1e307], ([1e308], [-1e308])),
+    "bernoulli": ([math.nan], [1e307], ([1e308], [-1e308])),
+    "gaussian": ([0.0, 0.5], [0.0, -1e307], ([0.0, -0.5], [0.0, -2.0])),
+    "laplacian": ([0.0], [-1e307], ([-1.0], [-4.0])),
+    "mvn": (
+        (_MVN_ZERO, 0.5 * _EYE),
+        (_MVN_ZERO, -1e307 * _EYE),
+        ((_MVN_ZERO, -0.5 * _EYE), (_MVN_ZERO, -2.0 * _EYE)),
+    ),
+}
+
+
+def _param(spec) -> NaturalParam:
+    return NaturalParam(*spec) if isinstance(spec, tuple) else NaturalParam(spec)
+
+
+def _raises_exactly(cls, fn, *args):
+    with pytest.raises(DomainError) as info:
+        fn(*args)
+    assert info.type is cls, f"{info.type.__name__}: {info.value}"
+
+
+# The scaled and mixed members leave the domain by overflowing to inf, which
+# numpy reports as a RuntimeWarning on the way to the domain error.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+class TestDomainGuards:
+    def _setup(self, name):
+        fam = make_family(name)
+        bad, big, (mix_p, mix_q) = _OUTSIDE[name]
+        good, good2 = random_theta_pair(name, np.random.default_rng(4))
+        return fam, good, good2, _param(bad), _param(big), _param(mix_p), _param(mix_q)
+
+    @pytest.mark.parametrize("measure", M.MEASURE_NAMES)
+    def test_measures(self, name, measure):
+        fam, good, good2, bad, big, mix_p, mix_q = self._setup(name)
+        for alpha in (0.5, 2.0, 1.0 + 1e-7):
+            _raises_exactly(NaturalDomainError, M.evaluate_measure, fam, measure, bad, good2, alpha)
+            if M.measure_needs_pair(measure):
+                _raises_exactly(
+                    NaturalDomainError, M.evaluate_measure, fam, measure, good, bad, alpha
+                )
+        if measure in ("renyi", "tsallis"):
+            _raises_exactly(ScaledParameterError, M.evaluate_measure, fam, measure, big, None, 20.0)
+        if measure in ("renyi-div", "tsallis-div", "jensen"):
+            _raises_exactly(
+                MixedParameterError, M.evaluate_measure, fam, measure, mix_p, mix_q, 2.0
+            )
+
+    def test_public_entry_points(self, name):
+        fam, good, _, bad, big, _, _ = self._setup(name)
+        for fn in (fam.log_normalizer, fam.grad_log_normalizer, fam.carrier_expectation):
+            _raises_exactly(NaturalDomainError, fn, bad)
+        for fn in (fam.log_carrier_moment, fam.carrier_moment):
+            _raises_exactly(NaturalDomainError, fn, bad, 2.0)
+            _raises_exactly(ScaledParameterError, fn, big, 20.0)
+            _raises_exactly(DomainError, fn, good, 0.0)
+        for fn in (M.i_alpha_self, M.renyi_entropy, M.tsallis_entropy):
+            _raises_exactly(ScaledParameterError, fn, fam, big, 20.0)
+
+
+# --------------------------------------------------------------------------
+# Each closed form checks each member it touches once.
+# --------------------------------------------------------------------------
+
+# Distinct members a measure touches: theta, theta', alpha*theta, the mixture.
+_MEMBERS = {
+    "renyi": 2, "tsallis": 2, "shannon": 1, "cross-entropy": 2, "kl": 2, "bregman": 2,
+    "renyi-div": 3, "tsallis-div": 3, "bhattacharyya": 3, "hellinger": 3, "jensen": 3,
+}
+# Most Cholesky factorizations of -2M an mvn measure may run: one check per
+# member plus one per F or grad F evaluation.
+_MVN_CHOLESKYS = {
+    "renyi": 4, "tsallis": 4, "shannon": 3, "cross-entropy": 4, "kl": 5, "bregman": 5,
+    "renyi-div": 6, "tsallis-div": 6, "bhattacharyya": 6, "hellinger": 6, "jensen": 6,
+}
+
+
+@pytest.fixture
+def tally(monkeypatch):
+    counts = {"validations": 0, "choleskys": 0}
+    check, cholesky = F.Family.in_natural_domain, F.np.linalg.cholesky
+
+    def counted_check(self, theta):
+        counts["validations"] += 1
+        return check(self, theta)
+
+    def counted_cholesky(a):
+        counts["choleskys"] += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(F.Family, "in_natural_domain", counted_check)
+    monkeypatch.setattr(F.np.linalg, "cholesky", counted_cholesky)
+    return counts
+
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+@pytest.mark.parametrize("measure", M.MEASURE_NAMES)
+def test_each_member_is_checked_once(tally, name, measure):
+    fam = make_family(name)
+    theta, theta2 = random_theta_pair(name, np.random.default_rng(8))
+    for alpha in (0.5, 2.0):
+        tally.update(validations=0, choleskys=0)
+        M.evaluate_measure(fam, measure, theta, theta2, alpha)
+        assert tally["validations"] == _MEMBERS[measure]
+        if name == "mvn":
+            assert tally["choleskys"] <= _MVN_CHOLESKYS[measure]
+
+
+# --------------------------------------------------------------------------
+# Poisson carrier series against 50-digit mpmath.
+# --------------------------------------------------------------------------
+
+_SERIES_RATES = (0.1, 3.7, 42.0, 777.0, 9999.0, 1e5)
+_SERIES_ALPHAS = (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_series(theta: float, log_rho: float, power: float, weighted: bool) -> float:
+    """sum_k exp(k log_rho - e^log_rho - power log k!) (times log k! if weighted),
+    and its log when not weighted, over a window whose tails are below 1e-60."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 50
+    rate = float(mpmath.exp(theta))
+    half = 16.0 * math.sqrt(rate / min(power, 1.0)) + 60.0
+    lo, hi = max(0, int(rate - half)), int(rate + half) + 1
+    log_rho, power = mp.mpf(log_rho), mp.mpf(power)
+    rho = mp.exp(log_rho)
+    log_fact = mp.loggamma(lo + 1)
+    total = mp.mpf(0)
+    for k in range(lo, hi + 1):
+        if k > lo:
+            log_fact += mp.log(k)
+        term = mp.exp(k * log_rho - rho - power * log_fact)
+        total += term * log_fact if weighted else term
+    return float(total if weighted else mp.log(total))
+
+
+class TestPoissonSeries:
+    @pytest.mark.parametrize("rate", _SERIES_RATES)
+    @pytest.mark.parametrize("alpha", _SERIES_ALPHAS)
+    def test_log_carrier_moment_matches_mpmath(self, rate, alpha):
+        theta = em.POISSON.to_natural(em.PoissonParams(rate=rate))
+        t = float(theta.vector[0])
+        want = _mp_series(t, alpha * t, alpha, False)
+        got = em.POISSON.log_carrier_moment(theta, alpha)
+        assert abs(got - want) <= max(2e-12 * abs(want), 1e-15), (got, want)
+
+    @pytest.mark.parametrize("rate", _SERIES_RATES)
+    def test_carrier_expectation_matches_mpmath(self, rate):
+        theta = em.POISSON.to_natural(em.PoissonParams(rate=rate))
+        t = float(theta.vector[0])
+        want = -_mp_series(t, t, 1.0, True)
+        got = em.POISSON.carrier_expectation(theta)
+        assert abs(got - want) <= (1e-14 + 4e-16 * rate) * abs(want), (got, want)
+
+    def test_window_is_order_sqrt_rate(self, monkeypatch):
+        counts = []
+        series = F.count_series
+
+        def counted(*args, **kwargs):
+            result = series(*args, **kwargs)
+            counts.append(result[3])
+            return result
+
+        monkeypatch.setattr(F, "count_series", counted)
+        theta = em.POISSON.to_natural(em.PoissonParams(rate=1e5))
+        em.POISSON.carrier_expectation(theta)
+        em.POISSON.log_carrier_moment(theta, 0.5)
+        assert len(counts) == 2 and max(counts) < 10_000, counts
+
+    def test_non_finite_or_undecaying_series_raise(self):
+        with pytest.raises(OverflowError):
+            F.count_series(lambda ks: np.where(ks == 3, np.inf, 1.0), [2.0])
+        with pytest.raises(ConvergenceError):
+            F.count_series(lambda ks: np.ones(ks.size), [2.0])
+
+    def test_swamped_series_never_returns_a_non_finite_value(self):
+        # At rate 9999 and alpha = 5, rho = rate^alpha ~ 1e20 swamps every
+        # log-term (a known precision defect): raising is allowed, inf is not.
+        theta = em.POISSON.to_natural(em.PoissonParams(rate=9999.0))
+        for alpha in (3.0, 4.0, 5.0):
+            try:
+                value = M.renyi_entropy(em.POISSON, theta, alpha).value
+            except OverflowError:
+                continue
+            assert math.isfinite(value)
