@@ -41,7 +41,7 @@ from .measures import (
     measure_needs_pair,
 )
 from .estimation import MeasureRequest, SampleSet, mle, plugin_measure
-from .oracle import DISCRETE_SUM, MONTE_CARLO, QUADRATURE, QUADRATURE_FLOOR, OracleConfig
+from .oracle import CUBATURE, DISCRETE_SUM, MONTE_CARLO, QUADRATURE, QUADRATURE_FLOOR, OracleConfig
 from .oracle import oracle_measure
 
 ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
@@ -54,9 +54,14 @@ VERIFY_CELLS = tuple(
     (m.name, alpha) for m in MEASURES for alpha in (VERIFY_ALPHAS if m.needs_alpha else (None,))
 )
 
-# Closed form vs oracle agreement floors per oracle method; Monte Carlo
-# relies purely on its reported 3-sigma bound.
-VERIFY_BASE_TOL = {QUADRATURE: QUADRATURE_FLOOR, DISCRETE_SUM: 1e-9, MONTE_CARLO: 0.0}
+# Closed form vs oracle agreement floors per oracle method; cubature and
+# Monte Carlo rely purely on their reported bounds.
+VERIFY_BASE_TOL = {
+    QUADRATURE: QUADRATURE_FLOOR,
+    DISCRETE_SUM: 1e-9,
+    CUBATURE: 0.0,
+    MONTE_CARLO: 0.0,
+}
 
 # Built-in parameter pairs for `verify`, chosen so that every grid alpha
 # (including 2) keeps the mixed parameter inside the natural domain.
@@ -263,7 +268,7 @@ def _render(report: dict, output: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["measure", "alpha", "value", "branch", "oracle_value", "oracle_error_bound",
-         "oracle_method", "pass"]
+         "oracle_method", "oracle_evaluations", "pass"]
     )
     for row in report.get("results", ()):
         oracle = row.get("oracle") or {}
@@ -276,6 +281,7 @@ def _render(report: dict, output: str) -> str:
                 _csv_num(oracle.get("value")),
                 _csv_num(oracle.get("error_bound")),
                 oracle.get("method", ""),
+                oracle.get("evaluations", ""),
                 "" if row.get("pass") is None else str(row["pass"]).lower(),
             ]
         )
@@ -423,6 +429,7 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
                     "value": est.value,
                     "error_bound": est.error_bound,
                     "method": est.method,
+                    "evaluations": est.evaluations,
                 },
                 passed=ok,
             )

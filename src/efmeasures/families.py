@@ -146,18 +146,27 @@ class NaturalParam:
             out += float(np.sum(self.matrix * other.matrix))
         return out
 
+    # A scaled or mixed parameter can overflow to inf, and the domain check
+    # that follows reports it, so no overflow warning may come first. The
+    # vector block is computed in Python floats, which overflow quietly (and
+    # cost less than a numpy error state); the matrix block under one, which
+    # also covers its symmetry check subtracting inf from inf.
     def scaled(self, factor: float) -> "NaturalParam":
-        mat = None if self.matrix is None else factor * self.matrix
-        return NaturalParam(factor * self.vector, mat)
+        vec = [factor * x for x in self.vector.tolist()]
+        if self.matrix is None:
+            return NaturalParam(vec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return NaturalParam(vec, factor * self.matrix)
 
     def mix(self, other: "NaturalParam", weight: float) -> "NaturalParam":
         """Convex-style combination ``weight*self + (1-weight)*other``."""
         self._check_like(other)
-        vec = weight * self.vector + (1.0 - weight) * other.vector
-        mat = None
-        if self.matrix is not None:
-            mat = weight * self.matrix + (1.0 - weight) * other.matrix
-        return NaturalParam(vec, mat)
+        rest = 1.0 - weight
+        vec = [weight * x + rest * y for x, y in zip(self.vector.tolist(), other.vector.tolist())]
+        if self.matrix is None:
+            return NaturalParam(vec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return NaturalParam(vec, weight * self.matrix + rest * other.matrix)
 
     def flat(self) -> np.ndarray:
         """All coordinates as one vector: vector block, then matrix row-major."""

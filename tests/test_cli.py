@@ -419,7 +419,7 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["all_pass"] is True
         assert all(row["pass"] for row in report["results"])
-        assert all(row["oracle"] is not None for row in report["results"])
+        assert all(row["oracle"]["evaluations"] > 0 for row in report["results"])
 
     def test_discrete_family_grid_passes(self):
         code, out, _ = run_cli("verify", "--family", "poisson", "--seed", "1")
@@ -472,10 +472,19 @@ class TestVerifyCommand:
         _, second, _ = run_cli(*args)
         assert first == second
 
-    def test_seed_changes_monte_carlo_digits(self):
-        _, first, _ = run_cli("verify", "--family", "mvn", "--seed", "1", "--mc-samples", "50000")
-        _, second, _ = run_cli("verify", "--family", "mvn", "--seed", "2", "--mc-samples", "50000")
-        assert first != second
+    def test_seed_does_not_move_cubature_rows(self):
+        # The built-in mvn pair is two-dimensional, so its cells run cubature
+        # (4 + 9 nodes), not Monte Carlo; the CSV report carries no echo of
+        # the seed.
+        args = ("verify", "--family", "mvn", "--output", "csv")
+        _, first, _ = run_cli(*args, "--seed", "1", "--mc-samples", "50000")
+        _, second, _ = run_cli(*args, "--seed", "2", "--mc-samples", "50000")
+        assert first == second
+        rows = list(csv.DictReader(first.splitlines()))
+        assert len(rows) == 31
+        assert {(r["oracle_method"], r["oracle_evaluations"], r["pass"]) for r in rows} == {
+            ("cubature", "13", "true")
+        }
 
 
 class TestFamiliesCommand:

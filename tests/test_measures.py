@@ -368,9 +368,6 @@ def _raises_exactly(cls, fn, *args):
     assert info.type is cls, f"{info.type.__name__}: {info.value}"
 
 
-# The scaled and mixed members leave the domain by overflowing to inf, which
-# numpy reports as a RuntimeWarning on the way to the domain error.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
 class TestDomainGuards:
     def _setup(self, name):
