@@ -9,8 +9,8 @@ Subcommands::
     families    list the implemented families and their decompositions
 
 Reports are JSON (default) or CSV on stdout. Numbers are serialized as the
-shortest decimal that round-trips binary64, so identical invocations with
-identical seeds produce byte-identical reports.
+shortest decimal that round-trips binary64, so identical invocations
+produce byte-identical reports.
 
 Exit codes: 0 success, 1 verification failed, 2 usage error, 3 domain error
 (out-of-domain parameters, bad observations, degenerate samples), 4 oracle
@@ -41,7 +41,7 @@ from .measures import (
     measure_needs_pair,
 )
 from .estimation import MeasureRequest, SampleSet, mle, plugin_measure
-from .oracle import CUBATURE, DISCRETE_SUM, MONTE_CARLO, QUADRATURE, QUADRATURE_FLOOR, OracleConfig
+from .oracle import CUBATURE, DISCRETE_SUM, QUADRATURE, QUADRATURE_FLOOR, OracleConfig
 from .oracle import oracle_measure
 
 ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
@@ -54,13 +54,12 @@ VERIFY_CELLS = tuple(
     (m.name, alpha) for m in MEASURES for alpha in (VERIFY_ALPHAS if m.needs_alpha else (None,))
 )
 
-# Closed form vs oracle agreement floors per oracle method; cubature and
-# Monte Carlo rely purely on their reported bounds.
+# Closed form vs oracle agreement floors per oracle method; cubature relies
+# purely on its reported bound.
 VERIFY_BASE_TOL = {
     QUADRATURE: QUADRATURE_FLOOR,
     DISCRETE_SUM: 1e-9,
     CUBATURE: 0.0,
-    MONTE_CARLO: 0.0,
 }
 
 # Built-in parameter pairs for `verify`, chosen so that every grid alpha
@@ -117,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="closed form vs oracle over the built-in grid")
     p_ver.add_argument("--family", default=None, help="restrict the grid to one family")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--mc-samples", dest="mc_samples", type=int, default=1_000_000)
     p_ver.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-10)
     p_ver.add_argument("--output", choices=("json", "csv"), default="json")
 
@@ -399,7 +396,7 @@ def _run_estimate(parser, args) -> dict:
 def _run_verify(parser, args) -> tuple[dict, bool]:
     try:
         family = None if args.family is None else get_family(args.family, dim=1).name
-        cfg = OracleConfig(abs_tol=args.abs_tol, seed=args.seed, mc_samples=args.mc_samples)
+        cfg = OracleConfig(abs_tol=args.abs_tol)
     except ValueError as exc:
         parser.error(str(exc))
     names = [family] if family else list(VERIFY_PAIRS)
@@ -440,8 +437,6 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
         "subcommand": "verify",
         "family": family,
         "alpha": list(VERIFY_ALPHAS),
-        "seed": args.seed,
-        "mc_samples": args.mc_samples,
         "abs_tol": args.abs_tol,
     }
     return {"request": request, "results": results, "all_pass": all_pass}, all_pass

@@ -661,11 +661,10 @@ class PoissonFamily(Family):
         return np.asarray(xs, dtype=float).reshape(-1, 1)
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        from scipy.special import gammaln
-
         t = float(theta.vector[0])
         ks = np.asarray(xs, dtype=float)
-        return ks * t - math.exp(t) - gammaln(ks + 1.0)
+        log_fact = np.fromiter(map(math.lgamma, (ks + 1.0).tolist()), float, ks.size)
+        return ks * t - math.exp(t) - log_fact
 
     def _log_carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
         t = float(theta.vector[0])

@@ -4,14 +4,14 @@ Everything is generated by the log-normalizer F. With G(a) = F(a*theta) -
 a*F(theta) and C(a) the carrier moment (1 for zero-carrier families):
 
     renyi entropy      (G(a) + log C(a)) / (1 - a)
-    tsallis entropy    (exp(G(a)) * C(a) - 1) / (1 - a)
+    tsallis entropy    expm1(G(a) + log C(a)) / (1 - a)
     shannon entropy    F(theta) - <theta, grad F(theta)> - E[k(x)]
     cross entropy      F(theta') - <theta', grad F(theta)> - E[k(x)]
     skew jensen        a F(theta) + (1-a) F(theta') - F(a theta + (1-a) theta')
     renyi divergence   J / (1 - a)
-    tsallis divergence (exp(-J) - 1) / (a - 1)
+    tsallis divergence expm1(-J) / (a - 1)
     kl divergence      bregman gap of F with swapped arguments
-    bhattacharyya      exp(-J at a = 1/2); hellinger = sqrt(1 - bhattacharyya)
+    bhattacharyya      exp(-J at a = 1/2); hellinger = sqrt(-expm1(-J at a = 1/2))
 
 Inside a narrow band around a = 1 the generic forms are 0/0; those calls are
 routed to the Shannon/KL limit formulas and the branch taken is recorded on
@@ -141,7 +141,7 @@ def tsallis_entropy(fam: Family, theta: NaturalParam, alpha: float) -> MeasureRe
     fam.require_natural(theta)
     if abs(alpha - 1.0) < EPS_LIMIT:
         return MeasureResult(_cross_entropy(fam, theta, theta), SHANNON_LIMIT, alpha)
-    value = (math.exp(_log_i_alpha_self(fam, theta, alpha)) - 1.0) / (1.0 - alpha)
+    value = math.expm1(_log_i_alpha_self(fam, theta, alpha)) / (1.0 - alpha)
     return MeasureResult(value, CLOSED_FORM, alpha)
 
 
@@ -198,8 +198,7 @@ def tsallis_divergence(
     _check_pair(fam, theta, theta2)
     if abs(alpha - 1.0) < EPS_LIMIT:
         return MeasureResult(_bregman(fam, theta2, theta), KL_LIMIT, alpha)
-    gap = _jensen(fam, theta, theta2, alpha)
-    value = (math.exp(-gap) - 1.0) / (alpha - 1.0)
+    value = math.expm1(-_jensen(fam, theta, theta2, alpha)) / (alpha - 1.0)
     return MeasureResult(value, CLOSED_FORM, alpha)
 
 
@@ -219,20 +218,20 @@ def bhattacharyya_coefficient(
 
 
 def hellinger_distance(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
-    coeff = bhattacharyya_coefficient(fam, theta, theta2)
-    return math.sqrt(max(0.0, 1.0 - coeff))
+    # 1 - bhattacharyya as -expm1(-J), which keeps its digits for near-identical members.
+    return math.sqrt(max(0.0, -math.expm1(-skew_jensen(fam, theta, theta2, 0.5))))
 
 
 def renyi_to_tsallis(h_renyi: float, alpha: float) -> float:
     """Monotone conversion between the two entropy scales at the same order."""
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     if alpha == 1.0:
         raise DomainError("conversion is undefined at alpha = 1")
     return math.expm1((1.0 - alpha) * h_renyi) / (1.0 - alpha)
 
 
 def tsallis_to_renyi(h_tsallis: float, alpha: float) -> float:
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     if alpha == 1.0:
         raise DomainError("conversion is undefined at alpha = 1")
     arg = (1.0 - alpha) * h_tsallis

@@ -2,9 +2,8 @@
 
 Each measure is recomputed directly from the members' log-densities:
 adaptive quadrature for continuous univariate families, windowed summation
-with a certified tail bound for discrete ones, and, for the multivariate
-Gaussian, tensor Gauss-Hermite cubature up to four dimensions and seeded
-Monte Carlo above. Nothing in this module consults ``measures``.
+with a certified tail bound for discrete ones, and symmetric cubature for
+the multivariate Gaussian. Nothing in this module consults ``measures``.
 
 The discrete and multivariate log-densities are built from source
 parameters (a Poisson rate, a Gaussian mean and covariance Cholesky), never
@@ -22,12 +21,10 @@ The multivariate integrals substitute x = m + L z, with (m, L L^T) the mean
 and covariance of a proposal member: the alpha-scaled member for power
 integrals, the alpha-mixture for cross integrals and p itself otherwise.
 Every integrand divided by that proposal's density is then a constant or a
-quadratic in x, which Gauss-Hermite rules of 2 and 3 points per axis both
-integrate exactly, so a cubature bound (the gap between the two rules plus
-rounding) is at the rounding level. Monte Carlo reports a 3-sigma bound
-with a small floating-point floor; its substreams are derived
-deterministically from (seed, operation tag), so identical configs give
-bit-identical estimates regardless of call order.
+quadratic in x. Two fully symmetric degree-3 rules for z ~ N(0, I_d), of
+2d and 2d + 1 nodes (Stroud, Approximate Calculation of Multiple Integrals,
+1971), both integrate it exactly at every dimension, so a cubature bound
+(the gap between the two rules plus rounding) is at the rounding level.
 
 Summed terms carry a rounding bound proportional to the magnitudes their
 exponents are computed from, not to the exponents: at a Poisson rate of 900,
@@ -41,9 +38,7 @@ Renyi value divides by |1 - alpha|, keeps a rounding bound of order eps.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +52,6 @@ __all__ = [
     "QUADRATURE",
     "DISCRETE_SUM",
     "CUBATURE",
-    "MONTE_CARLO",
     "oracle_i_alpha_self",
     "oracle_i_alpha_cross",
     "oracle_shannon_entropy",
@@ -71,7 +65,6 @@ __all__ = [
 QUADRATURE = "quadrature"
 DISCRETE_SUM = "discrete-sum"
 CUBATURE = "cubature"
-MONTE_CARLO = "monte-carlo"
 
 WINDOW_NATS = 60.0
 
@@ -85,17 +78,6 @@ _QUAD_MAX_SUBDIVISIONS = 2000
 # bound grows with abs_tol, so a larger abs_tol would widen that band.
 QUADRATURE_FLOOR = 1e-7
 
-# Gauss-Hermite rules for E[h(z)], z ~ N(0, 1), by point count: points and
-# weights. They are exact up to degree 3 and 5, so both are exact on the
-# quadratics the integrands reduce to; a cubature value uses the larger rule
-# and is bounded by its gap to the smaller. A tensor rule has n^d nodes, so
-# above _CUBATURE_MAX_DIM dimensions the multivariate oracle runs Monte Carlo.
-_HERMITE_RULES = {
-    2: ((-1.0, 1.0), (0.5, 0.5)),
-    3: ((-math.sqrt(3.0), 0.0, math.sqrt(3.0)), (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)),
-}
-_CUBATURE_MAX_DIM = 4
-
 # A summed term's rounding error, in units of eps times the magnitudes its
 # exponent and weight are computed from: each piece and each operation on
 # them rounds once.
@@ -104,7 +86,13 @@ _ROUNDING_ULPS = 4.0
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Quadrature absolute tolerance and the Monte Carlo sample count and seed."""
+    """Quadrature absolute tolerance.
+
+    ``mc_samples`` and ``seed`` are accepted and validated but read by
+    nothing: no oracle backend samples. They remain only because the
+    benchmark harness (``bench/workloads.py``, ``bench/probe.py``) still
+    passes them, and go once it stops.
+    """
 
     abs_tol: float = 1e-10
     mc_samples: int = 1_000_000
@@ -129,7 +117,7 @@ class OracleEstimate:
     """A numerical value, a defensible error bound, and how it was obtained.
 
     ``evaluations`` counts integrand evaluations: quadrature points, series
-    terms, cubature nodes or Monte Carlo samples.
+    terms or cubature nodes.
     """
 
     value: float
@@ -146,11 +134,6 @@ class _Integrand:
     members: tuple[NaturalParam, ...]
     a: tuple[float, ...]
     b: tuple[float, ...] | None = None
-
-
-def _substream_seed(seed: int, tag: str) -> int:
-    ss = np.random.SeedSequence([seed, zlib.crc32(tag.encode("ascii"))])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _terms(logs, mags, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -296,20 +279,25 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
 
 
 # --------------------------------------------------------------------------
-# Cubature and Monte Carlo backend (multivariate Gaussian).
+# Cubature backend (multivariate Gaussian).
 # --------------------------------------------------------------------------
 
 
-@functools.cache
-def _hermite_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Hermite rule for E[h(z)], z ~ N(0, I_d): n^d nodes and their log weights."""
-    x, w = (np.array(v) for v in _HERMITE_RULES[n])
-    idx = np.indices((n,) * d).reshape(d, -1)
-    nodes = x[idx].T
-    log_w = np.log(w)[idx].sum(axis=0)
-    nodes.setflags(write=False)
-    log_w.setflags(write=False)
-    return nodes, log_w
+def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A degree-3 rule for E[h(z)], z ~ N(0, I_d): nodes and log weights.
+
+    Without the origin: the 2d points +-sqrt(d) e_i, each with weight 1/(2d).
+    With it: the origin with weight 2/(d+2) and the 2d points +-sqrt(d+2) e_i,
+    each with weight 1/(2(d+2)). At d = 1 these are the 2- and 3-point
+    Gauss-Hermite rules.
+    """
+    r2 = d + 2 if origin else d
+    nodes = math.sqrt(r2) * np.concatenate([-np.eye(d), np.eye(d)])
+    weights = np.full(2 * d, 1.0 / (2 * r2))
+    if origin:
+        nodes = np.concatenate([np.zeros((1, d)), nodes])
+        weights = np.concatenate([[2.0 / r2], weights])
+    return nodes, np.log(weights)
 
 
 def _mean_chol(fam: Family, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray, float]:
@@ -319,12 +307,10 @@ def _mean_chol(fam: Family, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray
     return p.mu, chol, float(np.sum(np.log(np.diag(chol)))) + 0.5 * fam.dim * _LOG_2PI
 
 
-def _gaussian(fam: Family, integrand: _Integrand, proposal, cfg, tag) -> OracleEstimate:
-    """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T).
-
-    z runs over two tensor Gauss-Hermite rules up to _CUBATURE_MAX_DIM
-    dimensions, and over cfg.mc_samples seeded standard normal draws above.
-    """
+def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
+    """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T),
+    with z over both symmetric rules: the value is the rule with the origin,
+    and the bound its gap to the other plus rounding."""
     mean, chol, norm_g = _mean_chol(fam, proposal)
     # Member j at x is -|y|^2/2 - norm_j with y = C_j^-1 (m - mu_j) + (C_j^-1 L) z;
     # the proposal itself has y = z.
@@ -335,43 +321,23 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal, cfg, tag) -> OracleE
         norms.append(norm)
     norms.append(norm_g)
 
-    def log_densities(z):
-        """Log-densities of the members, then of the proposal, at x = m + L z, and their magnitudes."""
+    # The integrand over the proposal's density: the proposal enters with
+    # coefficient -1, and the rule's log weights as one more log-density with
+    # coefficient 1.
+    a = (*integrand.a, -1.0, 1.0)
+    b = None if integrand.b is None else (*integrand.b, 0.0, 0.0)
+    sums = []
+    for origin in (False, True):
+        z, log_w = _symmetric_rule(fam.dim, origin)
         logs, mags = [], []
         for y, norm in zip([shift + z @ lin.T for shift, lin in affine] + [z], norms):
             half = 0.5 * np.einsum("ij,ij->i", y, y)
             logs.append(-half - norm)
             mags.append(half + abs(norm))
-        return logs, mags
-
-    # The integrand over the proposal's density: the proposal enters with coefficient -1.
-    a = (*integrand.a, -1.0)
-    b = None if integrand.b is None else (*integrand.b, 0.0)
-    d = fam.dim
-    if d > _CUBATURE_MAX_DIM:
-        z = np.random.default_rng(_substream_seed(cfg.seed, tag)).standard_normal((cfg.mc_samples, d))
-        ts, rounding = _terms(*log_densities(z), a, b)
-        value, err = _mc_mean(ts)
-        return OracleEstimate(value, err + float(rounding.mean()), MONTE_CARLO, cfg.mc_samples)
-    # The rule's log weights join the sum as one more log-density, with coefficient 1.
-    a = (*a, 1.0)
-    b = None if b is None else (*b, 0.0)
-    sums = []
-    for n in _HERMITE_RULES:
-        z, log_w = _hermite_rule(n, d)
-        logs, mags = log_densities(z)
         ts, rounding = _terms([*logs, log_w], [*mags, np.abs(log_w)], a, b)
         sums.append((math.fsum(ts.tolist()), float(rounding.sum())))
     (coarse, _), (value, rounding) = sums
-    nodes = sum(n**d for n in _HERMITE_RULES)
-    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, nodes)
-
-
-def _mc_mean(values: np.ndarray) -> tuple[float, float]:
-    value = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(values.size))
-    err = 3.0 * se + 8.0 * _EPS * (1.0 + abs(value))
-    return value, err
+    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, 4 * fam.dim + 1)
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +352,6 @@ def _integrate(
     *,
     around,
     proposal: NaturalParam,
-    tag: str,
     alpha: float = 1.0,
 ) -> OracleEstimate:
     """Integrate or sum ``integrand`` over the support.
@@ -394,11 +359,10 @@ def _integrate(
     Its mass lies near the modes of the members ``around`` (quadrature
     breakpoints, count-series peaks, with ``alpha`` the power that widens a
     count window) and under ``proposal``, whose window quadrature also covers
-    and on which the multivariate rule is centred; ``tag`` names the Monte
-    Carlo substream.
+    and on which the multivariate rules are centred.
     """
     if fam.support.kind == "real-vector":
-        return _gaussian(fam, integrand, proposal, cfg, tag)
+        return _gaussian(fam, integrand, proposal)
     if fam.support.is_discrete:
         return _series(fam, integrand, around, alpha)
     e = _fast_log_density(fam, integrand.members, integrand.a)
@@ -418,14 +382,20 @@ def _integrate(
 # --------------------------------------------------------------------------
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float | None) -> float:
+    # A missing argument raises the ValueError the closed-form dispatch raises.
+    if alpha is None:
+        raise ValueError("the measure needs an alpha order")
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a positive real, got {alpha}")
     return alpha
 
 
-def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> None:
+def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None) -> None:
+    # Either may be missing: `bregman` passes the second member first.
+    if theta is None or theta2 is None:
+        raise ValueError("the measure needs a second parameter")
     fam.require_natural(theta)
     fam.require_natural(theta2, "second natural parameter")
 
@@ -438,15 +408,8 @@ def oracle_i_alpha_self(
     fam.require_natural(theta)
     # Without a carrier, p^alpha is proportional to the alpha-scaled member's
     # density; a Poisson p^alpha still peaks at the rate of p.
-    return _integrate(
-        fam,
-        _Integrand((theta,), (alpha,)),
-        cfg,
-        around=[theta],
-        proposal=theta.scaled(alpha),
-        tag=f"i-self:{alpha!r}",
-        alpha=alpha,
-    )
+    integrand = _Integrand((theta,), (alpha,))
+    return _integrate(fam, integrand, cfg, around=[theta], proposal=theta.scaled(alpha), alpha=alpha)
 
 
 def oracle_i_alpha_cross(
@@ -468,21 +431,15 @@ def oracle_i_alpha_cross(
     # p^alpha q^(1-alpha) is proportional to the mixture member's density, so
     # that member carries the mass; both members' modes are added as margin
     # (quadrature breakpoints, series peaks).
-    return _integrate(
-        fam,
-        _Integrand((theta, theta2), (alpha, 1.0 - alpha)),
-        cfg,
-        around=[mixed, theta, theta2],
-        proposal=mixed,
-        tag=f"i-cross:{alpha!r}",
-    )
+    integrand = _Integrand((theta, theta2), (alpha, 1.0 - alpha))
+    return _integrate(fam, integrand, cfg, around=[mixed, theta, theta2], proposal=mixed)
 
 
 def oracle_shannon_entropy(fam: Family, theta: NaturalParam, cfg: OracleConfig) -> OracleEstimate:
     """Direct -integral/sum of p log p."""
     fam.require_natural(theta)
     integrand = _Integrand((theta,), (1.0,), (-1.0,))
-    return _integrate(fam, integrand, cfg, around=[theta], proposal=theta, tag="shannon")
+    return _integrate(fam, integrand, cfg, around=[theta], proposal=theta)
 
 
 def oracle_shannon_cross_entropy(
@@ -491,9 +448,7 @@ def oracle_shannon_cross_entropy(
     """Direct -integral/sum of p log q."""
     _check_pair(fam, theta, theta2)
     integrand = _Integrand((theta, theta2), (1.0, 0.0), (0.0, -1.0))
-    return _integrate(
-        fam, integrand, cfg, around=[theta, theta2], proposal=theta, tag="cross-entropy"
-    )
+    return _integrate(fam, integrand, cfg, around=[theta, theta2], proposal=theta)
 
 
 def oracle_kl(
@@ -502,7 +457,7 @@ def oracle_kl(
     """Direct integral/sum of p log(p/q)."""
     _check_pair(fam, theta, theta2)
     integrand = _Integrand((theta, theta2), (1.0, 0.0), (1.0, -1.0))
-    return _integrate(fam, integrand, cfg, around=[theta, theta2], proposal=theta, tag="kl")
+    return _integrate(fam, integrand, cfg, around=[theta, theta2], proposal=theta)
 
 
 def oracle_normalization(fam: Family, theta: NaturalParam, cfg: OracleConfig) -> OracleEstimate:

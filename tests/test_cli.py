@@ -253,11 +253,10 @@ class TestFamilyAliases:
 
     @pytest.mark.parametrize("alias", ["MVN", "multivariate_gaussian"])
     def test_verify(self, capsys, alias):
-        args = ("--mc-samples", "2000")
-        code, out, _ = self._run(capsys, "verify", "--family", "mvn", *args)
+        code, out, _ = self._run(capsys, "verify", "--family", "mvn")
         assert code == 0
         assert json.loads(out)["request"]["family"] == "mvn"
-        code_alias, out_alias, _ = self._run(capsys, "verify", "--family", alias, *args)
+        code_alias, out_alias, _ = self._run(capsys, "verify", "--family", alias)
         assert (code_alias, out_alias) == (0, out)
 
     def test_verify_unknown_family_is_usage_error(self, capsys):
@@ -402,8 +401,12 @@ print("SCIPY", any(m.startswith("scipy") for m in sys.modules))
     def test_samplers_never_import_scipy(self):
         script = """
 import sys
+import numpy as np
 import efmeasures as em
-em.POISSON.sample(em.POISSON.to_natural(em.PoissonParams(rate=80.0)), 1000, seed=0)
+theta = em.POISSON.to_natural(em.PoissonParams(rate=80.0))
+em.POISSON.sample(theta, 1000, seed=0)
+em.POISSON.log_density(theta, 3)
+em.POISSON.log_density_batch(theta, np.arange(100.0))
 em.GAUSSIAN.sample(em.GAUSSIAN.to_natural(em.GaussianParams(mu=0.0, var=1.0)), 1000, seed=0)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
@@ -414,7 +417,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 
 class TestVerifyCommand:
     def test_single_family_grid_passes(self):
-        code, out, _ = run_cli("verify", "--family", "exponential", "--seed", "1")
+        code, out, _ = run_cli("verify", "--family", "exponential")
         assert code == 0
         report = json.loads(out)
         assert report["all_pass"] is True
@@ -422,7 +425,7 @@ class TestVerifyCommand:
         assert all(row["oracle"]["evaluations"] > 0 for row in report["results"])
 
     def test_discrete_family_grid_passes(self):
-        code, out, _ = run_cli("verify", "--family", "poisson", "--seed", "1")
+        code, out, _ = run_cli("verify", "--family", "poisson")
         assert code == 0
         assert json.loads(out)["all_pass"] is True
 
@@ -441,12 +444,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--mc-samples", "10", "mc_samples must be >= 1000"),
             ("--abs-tol", "0", "abs_tol must be positive and finite"),
             ("--abs-tol", "inf", "abs_tol must be positive and finite"),
             ("--abs-tol", "1e300", "abs_tol must be at most the quadrature pass floor 1e-07"),
             ("--abs-tol", "2e-7", "abs_tol must be at most the quadrature pass floor 1e-07"),
-            ("--seed", "-1", "seed must be a non-negative integer"),
         ],
     )
     def test_bad_config_is_usage_error(self, capsys, flag, value, message):
@@ -455,6 +456,15 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "0"), ("--mc-samples", "10")])
+    def test_removed_sampling_flags_are_usage_errors(self, capsys, flag, value):
+        # No oracle backend samples, so verify takes no seed or sample count.
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["verify", "--family", "mvn", flag, value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
 
     def test_abs_tol_cannot_widen_the_pass_band(self, capsys):
         # The quadrature error bound grows with the requested tolerance, so a
@@ -467,23 +477,20 @@ class TestVerifyCommand:
         assert code == 0 and json.loads(out)["all_pass"] is True
 
     def test_reports_are_byte_identical_across_runs(self):
-        args = ("verify", "--family", "mvn", "--seed", "7", "--mc-samples", "50000")
+        args = ("verify", "--family", "mvn")
         _, first, _ = run_cli(*args)
         _, second, _ = run_cli(*args)
         assert first == second
 
     def test_seed_does_not_move_cubature_rows(self):
-        # The built-in mvn pair is two-dimensional, so its cells run cubature
-        # (4 + 9 nodes), not Monte Carlo; the CSV report carries no echo of
-        # the seed.
-        args = ("verify", "--family", "mvn", "--output", "csv")
-        _, first, _ = run_cli(*args, "--seed", "1", "--mc-samples", "50000")
-        _, second, _ = run_cli(*args, "--seed", "2", "--mc-samples", "50000")
-        assert first == second
-        rows = list(csv.DictReader(first.splitlines()))
+        # The built-in mvn pair is two-dimensional, so each cell runs the two
+        # symmetric cubature rules (4 + 5 nodes); nothing is sampled.
+        code, out, _ = run_cli("verify", "--family", "mvn", "--output", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 31
         assert {(r["oracle_method"], r["oracle_evaluations"], r["pass"]) for r in rows} == {
-            ("cubature", "13", "true")
+            ("cubature", "9", "true")
         }
 
 

@@ -261,6 +261,28 @@ class TestBhattacharyyaHellinger:
         assert far > near
 
 
+class TestNearIdenticalMembers:
+    """1 - exp(-J) is taken as -expm1(-J), so it keeps its digits when J is tiny."""
+
+    @pytest.mark.parametrize(
+        "measure, alpha", [("hellinger", None), ("tsallis-div", 0.5), ("tsallis-div", 2.0)]
+    )
+    def test_exponential_rates_1e5_apart_match_mpmath(self, measure, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        rate2 = 1.0 + 1e-5
+        p, q = _exp_theta(1.0), _exp_theta(rate2)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(0.5 if alpha is None else alpha)
+            l2 = mpmath.mpf(rate2)
+            # Integral of p^a q^(1-a) for rates 1 and l2.
+            overlap = l2 ** (1 - a) / (a + (1 - a) * l2)
+            want = mpmath.sqrt(1 - overlap) if alpha is None else (overlap - 1) / (a - 1)
+            want = float(want)
+        value = M.evaluate_measure(em.EXPONENTIAL, measure, p, q, alpha).value
+        # The values are ~1e-11 to 4e-6, below pytest.approx's absolute floor.
+        assert abs(value - want) <= 1e-9 * want
+
+
 class TestConversions:
     def test_zero_fixed_point(self):
         assert M.renyi_to_tsallis(0.0, 2.0) == 0.0
@@ -283,6 +305,12 @@ class TestConversions:
             M.renyi_to_tsallis(1.0, 1.0)
         with pytest.raises(DomainError):
             M.tsallis_to_renyi(3.0, 2.0)  # (1-2)*3 + 1 = -2
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("convert", [M.renyi_to_tsallis, M.tsallis_to_renyi])
+    def test_rejects_alpha_like_every_measure(self, convert, alpha):
+        with pytest.raises(DomainError, match="alpha must be a positive real"):
+            convert(1.0, alpha)
 
 
 class TestAlphaValidation:

@@ -15,7 +15,7 @@ from efmeasures.families import NaturalParam
 
 from conftest import ALL_FAMILY_NAMES, _random_cov, make_family, random_source
 
-CFG = em.OracleConfig(mc_samples=200_000, seed=17)
+CFG = em.OracleConfig()
 
 
 def _exp_theta(rate):
@@ -116,8 +116,7 @@ class TestNormalization:
         for _ in range(3):
             theta = fam.to_natural(random_source(name, rng))
             est = O.oracle_normalization(fam, theta, CFG)
-            tol = 1e-3 if est.method == O.MONTE_CARLO else 1e-8
-            assert est.value == pytest.approx(1.0, abs=tol)
+            assert est.value == pytest.approx(1.0, abs=1e-8)
 
 
 class TestGradCheck:
@@ -145,49 +144,19 @@ class TestGradCheck:
             O.oracle_grad_check(em.EXPONENTIAL, NaturalParam([-1e-7]), 1e-5)
 
 
-# Above four dimensions the mvn oracle runs seeded Monte Carlo.
-MC_DIM = 5
-
-
-def _mc_pair():
-    fam = em.get_family("mvn", MC_DIM)
-    cov = np.eye(MC_DIM) + 0.2 * np.diag(np.ones(MC_DIM - 1), 1) + 0.2 * np.diag(np.ones(MC_DIM - 1), -1)
-    theta = fam.to_natural(em.MultivariateGaussianParams(mu=np.linspace(-0.2, 0.3, MC_DIM), cov=cov))
-    theta2 = fam.to_natural(em.MultivariateGaussianParams(mu=np.zeros(MC_DIM), cov=1.1 * np.eye(MC_DIM)))
-    return fam, theta, theta2
-
-
 class TestDeterminismAndConfig:
-    def test_monte_carlo_bit_identical(self):
-        fam, theta, theta2 = _mc_pair()
-        cfg = em.OracleConfig(mc_samples=50_000, seed=42)
-        first = O.oracle_kl(fam, theta, theta2, cfg)
-        second = O.oracle_kl(fam, theta, theta2, cfg)
-        assert first == second
-        third = O.oracle_kl(fam, theta, theta2, em.OracleConfig(mc_samples=50_000, seed=43))
-        assert first.value != third.value
-
-    def test_substreams_differ_by_operation(self):
-        fam, theta, _ = _mc_pair()
-        cfg = em.OracleConfig(mc_samples=50_000, seed=42)
-        shannon = O.oracle_shannon_entropy(fam, theta, cfg)
-        cross = O.oracle_shannon_cross_entropy(fam, theta, theta, cfg)
-        assert shannon.method == cross.method == O.MONTE_CARLO
-        # same integrand, different substreams
-        assert shannon.value != cross.value
-        assert shannon.value == pytest.approx(cross.value, abs=shannon.error_bound + cross.error_bound)
-
-    def test_seed_changes_monte_carlo_digits(self):
-        fam, theta, theta2 = _mc_pair()
-        runs = [em.OracleConfig(mc_samples=20_000, seed=seed) for seed in (1, 2)]
-        # Power integrals are constant over their proposal, so every seed gives their exact value.
-        for measure in ("shannon", "cross-entropy", "kl"):
-            second = None if measure == "shannon" else theta2
-            first, other = (O.oracle_measure(fam, measure, theta, second, None, cfg) for cfg in runs)
-            assert first.method == other.method == O.MONTE_CARLO
-            assert first.evaluations == other.evaluations == 20_000
-            assert first.value != other.value
-            assert abs(first.value - other.value) <= first.error_bound + other.error_bound
+    @pytest.mark.parametrize("measure", M.MEASURE_NAMES)
+    def test_missing_argument_is_a_value_error(self, measure):
+        p, q = _exp_theta(1.0), _exp_theta(2.0)
+        alpha = 0.5 if M.measure_needs_alpha(measure) else None
+        second = q if M.measure_needs_pair(measure) else None
+        if alpha is not None:
+            with pytest.raises(ValueError, match="needs an alpha order"):
+                O.oracle_measure(em.EXPONENTIAL, measure, p, second, None, CFG)
+        if second is not None:
+            with pytest.raises(ValueError, match="needs a second parameter"):
+                O.oracle_measure(em.EXPONENTIAL, measure, p, None, alpha, CFG)
+        assert math.isfinite(O.oracle_measure(em.EXPONENTIAL, measure, p, second, alpha, CFG).value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -260,7 +229,7 @@ class TestCubature:
         + [(m, a) for m in ("renyi-div", "tsallis-div", "jensen") for a in (0.5, 0.9, 2.0)]
     )
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_matches_closed_forms(self, dim):
         rng = np.random.default_rng(700 + dim)
         for _ in range(2):
@@ -279,10 +248,22 @@ class TestCubature:
         assert O.oracle_shannon_entropy(em.BERNOULLI, coin, CFG).evaluations == 2
         poisson = O.oracle_shannon_entropy(em.POISSON, em.POISSON.to_natural(em.PoissonParams(rate=100.0)), CFG)
         assert 150 < poisson.evaluations < 300
-        fam, p, _ = _mvn_pair(2, np.random.default_rng(3))
-        assert O.oracle_normalization(fam, p, CFG).evaluations == 2**2 + 3**2
-        fam, p, _ = _mc_pair()
-        assert O.oracle_normalization(fam, p, em.OracleConfig(mc_samples=3000)).evaluations == 3000
+        for dim, nodes in ((2, 9), (5, 21)):
+            fam, p, _ = _mvn_pair(dim, np.random.default_rng(3))
+            assert O.oracle_normalization(fam, p, CFG).evaluations == nodes
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_rules_are_exact_to_degree_three(self, dim):
+        eye = np.eye(dim)
+        for origin in (False, True):
+            z, log_w = O._symmetric_rule(dim, origin)
+            w = np.exp(log_w)
+            assert z.shape == (2 * dim + origin, dim) and np.all(w > 0)
+            assert w.sum() == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(w @ z, 0.0, atol=1e-15)
+            np.testing.assert_allclose(z.T @ (w[:, None] * z), eye, atol=1e-14)
+            np.testing.assert_allclose(w @ z**3, 0.0, atol=1e-14)
+            np.testing.assert_allclose((z**2).T @ (w[:, None] * z), 0.0, atol=1e-14)
 
 
 class TestWrongLogNormalizer:
