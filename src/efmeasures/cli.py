@@ -41,8 +41,7 @@ from .measures import (
     measure_needs_pair,
 )
 from .estimation import MeasureRequest, SampleSet, mle, plugin_measure
-from .oracle import CUBATURE, DISCRETE_SUM, QUADRATURE, QUADRATURE_FLOOR, OracleConfig
-from .oracle import oracle_measure
+from .oracle import CUBATURE, DISCRETE_SUM, oracle_measure
 
 ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
 DIVERGENCE_MEASURES = tuple(m.name for m in MEASURES if m.needs_pair)
@@ -57,7 +56,6 @@ VERIFY_CELLS = tuple(
 # Closed form vs oracle agreement floors per oracle method; cubature relies
 # purely on its reported bound.
 VERIFY_BASE_TOL = {
-    QUADRATURE: QUADRATURE_FLOOR,
     DISCRETE_SUM: 1e-9,
     CUBATURE: 0.0,
 }
@@ -116,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="closed form vs oracle over the built-in grid")
     p_ver.add_argument("--family", default=None, help="restrict the grid to one family")
-    p_ver.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-10)
     p_ver.add_argument("--output", choices=("json", "csv"), default="json")
 
     sub.add_parser("families", help="list families and their decompositions")
@@ -396,7 +393,6 @@ def _run_estimate(parser, args) -> dict:
 def _run_verify(parser, args) -> tuple[dict, bool]:
     try:
         family = None if args.family is None else get_family(args.family, dim=1).name
-        cfg = OracleConfig(abs_tol=args.abs_tol)
     except ValueError as exc:
         parser.error(str(exc))
     names = [family] if family else list(VERIFY_PAIRS)
@@ -411,7 +407,7 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
         for measure, alpha in VERIFY_CELLS:
             second = theta2 if measure_needs_pair(measure) else None
             closed = evaluate_measure(fam, measure, theta, second, alpha)
-            est = oracle_measure(fam, measure, theta, second, alpha, cfg)
+            est = oracle_measure(fam, measure, theta, second, alpha)
             tol = max(
                 VERIFY_BASE_TOL[est.method],
                 est.error_bound + 1e-12 * (1.0 + abs(closed.value)),
@@ -437,7 +433,6 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
         "subcommand": "verify",
         "family": family,
         "alpha": list(VERIFY_ALPHAS),
-        "abs_tol": args.abs_tol,
     }
     return {"request": request, "results": results, "all_pass": all_pass}, all_pass
 

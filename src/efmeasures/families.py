@@ -107,10 +107,11 @@ class NaturalParam:
     matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        vec = np.atleast_1d(np.asarray(self.vector, dtype=float))
+        vec = np.array(self.vector, dtype=float, ndmin=1)  # a copy, frozen below
         if vec.ndim != 1:
             raise ValueError(f"vector block must be 1-d, got shape {vec.shape}")
-        object.__setattr__(self, "vector", _readonly(vec))
+        vec.setflags(write=False)
+        object.__setattr__(self, "vector", vec)
         if self.matrix is not None:
             mat = np.asarray(self.matrix, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -312,7 +313,7 @@ class LaplacianParams:
 
 
 def _log_factorials(ks: np.ndarray) -> np.ndarray:
-    """log k! over a run of consecutive counts, one ``math.lgamma`` each (no scipy)."""
+    """log k! over a run of consecutive counts, one ``math.lgamma`` each."""
     first = int(ks[0]) + 1
     return np.fromiter(map(math.lgamma, range(first, first + ks.size)), float, ks.size)
 
@@ -481,6 +482,12 @@ class Family(ABC):
         self.require_natural(theta)
         return 0.0
 
+    def centred(self, *thetas: NaturalParam) -> tuple[NaturalParam, ...]:
+        """The members moved by the one shift of x that takes the first to the
+        origin, where F values stay small; every measure is unchanged by it.
+        Only a location family moves its members. Nothing is checked."""
+        return thetas
+
     # -- coordinate packing helpers -------------------------------------
 
     def compose(self, coords: np.ndarray) -> NaturalParam:
@@ -596,10 +603,6 @@ class ExponentialDistFamily(Family):
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
         t = float(theta.vector[0])
         return t * np.asarray(xs, dtype=float) + math.log(-t)
-
-    def window(self, theta: NaturalParam, nats: float) -> tuple[float, float]:
-        rate = -float(theta.vector[0])
-        return 0.0, nats / rate
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
@@ -822,6 +825,14 @@ class GaussianFamily(Family):
             )
         return self.to_natural(GaussianParams(mu=float(e[0]), var=var))
 
+    def centred(self, *thetas: NaturalParam) -> tuple[NaturalParam, ...]:
+        # x -> x - c takes (mu, var) to (mu - c, var), so theta1 = mu / var
+        # becomes theta1 + 2 c theta2; c is the first member's mean.
+        t1, t2 = thetas[0].vector.tolist()
+        c2 = -t1 / t2
+        pairs = (t.vector.tolist() for t in thetas)
+        return tuple(NaturalParam([v1 + c2 * v2, v2]) for v1, v2 in pairs)
+
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(_flat_values(xs))
 
@@ -833,11 +844,6 @@ class GaussianFamily(Family):
         t1, t2 = (float(v) for v in theta.vector)
         xs = np.asarray(xs, dtype=float)
         return t1 * xs + t2 * xs * xs - self.log_normalizer(theta)
-
-    def window(self, theta: NaturalParam, nats: float) -> tuple[float, float]:
-        p = self.from_natural(theta)
-        half = math.sqrt(2.0 * nats * p.var)
-        return p.mu - half, p.mu + half
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
@@ -1019,10 +1025,6 @@ class CenteredLaplacianFamily(Family):
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
         t = float(theta.vector[0])
         return t * np.abs(np.asarray(xs, dtype=float)) - self.log_normalizer(theta)
-
-    def window(self, theta: NaturalParam, nats: float) -> tuple[float, float]:
-        scale = -1.0 / float(theta.vector[0])
-        return -nats * scale, nats * scale
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)

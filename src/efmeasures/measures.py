@@ -84,9 +84,13 @@ def _check_alpha(alpha: float) -> float:
 # The public closed forms check each member they are given once, then hand
 # the checked members to these private forms, which check only the members
 # they derive. F, grad F and the carrier terms they call keep an inline guard.
+# Each form first centres its members (Family.centred) and derives the rest
+# from the centred ones, so that the F values it subtracts are not of size
+# mu^2 / (2 var).
 
 
 def _log_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> float:
+    (theta,) = fam.centred(theta)
     scaled = theta.scaled(alpha)
     fam.require_natural(scaled, "alpha-scaled parameter", ScaledParameterError)
     gap = fam.log_normalizer(scaled) - alpha * fam.log_normalizer(theta)
@@ -94,11 +98,13 @@ def _log_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> float:
 
 
 def _cross_entropy(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
+    theta, theta2 = fam.centred(theta, theta2)
     value = fam.log_normalizer(theta2) - theta2.dot(fam.grad_log_normalizer(theta))
     return value - fam.carrier_expectation(theta) if fam.has_carrier else value
 
 
 def _jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float) -> float:
+    theta, theta2 = fam.centred(theta, theta2)
     mixed = theta.mix(theta2, alpha)
     label = f"mixed parameter alpha*theta + (1-alpha)*theta' at alpha={alpha:g}"
     fam.require_natural(mixed, label, MixedParameterError)
@@ -110,6 +116,7 @@ def _jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 
 
 def _bregman(fam: Family, theta_q: NaturalParam, theta_p: NaturalParam) -> float:
+    theta_q, theta_p = fam.centred(theta_q, theta_p)
     grad_p = fam.grad_log_normalizer(theta_p)
     gap = fam.log_normalizer(theta_q) - fam.log_normalizer(theta_p)
     return gap - (theta_q.dot(grad_p) - theta_p.dot(grad_p))

@@ -1,30 +1,29 @@
 """Independent numerical verification of the closed forms.
 
-Each measure is recomputed directly from the members' log-densities:
-adaptive quadrature for continuous univariate families, windowed summation
-with a certified tail bound for discrete ones, and symmetric cubature for
-the multivariate Gaussian. Nothing in this module consults ``measures``.
+Each measure is recomputed directly from the members' log-densities: exact
+rules of a few nodes for the continuous families, and windowed summation
+with a certified tail bound for the discrete ones. Nothing in this module
+consults ``measures``.
 
-The discrete and multivariate log-densities are built from source
-parameters (a Poisson rate, a Gaussian mean and covariance Cholesky), never
-from the log-normalizer F. Every log-density subtracts F, so a sum of
+Every log-density is built from source parameters (a rate, a scale, a
+Gaussian mean and variance or covariance Cholesky), never from the
+log-normalizer F. Every family log-density subtracts F, so a sum of
 ``log_density_batch`` values would reproduce F's differences term by term
 and agree with a wrong F.
 
-Continuous integrals run on a finite window {x : log p(x) >= peak - 60},
-computed analytically per family; densities below exp(-60) of the peak
-contribute less than 1e-20 of the mass, so no improper-integral machinery
-is needed. For cross integrals the window is the hull of both members'
-windows plus the alpha-mixture's window when that parameter exists.
-
-The multivariate integrals substitute x = m + L z, with (m, L L^T) the mean
-and covariance of a proposal member: the alpha-scaled member for power
-integrals, the alpha-mixture for cross integrals and p itself otherwise.
-Every integrand divided by that proposal's density is then a constant or a
-quadratic in x. Two fully symmetric degree-3 rules for z ~ N(0, I_d), of
-2d and 2d + 1 nodes (Stroud, Approximate Calculation of Multiple Integrals,
-1971), both integrate it exactly at every dimension, so a cubature bound
-(the gap between the two rules plus rounding) is at the rounding level.
+The continuous integrals are expectations under a proposal member g: the
+alpha-scaled member for power integrals, the alpha-mixture for cross
+integrals and p itself otherwise. Within an exponential family p^a q^(1-a)
+is a constant times another member, so every integrand divided by g is a
+constant or a polynomial of degree at most 2 in the standardized variable:
+z = (x - m) / s for a Gaussian g = N(m, s^2) (or x = m + L z with L L^T its
+covariance), and z = |x| / scale for an exponential or centred Laplacian g,
+under which z is Exp(1). Two rules integrate that exactly: the 2- and 2d +
+1-node fully symmetric degree-3 rules for z ~ N(0, I_d) (Stroud,
+Approximate Calculation of Multiple Integrals, 1971; at d = 1 the 2- and
+3-point Gauss-Hermite rules), and the 1- and 2-point Gauss-Laguerre rules
+for z ~ Exp(1). The value is the finer rule's sum, and its bound the gap
+between the two rules plus rounding, which is at the rounding level.
 
 Summed terms carry a rounding bound proportional to the magnitudes their
 exponents are computed from, not to the exponents: at a Poisson rate of 900,
@@ -44,12 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NaturalDomainError
-from .families import Family, NaturalParam, _log_factorials, _lower_inverse, _tail, count_series
+from .families import Family, GaussianParams, LaplacianParams, NaturalParam, count_series
+from .families import _log_factorials, _lower_inverse, _tail
 
 __all__ = [
     "OracleConfig",
     "OracleEstimate",
-    "QUADRATURE",
     "DISCRETE_SUM",
     "CUBATURE",
     "oracle_i_alpha_self",
@@ -62,21 +61,11 @@ __all__ = [
     "oracle_measure",
 ]
 
-QUADRATURE = "quadrature"
 DISCRETE_SUM = "discrete-sum"
 CUBATURE = "cubature"
 
-WINDOW_NATS = 60.0
-
 _EPS = float(np.finfo(float).eps)
 _LOG_2PI = math.log(2.0 * math.pi)
-
-_QUAD_REL_TOL = 1e-10
-_QUAD_MAX_SUBDIVISIONS = 2000
-
-# The smallest band `verify` passes a quadrature cell in. Quadrature's error
-# bound grows with abs_tol, so a larger abs_tol would widen that band.
-QUADRATURE_FLOOR = 1e-7
 
 # A summed term's rounding error, in units of eps times the magnitudes its
 # exponent and weight are computed from: each piece and each operation on
@@ -86,26 +75,18 @@ _ROUNDING_ULPS = 4.0
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Quadrature absolute tolerance.
+    """Accepted for compatibility and read by nothing: every oracle backend is
+    an exact rule or a certified sum, with nothing to tune or sample.
 
-    ``mc_samples`` and ``seed`` are accepted and validated but read by
-    nothing: no oracle backend samples. They remain only because the
-    benchmark harness (``bench/workloads.py``, ``bench/probe.py``) still
-    passes them, and go once it stops.
+    ``mc_samples`` and ``seed`` remain, validated, only because the benchmark
+    harness (``bench/workloads.py``, ``bench/probe.py``) still passes them,
+    and go once it stops.
     """
 
-    abs_tol: float = 1e-10
     mc_samples: int = 1_000_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.abs_tol > QUADRATURE_FLOOR:
-            raise ValueError(
-                f"abs_tol must be at most the quadrature pass floor {QUADRATURE_FLOOR:g}, "
-                f"got {self.abs_tol:g}"
-            )
         if self.mc_samples < 1000:
             raise ValueError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if self.seed < 0:
@@ -116,8 +97,8 @@ class OracleConfig:
 class OracleEstimate:
     """A numerical value, a defensible error bound, and how it was obtained.
 
-    ``evaluations`` counts integrand evaluations: quadrature points, series
-    terms or cubature nodes.
+    ``evaluations`` counts integrand evaluations: series terms, or the
+    nodes of both cubature rules.
     """
 
     value: float
@@ -151,62 +132,6 @@ def _terms(logs, mags, a, b) -> tuple[np.ndarray, np.ndarray]:
     w = sum(c * v for c, v in zip(b, logs))
     mw = sum(abs(c) * v for c, v in zip(b, mags))
     return w * p, _ROUNDING_ULPS * _EPS * p * (np.abs(w) * m + mw)
-
-
-# --------------------------------------------------------------------------
-# Quadrature backend (continuous univariate families).
-# --------------------------------------------------------------------------
-
-
-def _quad(fn, lo: float, hi: float, cfg: OracleConfig, points=None) -> tuple[float, float, int]:
-    # Imported here: scipy is needed only by the oracle, not by the closed forms or `estimate`.
-    # scipy.special first: on scipy 1.17 that order imports both ~20 ms faster
-    # than scipy.integrate alone (median of 16 fresh interpreters each).
-    from scipy import special  # noqa: F401
-    from scipy import integrate
-
-    pts = None
-    if points:
-        pts = sorted(p for p in points if lo < p < hi)
-        pts = pts or None
-    result = integrate.quad(
-        fn,
-        lo,
-        hi,
-        epsabs=cfg.abs_tol,
-        epsrel=_QUAD_REL_TOL,
-        limit=_QUAD_MAX_SUBDIVISIONS,
-        points=pts,
-        full_output=1,
-    )
-    if len(result) > 3:
-        raise ConvergenceError(f"quadrature did not converge on [{lo:g}, {hi:g}]: {result[3]}")
-    return float(result[0]), float(result[1]), int(result[2]["neval"])
-
-
-def _mode(fam: Family, theta: NaturalParam) -> float:
-    lo, hi = fam.window(theta, 1e-9)
-    return 0.5 * (lo + hi)
-
-
-def _fast_log_density(fam: Family, members, coeffs):
-    """x -> sum_j c_j log p_j(x) as one scalar closure, for quad's pointwise calls.
-
-    These log-densities are <theta, t(x)> - F(theta), so a combination of
-    them is one more of the same form.
-    """
-    v = sum(c * m.vector for c, m in zip(coeffs, members))
-    norm = sum(c * fam.log_normalizer(m) for c, m in zip(coeffs, members))
-    if fam.name == "exponential":
-        t = float(v[0])
-        return lambda x: t * x - norm
-    if fam.name == "gaussian":
-        t1, t2 = float(v[0]), float(v[1])
-        return lambda x: t1 * x + t2 * x * x - norm
-    if fam.name == "laplacian":
-        t = float(v[0])
-        return lambda x: t * abs(x) - norm
-    raise ValueError(f"{fam.name}: no pointwise log-density for quadrature")
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +204,7 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
 
 
 # --------------------------------------------------------------------------
-# Cubature backend (multivariate Gaussian).
+# Cubature backend (continuous families).
 # --------------------------------------------------------------------------
 
 
@@ -300,6 +225,67 @@ def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.log(weights)
 
 
+# The 2- and 3-point Gauss-Hermite rules for z ~ N(0, 1), nodes as a vector.
+_HERMITE_RULES = [(z[:, 0], log_w) for z, log_w in (_symmetric_rule(1, o) for o in (False, True))]
+
+# The 1- and 2-point Gauss-Laguerre rules for z ~ Exp(1), exact to degree 1 and 3.
+_ROOT2 = math.sqrt(2.0)
+_LAGUERRE_RULES = [
+    (np.array([1.0]), np.array([0.0])),
+    (np.array([2.0 - _ROOT2, 2.0 + _ROOT2]), np.log([(2.0 + _ROOT2) / 4.0, (2.0 - _ROOT2) / 4.0])),
+]
+
+
+def _two_rules(integrand: _Integrand, rules, log_densities) -> OracleEstimate:
+    """E_g[integrand / g] over a coarse and a fine rule for z, with
+    ``log_densities(z)`` the members' and then g's log-densities at the nodes
+    and the summed magnitudes of their pieces: the value is the fine rule's
+    sum, and the bound its gap to the coarse one plus rounding."""
+    # The proposal g enters with coefficient -1, and the rule's log weights
+    # as one more log-density with coefficient 1.
+    a = (*integrand.a, -1.0, 1.0)
+    b = None if integrand.b is None else (*integrand.b, 0.0, 0.0)
+    sums = []
+    for z, log_w in rules:
+        logs, mags = log_densities(z)
+        ts, rounding = _terms([*logs, log_w], [*mags, np.abs(log_w)], a, b)
+        sums.append((math.fsum(ts.tolist()), float(rounding.sum())))
+    (coarse, _), (value, rounding) = sums
+    nodes = sum(len(z) for z, _ in rules)
+    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, nodes)
+
+
+def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> OracleEstimate:
+    """Integrate over the line in z = (x - m) / s for a Gaussian proposal
+    N(m, s^2), and over the half-line in z = |x| / scale for an exponential or
+    centred Laplacian one, whose integrands depend on |x| only. Member j's
+    log-density is -u_j - n_j there, with u_j = y_j^2 / 2 or y_j for a y_j
+    affine in z."""
+    members = [fam.from_natural(m) for m in (*integrand.members, proposal)]
+    g = members[-1]
+    gaussian = isinstance(g, GaussianParams)
+    if gaussian:
+        # y_j = (x - mu_j) / s_j = (m - mu_j) / s_j + (s / s_j) z; n_j = log(s_j sqrt(2 pi)).
+        sds = [math.sqrt(p.var) for p in members]
+        affine = [((g.mu - p.mu) / sd, sds[-1] / sd) for p, sd in zip(members, sds)]
+        norms = [math.log(sd) + 0.5 * _LOG_2PI for sd in sds]
+    elif isinstance(g, LaplacianParams):
+        # y_j = |x| / scale_j = (scale / scale_j) z; n_j = log(2 scale_j).
+        affine = [(0.0, g.scale / p.scale) for p in members]
+        norms = [math.log(2.0 * p.scale) for p in members]
+    else:
+        # y_j = rate_j x = (rate_j / rate) z; n_j = -log(rate_j).
+        affine = [(0.0, p.rate / g.rate) for p in members]
+        norms = [-math.log(p.rate) for p in members]
+
+    def log_densities(z):
+        ys = [shift + lin * z for shift, lin in affine]
+        us = [0.5 * y * y for y in ys] if gaussian else ys
+        return [-u - n for u, n in zip(us, norms)], [u + abs(n) for u, n in zip(us, norms)]
+
+    return _two_rules(integrand, _HERMITE_RULES if gaussian else _LAGUERRE_RULES, log_densities)
+
+
 def _mean_chol(fam: Family, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray, float]:
     """Mean, covariance Cholesky factor and log normalizer (log det + d/2 log 2 pi) of a member."""
     p = fam.from_natural(theta)
@@ -309,8 +295,7 @@ def _mean_chol(fam: Family, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray
 
 def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
     """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T),
-    with z over both symmetric rules: the value is the rule with the origin,
-    and the bound its gap to the other plus rounding."""
+    with z over both symmetric rules."""
     mean, chol, norm_g = _mean_chol(fam, proposal)
     # Member j at x is -|y|^2/2 - norm_j with y = C_j^-1 (m - mu_j) + (C_j^-1 L) z;
     # the proposal itself has y = z.
@@ -321,23 +306,16 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
         norms.append(norm)
     norms.append(norm_g)
 
-    # The integrand over the proposal's density: the proposal enters with
-    # coefficient -1, and the rule's log weights as one more log-density with
-    # coefficient 1.
-    a = (*integrand.a, -1.0, 1.0)
-    b = None if integrand.b is None else (*integrand.b, 0.0, 0.0)
-    sums = []
-    for origin in (False, True):
-        z, log_w = _symmetric_rule(fam.dim, origin)
+    def log_densities(z):
         logs, mags = [], []
         for y, norm in zip([shift + z @ lin.T for shift, lin in affine] + [z], norms):
             half = 0.5 * np.einsum("ij,ij->i", y, y)
             logs.append(-half - norm)
             mags.append(half + abs(norm))
-        ts, rounding = _terms([*logs, log_w], [*mags, np.abs(log_w)], a, b)
-        sums.append((math.fsum(ts.tolist()), float(rounding.sum())))
-    (coarse, _), (value, rounding) = sums
-    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, 4 * fam.dim + 1)
+        return logs, mags
+
+    rules = [_symmetric_rule(fam.dim, origin) for origin in (False, True)]
+    return _two_rules(integrand, rules, log_densities)
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +326,6 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
 def _integrate(
     fam: Family,
     integrand: _Integrand,
-    cfg: OracleConfig,
     *,
     around,
     proposal: NaturalParam,
@@ -356,39 +333,31 @@ def _integrate(
 ) -> OracleEstimate:
     """Integrate or sum ``integrand`` over the support.
 
-    Its mass lies near the modes of the members ``around`` (quadrature
-    breakpoints, count-series peaks, with ``alpha`` the power that widens a
-    count window) and under ``proposal``, whose window quadrature also covers
-    and on which the multivariate rules are centred.
+    A count series centres its window on the modes of the members
+    ``around``, as wide as a p^alpha power needs; the continuous rules run
+    under ``proposal``, the member whose density the integrand is closest to.
     """
-    if fam.support.kind == "real-vector":
-        return _gaussian(fam, integrand, proposal)
     if fam.support.is_discrete:
         return _series(fam, integrand, around, alpha)
-    e = _fast_log_density(fam, integrand.members, integrand.a)
-    if integrand.b is None:
-        fn = lambda x: math.exp(e(x))  # noqa: E731
-    else:
-        w = _fast_log_density(fam, integrand.members, integrand.b)
-        fn = lambda x: w(x) * math.exp(e(x))  # noqa: E731
-    starts, ends = zip(*(fam.window(m, WINDOW_NATS) for m in (*around, proposal)))
-    lo, hi = min(starts), max(ends)
-    value, err, neval = _quad(fn, lo, hi, cfg, points=[_mode(fam, m) for m in around])
-    return OracleEstimate(value, err, QUADRATURE, neval)
+    if fam.support.kind == "real-vector":
+        return _gaussian(fam, integrand, proposal)
+    return _univariate(fam, integrand, proposal)
 
 
 # --------------------------------------------------------------------------
 # Oracle operations.
 # --------------------------------------------------------------------------
+# Each takes an OracleConfig last, which it does not read (see OracleConfig).
 
 
-def _check_alpha(alpha: float | None) -> float:
+def _check_alpha(alpha: float | None, *, positive: bool = True) -> float:
     # A missing argument raises the ValueError the closed-form dispatch raises.
     if alpha is None:
         raise ValueError("the measure needs an alpha order")
     alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a positive real, got {alpha}")
+    if not (math.isfinite(alpha) and (alpha > 0 or not positive)):
+        kind = "positive" if positive else "finite"
+        raise ValueError(f"alpha must be a {kind} real, got {alpha}")
     return alpha
 
 
@@ -401,7 +370,7 @@ def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None) -
 
 
 def oracle_i_alpha_self(
-    fam: Family, theta: NaturalParam, alpha: float, cfg: OracleConfig
+    fam: Family, theta: NaturalParam, alpha: float, cfg: OracleConfig | None = None
 ) -> OracleEstimate:
     """Direct integral/sum of p^alpha over the support."""
     alpha = _check_alpha(alpha)
@@ -409,18 +378,12 @@ def oracle_i_alpha_self(
     # Without a carrier, p^alpha is proportional to the alpha-scaled member's
     # density; a Poisson p^alpha still peaks at the rate of p.
     integrand = _Integrand((theta,), (alpha,))
-    return _integrate(fam, integrand, cfg, around=[theta], proposal=theta.scaled(alpha), alpha=alpha)
+    return _integrate(fam, integrand, around=[theta], proposal=theta.scaled(alpha), alpha=alpha)
 
 
-def oracle_i_alpha_cross(
-    fam: Family,
-    theta: NaturalParam,
-    theta2: NaturalParam,
-    alpha: float,
-    cfg: OracleConfig,
+def _i_alpha_cross(
+    fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> OracleEstimate:
-    """Direct integral/sum of p^alpha q^(1-alpha)."""
-    alpha = _check_alpha(alpha)
     _check_pair(fam, theta, theta2)
     mixed = theta.mix(theta2, alpha)
     if not fam.in_natural_domain(mixed):
@@ -429,40 +392,54 @@ def oracle_i_alpha_cross(
             "the cross integral diverges"
         )
     # p^alpha q^(1-alpha) is proportional to the mixture member's density, so
-    # that member carries the mass; both members' modes are added as margin
-    # (quadrature breakpoints, series peaks).
+    # that member carries the mass; both members' modes widen a series window.
     integrand = _Integrand((theta, theta2), (alpha, 1.0 - alpha))
-    return _integrate(fam, integrand, cfg, around=[mixed, theta, theta2], proposal=mixed)
+    return _integrate(fam, integrand, around=[mixed, theta, theta2], proposal=mixed)
 
 
-def oracle_shannon_entropy(fam: Family, theta: NaturalParam, cfg: OracleConfig) -> OracleEstimate:
+def oracle_i_alpha_cross(
+    fam: Family,
+    theta: NaturalParam,
+    theta2: NaturalParam,
+    alpha: float,
+    cfg: OracleConfig | None = None,
+) -> OracleEstimate:
+    """Direct integral/sum of p^alpha q^(1-alpha)."""
+    return _i_alpha_cross(fam, theta, theta2, _check_alpha(alpha))
+
+
+def oracle_shannon_entropy(
+    fam: Family, theta: NaturalParam, cfg: OracleConfig | None = None
+) -> OracleEstimate:
     """Direct -integral/sum of p log p."""
     fam.require_natural(theta)
     integrand = _Integrand((theta,), (1.0,), (-1.0,))
-    return _integrate(fam, integrand, cfg, around=[theta], proposal=theta)
+    return _integrate(fam, integrand, around=[theta], proposal=theta)
 
 
 def oracle_shannon_cross_entropy(
-    fam: Family, theta: NaturalParam, theta2: NaturalParam, cfg: OracleConfig
+    fam: Family, theta: NaturalParam, theta2: NaturalParam, cfg: OracleConfig | None = None
 ) -> OracleEstimate:
     """Direct -integral/sum of p log q."""
     _check_pair(fam, theta, theta2)
     integrand = _Integrand((theta, theta2), (1.0, 0.0), (0.0, -1.0))
-    return _integrate(fam, integrand, cfg, around=[theta, theta2], proposal=theta)
+    return _integrate(fam, integrand, around=[theta, theta2], proposal=theta)
 
 
 def oracle_kl(
-    fam: Family, theta: NaturalParam, theta2: NaturalParam, cfg: OracleConfig
+    fam: Family, theta: NaturalParam, theta2: NaturalParam, cfg: OracleConfig | None = None
 ) -> OracleEstimate:
     """Direct integral/sum of p log(p/q)."""
     _check_pair(fam, theta, theta2)
     integrand = _Integrand((theta, theta2), (1.0, 0.0), (1.0, -1.0))
-    return _integrate(fam, integrand, cfg, around=[theta, theta2], proposal=theta)
+    return _integrate(fam, integrand, around=[theta, theta2], proposal=theta)
 
 
-def oracle_normalization(fam: Family, theta: NaturalParam, cfg: OracleConfig) -> OracleEstimate:
+def oracle_normalization(
+    fam: Family, theta: NaturalParam, cfg: OracleConfig | None = None
+) -> OracleEstimate:
     """Integral/sum of the density itself; should be 1."""
-    return oracle_i_alpha_self(fam, theta, 1.0, cfg)
+    return oracle_i_alpha_self(fam, theta, 1.0)
 
 
 def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> float:
@@ -535,20 +512,21 @@ def _hellinger(est: OracleEstimate) -> OracleEstimate:
 # like the closed-form measure table. Kept here rather than in that table:
 # this module must not import the closed forms it checks.
 _ASSEMBLY = {
-    "renyi": lambda fam, p, q, a, cfg: _renyi(oracle_i_alpha_self(fam, p, a, cfg), 1.0 - a),
-    "tsallis": lambda fam, p, q, a, cfg: _tsallis(oracle_i_alpha_self(fam, p, a, cfg), 1.0 - a),
-    "shannon": lambda fam, p, q, a, cfg: oracle_shannon_entropy(fam, p, cfg),
-    "cross-entropy": lambda fam, p, q, a, cfg: oracle_shannon_cross_entropy(fam, p, q, cfg),
-    "kl": lambda fam, p, q, a, cfg: oracle_kl(fam, p, q, cfg),
-    "renyi-div": lambda fam, p, q, a, cfg: _renyi(oracle_i_alpha_cross(fam, p, q, a, cfg), a - 1.0),
-    "tsallis-div": lambda fam, p, q, a, cfg: _tsallis(
-        oracle_i_alpha_cross(fam, p, q, a, cfg), a - 1.0
+    "renyi": lambda fam, p, q, a: _renyi(oracle_i_alpha_self(fam, p, a), 1.0 - a),
+    "tsallis": lambda fam, p, q, a: _tsallis(oracle_i_alpha_self(fam, p, a), 1.0 - a),
+    "shannon": lambda fam, p, q, a: oracle_shannon_entropy(fam, p),
+    "cross-entropy": lambda fam, p, q, a: oracle_shannon_cross_entropy(fam, p, q),
+    "kl": lambda fam, p, q, a: oracle_kl(fam, p, q),
+    "renyi-div": lambda fam, p, q, a: _renyi(oracle_i_alpha_cross(fam, p, q, a), a - 1.0),
+    "tsallis-div": lambda fam, p, q, a: _tsallis(oracle_i_alpha_cross(fam, p, q, a), a - 1.0),
+    "bhattacharyya": lambda fam, p, q, a: oracle_i_alpha_cross(fam, p, q, 0.5),
+    "hellinger": lambda fam, p, q, a: _hellinger(oracle_i_alpha_cross(fam, p, q, 0.5)),
+    # The skew Jensen gap takes any finite order, as its closed form does.
+    "jensen": lambda fam, p, q, a: _jensen(
+        _i_alpha_cross(fam, p, q, _check_alpha(a, positive=False))
     ),
-    "bhattacharyya": lambda fam, p, q, a, cfg: oracle_i_alpha_cross(fam, p, q, 0.5, cfg),
-    "hellinger": lambda fam, p, q, a, cfg: _hellinger(oracle_i_alpha_cross(fam, p, q, 0.5, cfg)),
-    "jensen": lambda fam, p, q, a, cfg: _jensen(oracle_i_alpha_cross(fam, p, q, a, cfg)),
     # The Bregman gap of (q, p) is the relative entropy of p against q.
-    "bregman": lambda fam, p, q, a, cfg: oracle_kl(fam, q, p, cfg),
+    "bregman": lambda fam, p, q, a: oracle_kl(fam, q, p),
 }
 
 
@@ -560,8 +538,10 @@ def oracle_measure(
     alpha: float | None = None,
     cfg: OracleConfig = OracleConfig(),
 ) -> OracleEstimate:
-    """Numerical value of a named measure, assembled from oracle primitives only."""
+    """Numerical value of a named measure, assembled from oracle primitives only.
+
+    ``cfg`` is accepted and read by nothing (see OracleConfig)."""
     assemble = _ASSEMBLY.get(measure)
     if assemble is None:
         raise ValueError(f"unknown measure {measure!r}")
-    return assemble(fam, theta, theta2, alpha, cfg)
+    return assemble(fam, theta, theta2, alpha)

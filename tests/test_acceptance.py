@@ -99,12 +99,10 @@ def test_criterion_2_oracle_equivalence_grid():
                     second = theta2 if M.measure_needs_pair(measure) else None
                     closed = M.evaluate_measure(fam, measure, theta, second, alpha).value
                     est = O.oracle_measure(fam, measure, theta, second, alpha, cfg)
-                    if est.method == O.CUBATURE:
-                        tol = est.error_bound + 1e-12 * (1.0 + abs(closed))
-                    elif est.method == O.DISCRETE_SUM:
+                    if est.method == O.DISCRETE_SUM:
                         tol = max(1e-9, est.error_bound)
                     else:
-                        tol = max(1e-7, est.error_bound)
+                        tol = est.error_bound + 1e-12 * (1.0 + abs(closed))
                     _check(
                         failures,
                         abs(closed - est.value) <= tol,

@@ -283,6 +283,44 @@ class TestNearIdenticalMembers:
         assert abs(value - want) <= 1e-9 * want
 
 
+class TestFarFromOrigin:
+    """Gaussian closed forms are centred on the first member's mean, so F values
+    of size mu^2 / (2 var) never cancel."""
+
+    @staticmethod
+    def _mp_reference(measure, mu1, var1, mu2, var2):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            m1, v1, m2, v2 = (mpmath.mpf(x) for x in (mu1, var1, mu2, var2))
+            d2 = (m1 - m2) ** 2
+            bc = mpmath.sqrt(2 * mpmath.sqrt(v1 * v2) / (v1 + v2))
+            bc *= mpmath.exp(-d2 / (4 * (v1 + v2)))
+            return float({
+                "shannon": mpmath.log(2 * mpmath.pi * mpmath.e * v1) / 2,
+                "kl": (mpmath.log(v2 / v1) + (v1 + d2) / v2 - 1) / 2,
+                "bhattacharyya": bc,
+                "hellinger": mpmath.sqrt(1 - bc),
+            }[measure])
+
+    @pytest.mark.parametrize("measure", ["shannon", "kl", "bhattacharyya", "hellinger"])
+    def test_means_near_1e8_match_mpmath(self, measure):
+        p, q = _gauss_theta(1e8, 1.0), _gauss_theta(1e8 + 1.0, 1.0)
+        second = q if M.measure_needs_pair(measure) else None
+        value = M.evaluate_measure(em.GAUSSIAN, measure, p, second).value
+        want = self._mp_reference(measure, 1e8, 1.0, 1e8 + 1.0, 1.0)
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_centred_is_a_common_shift(self):
+        p, q = _gauss_theta(3.0, 0.5), _gauss_theta(-1.0, 2.0)
+        cp, cq = em.GAUSSIAN.centred(p, q)
+        for theta, moved, mu in ((p, cp, 0.0), (q, cq, -4.0)):
+            got = em.GAUSSIAN.from_natural(moved)
+            assert got.var == em.GAUSSIAN.from_natural(theta).var
+            assert got.mu == pytest.approx(mu, abs=1e-15)
+        a, b = _exp_theta(1.0), _exp_theta(2.0)
+        assert em.EXPONENTIAL.centred(a, b) == (a, b)
+
+
 class TestConversions:
     def test_zero_fixed_point(self):
         assert M.renyi_to_tsallis(0.0, 2.0) == 0.0

@@ -10,10 +10,10 @@ import efmeasures as em
 from efmeasures import cli
 from efmeasures import measures as M
 from efmeasures import oracle as O
-from efmeasures.errors import ConvergenceError, NaturalDomainError
+from efmeasures.errors import ConvergenceError, DomainError, NaturalDomainError
 from efmeasures.families import NaturalParam
 
-from conftest import ALL_FAMILY_NAMES, _random_cov, make_family, random_source
+from conftest import ALL_FAMILY_NAMES, _random_cov, make_family, random_source, random_theta_pair
 
 CFG = em.OracleConfig()
 
@@ -29,7 +29,7 @@ def _assert_within_bound(est, target):
 class TestPowerIntegrals:
     def test_exponential_squared_density(self):
         est = O.oracle_i_alpha_self(em.EXPONENTIAL, _exp_theta(1.0), 2.0, CFG)
-        assert est.method == O.QUADRATURE
+        assert (est.method, est.evaluations) == (O.CUBATURE, 3)
         assert est.value == pytest.approx(0.5, abs=1e-10)
         _assert_within_bound(est, 0.5)
 
@@ -160,11 +160,70 @@ class TestDeterminismAndConfig:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            em.OracleConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
             em.OracleConfig(mc_samples=10)
         with pytest.raises(ValueError):
             em.OracleConfig(seed=-1)
+
+
+def _verify_pairs():
+    """The built-in `verify` pairs as (family, theta, theta2)."""
+    for name, (p, q) in cli.VERIFY_PAIRS.items():
+        fam = make_family(name)
+        yield fam, fam.to_natural(dict(p)), fam.to_natural(dict(q))
+
+
+def _agrees(closed, est):
+    """The `verify` rule."""
+    tol = max(cli.VERIFY_BASE_TOL[est.method], est.error_bound + 1e-12 * (1.0 + abs(closed)))
+    return abs(closed - est.value) <= tol
+
+
+class TestJensenOrders:
+    """The oracle takes the orders the closed forms take: any finite one for `jensen`."""
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
+    def test_matches_closed_form_on_verify_pairs(self, alpha):
+        for fam, p, q in _verify_pairs():
+            closed = M.evaluate_measure(fam, "jensen", p, q, alpha).value
+            est = O.oracle_measure(fam, "jensen", p, q, alpha, CFG)
+            assert _agrees(closed, est), (fam.name, closed, est)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_orders(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
+            O.oracle_measure(em.EXPONENTIAL, "jensen", _exp_theta(1.0), _exp_theta(1.5), alpha, CFG)
+
+    @pytest.mark.parametrize("measure", ["renyi-div", "tsallis-div", "renyi", "tsallis"])
+    def test_other_orders_stay_positive(self, measure):
+        p, q = _exp_theta(1.0), _exp_theta(1.5)
+        second = q if M.measure_needs_pair(measure) else None
+        for alpha in (0.0, -0.5):
+            with pytest.raises(DomainError):
+                M.evaluate_measure(em.EXPONENTIAL, measure, p, second, alpha)
+            with pytest.raises(ValueError, match="alpha must be a positive real"):
+                O.oracle_measure(em.EXPONENTIAL, measure, p, second, alpha, CFG)
+
+
+class TestIndependentOfF:
+    """Every oracle log-density comes from source parameters, never from F."""
+
+    def test_verify_cells_never_call_f(self, monkeypatch):
+        cells = []
+        for fam, p, q in _verify_pairs():
+            for measure, alpha in cli.VERIFY_CELLS:
+                second = q if M.measure_needs_pair(measure) else None
+                closed = M.evaluate_measure(fam, measure, p, second, alpha).value
+                cells.append((fam, measure, p, second, alpha, closed))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called F, grad F or a family log-density")
+
+        for cls in {type(fam) for fam, *_ in cells}:
+            for name in ("log_normalizer", "grad_log_normalizer", "log_density_batch"):
+                monkeypatch.setattr(cls, name, forbidden)
+        for fam, measure, p, second, alpha, closed in cells:
+            est = O.oracle_measure(fam, measure, p, second, alpha, CFG)
+            assert _agrees(closed, est), (fam.name, measure, alpha, closed, est)
 
 
 class TestSelfConsistency:
@@ -242,8 +301,12 @@ class TestCubature:
                 assert abs(closed - est.value) <= 1e-12 * abs(closed), (measure, alpha, closed, est)
 
     def test_evaluations_count_the_integrand_calls(self):
-        exp_est = O.oracle_kl(em.EXPONENTIAL, _exp_theta(1.0), _exp_theta(2.0), CFG)
-        assert exp_est.method == O.QUADRATURE and exp_est.evaluations % 21 == 0
+        # Gauss-Laguerre rules of 1 and 2 nodes, Gauss-Hermite rules of 2 and 3.
+        for name, nodes in (("exponential", 3), ("laplacian", 3), ("gaussian", 5)):
+            fam = make_family(name)
+            p, q = random_theta_pair(name, np.random.default_rng(4))
+            est = O.oracle_kl(fam, p, q, CFG)
+            assert (est.method, est.evaluations) == (O.CUBATURE, nodes)
         coin = em.BERNOULLI.to_natural(em.BernoulliParams(p=0.3))
         assert O.oracle_shannon_entropy(em.BERNOULLI, coin, CFG).evaluations == 2
         poisson = O.oracle_shannon_entropy(em.POISSON, em.POISSON.to_natural(em.PoissonParams(rate=100.0)), CFG)

@@ -220,3 +220,38 @@ def test_poisson_power_integral_routes_agree(rate, alpha):
     closed = M.i_alpha_self(em.POISSON, theta, alpha)
     direct = O.oracle_i_alpha_self(em.POISSON, theta, alpha, CFG)
     assert closed == pytest.approx(direct.value, rel=1e-11, abs=1e-13)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mus=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    variances=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    shift=st.floats(-1e9, 1e9),
+    measure=st.sampled_from(M.MEASURE_NAMES),
+    alpha=st.sampled_from([0.5, 0.9, 2.0]),
+)
+def test_gaussian_measures_are_shift_invariant(mus, variances, shift, measure, alpha):
+    """Moving both members by one shift changes a Gaussian measure only through
+    the rounding of mu + shift: the moved means carry an error of a few ulps of
+    their size, which the tolerance turns into the measure's change when the
+    second mean moves that far."""
+    fam = em.GAUSSIAN
+    shifted = [m + shift for m in mus]
+    moved = 4.0 * _EPS * (abs(shifted[0]) + abs(shifted[1]) + abs(mus[0]) + abs(mus[1]))
+
+    def value(means):
+        p, q = (fam.to_natural(em.GaussianParams(mu=m, var=v)) for m, v in zip(means, variances))
+        try:
+            return M.evaluate_measure(fam, measure, p, q, alpha).value
+        except em.DomainError:  # alpha = 2 can take the mixture out of the domain
+            return None
+
+    base = value(mus)
+    if base is None:
+        return
+    nudged = [value((mus[0], mus[1] + s * moved)) for s in (-1.0, 1.0)]
+    tol = max(abs(v - base) for v in nudged) + 1e-12 * (1.0 + abs(base))
+    assert abs(value(shifted) - base) <= tol
