@@ -450,13 +450,27 @@ class TestVerifyCommand:
         assert (exc.value.code, out) == (2, "")
         assert f"unrecognized arguments: {flag} {value}" in err
 
-    def test_removed_abs_tol_flag_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("value", ["0", "inf", "1e300", "2e-7"])
+    def test_removed_abs_tol_flag_is_usage_error(self, capsys, value):
         # Every continuous oracle is an exact rule, with no tolerance to set.
         with pytest.raises(SystemExit) as exc:
-            cli.run(["verify", "--family", "gaussian", "--abs-tol", "1e-8"])
+            cli.run(["verify", "--family", "bernoulli", "--abs-tol", value])
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
-        assert "unrecognized arguments: --abs-tol 1e-8" in err
+        assert f"unrecognized arguments: --abs-tol {value}" in err
+
+    def test_abs_tol_cannot_widen_the_pass_band(self, capsys):
+        # No flag sets a tolerance, and the Gaussian cells pass on their own
+        # cubature bounds, each far below the old 1e-7 quadrature floor.
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["verify", "--family", "gaussian", "--abs-tol", "1e300"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli("verify", "--family", "gaussian")
+        report = json.loads(out)
+        assert code == 0 and report["all_pass"] is True
+        assert all(row["oracle"]["method"] == "cubature" for row in report["results"])
+        assert max(row["oracle"]["error_bound"] for row in report["results"]) < 1e-9
 
     def test_reports_are_byte_identical_across_runs(self):
         args = ("verify", "--family", "mvn")
