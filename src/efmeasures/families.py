@@ -30,6 +30,8 @@ because F or its gradient diverges there.
 
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
+The mvn family keeps a member's precision factor, F and grad F on it once
+computed: only what the pure functions return, so concurrent fills store equal values.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ class NaturalParam:
     Used both for natural parameters and for the matching expectation
     coordinates returned by ``grad_log_normalizer``. The matrix block is
     symmetrized on construction (averaged with its transpose); input whose
-    asymmetry exceeds the tolerance is rejected outright.
+    asymmetry exceeds the tolerance is rejected outright. ``scaled`` and
+    ``mix`` make ``c M`` and ``w A + (1-w) B`` of exactly symmetric blocks,
+    exactly symmetric too, and do not re-symmetrize them. A family may keep
+    write-once values on a member (``_memo``), outside its fields, repr and eq.
     """
 
     vector: np.ndarray
@@ -147,17 +152,27 @@ class NaturalParam:
             out += float(np.sum(self.matrix * other.matrix))
         return out
 
+    @classmethod
+    def _derived(cls, vec: list[float], mat: np.ndarray | None) -> "NaturalParam":
+        """A member of exactly symmetric blocks: the vector copied, both frozen, nothing checked."""
+        out = object.__new__(cls)
+        vector = np.array(vec, dtype=float)
+        vector.setflags(write=False)
+        if mat is not None:
+            mat.setflags(write=False)
+        out.__dict__.update(vector=vector, matrix=mat)
+        return out
+
     # A scaled or mixed parameter can overflow to inf, and the domain check
     # that follows reports it, so no overflow warning may come first. The
     # vector block is computed in Python floats, which overflow quietly (and
-    # cost less than a numpy error state); the matrix block under one, which
-    # also covers its symmetry check subtracting inf from inf.
+    # cost less than a numpy error state); the matrix block under one.
     def scaled(self, factor: float) -> "NaturalParam":
         vec = [factor * x for x in self.vector.tolist()]
         if self.matrix is None:
-            return NaturalParam(vec)
+            return NaturalParam._derived(vec, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            return NaturalParam(vec, factor * self.matrix)
+            return NaturalParam._derived(vec, factor * self.matrix)
 
     def mix(self, other: "NaturalParam", weight: float) -> "NaturalParam":
         """Convex-style combination ``weight*self + (1-weight)*other``."""
@@ -165,9 +180,9 @@ class NaturalParam:
         rest = 1.0 - weight
         vec = [weight * x + rest * y for x, y in zip(self.vector.tolist(), other.vector.tolist())]
         if self.matrix is None:
-            return NaturalParam(vec)
+            return NaturalParam._derived(vec, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            return NaturalParam(vec, weight * self.matrix + rest * other.matrix)
+            return NaturalParam._derived(vec, weight * self.matrix + rest * other.matrix)
 
     def flat(self) -> np.ndarray:
         """All coordinates as one vector: vector block, then matrix row-major."""
@@ -212,6 +227,11 @@ def _counts(xs) -> tuple[np.ndarray, np.ndarray]:
     raw = np.asarray(xs)
     x = _flat_values(raw)
     return x, (raw.dtype != np.bool_) & np.isfinite(x) & (x == np.floor(x))
+
+
+def _memo(theta: NaturalParam) -> dict:
+    """The member's dict of write-once values, made on first use."""
+    return theta.__dict__.setdefault("_memo", {})
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -794,24 +814,24 @@ class GaussianFamily(Family):
 
     def from_natural(self, theta: NaturalParam) -> GaussianParams:
         self.require_natural(theta)
-        t1, t2 = (float(v) for v in theta.vector)
+        t1, t2 = theta.vector.tolist()
         var = -0.5 / t2
         return GaussianParams(mu=t1 * var, var=var)
 
     def _in_domain(self, theta: NaturalParam) -> bool:
-        t1, t2 = (float(v) for v in theta.vector)
+        t1, t2 = theta.vector.tolist()
         return math.isfinite(t1) and math.isfinite(t2) and t2 < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self._guard(self._in_domain(theta))
-        t1, t2 = (float(v) for v in theta.vector)
+        t1, t2 = theta.vector.tolist()
         # In natural coordinates F = -t1^2/(4 t2) + log(pi / -t2) / 2, which
         # equals mu^2/(2 var) + log(2 pi var) / 2 in source coordinates.
         return -t1 * t1 / (4.0 * t2) + 0.5 * (math.log(math.pi) - math.log(-t2))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         self._guard(self._in_domain(theta))
-        t1, t2 = (float(v) for v in theta.vector)
+        t1, t2 = theta.vector.tolist()
         return NaturalParam([-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)])
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
@@ -831,7 +851,7 @@ class GaussianFamily(Family):
         t1, t2 = thetas[0].vector.tolist()
         c2 = -t1 / t2
         pairs = (t.vector.tolist() for t in thetas)
-        return tuple(NaturalParam([v1 + c2 * v2, v2]) for v1, v2 in pairs)
+        return tuple(NaturalParam._derived([v1 + c2 * v2, v2], None) for v1, v2 in pairs)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(_flat_values(xs))
@@ -841,7 +861,7 @@ class GaussianFamily(Family):
         return np.column_stack([xs, xs * xs])
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        t1, t2 = (float(v) for v in theta.vector)
+        t1, t2 = theta.vector.tolist()
         xs = np.asarray(xs, dtype=float)
         return t1 * xs + t2 * xs * xs - self.log_normalizer(theta)
 
@@ -883,14 +903,26 @@ class MultivariateGaussianFamily(Family):
     def support(self) -> Support:  # type: ignore[override]
         return Support("real-vector", self.dim)
 
+    def _factor(self, theta: NaturalParam) -> np.ndarray | None:
+        """Cholesky factor of -2M (the precision matrix), kept on the member; None
+        outside the domain (a non-finite coordinate, or -2M not positive-definite)."""
+        memo = _memo(theta)
+        if "chol" not in memo:
+            chol = None
+            if np.isfinite(theta.vector).all() and np.isfinite(theta.matrix).all():
+                try:
+                    chol = np.linalg.cholesky(-2.0 * theta.matrix)
+                    chol.setflags(write=False)
+                except np.linalg.LinAlgError:
+                    pass
+            memo.setdefault("chol", chol)
+        return memo["chol"]
+
     def _precision_chol(self, theta: NaturalParam) -> np.ndarray:
-        """Cholesky factor of -2M (the precision matrix); raises if not PD."""
-        try:
-            return np.linalg.cholesky(-2.0 * theta.matrix)
-        except np.linalg.LinAlgError:
-            raise NaturalDomainError(
-                f"{self.name}: natural parameter outside the natural domain"
-            ) from None
+        """The member's factor of -2M; raises outside the domain."""
+        chol = self._factor(theta)
+        self._guard(chol is not None)
+        return chol
 
     def to_natural(self, params: MultivariateGaussianParams) -> NaturalParam:
         if not isinstance(params, MultivariateGaussianParams):
@@ -907,30 +939,32 @@ class MultivariateGaussianFamily(Family):
         return MultivariateGaussianParams(mu=cov @ theta.vector, cov=cov)
 
     def _in_domain(self, theta: NaturalParam) -> bool:
-        if not (np.all(np.isfinite(theta.vector)) and np.all(np.isfinite(theta.matrix))):
-            return False
-        try:
-            np.linalg.cholesky(-2.0 * theta.matrix)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        return self._factor(theta) is not None
 
-    # F and grad F factor -2M once; the factorization, and a finite result,
-    # is their domain check.
+    # F and grad F read the member's factor; a finite result is their domain check.
+    # Each is kept on the member keyed by the family, which only an equal family shares.
     def log_normalizer(self, theta: NaturalParam) -> float:
-        chol = self._precision_chol(theta)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        y = np.linalg.solve(chol, theta.vector)
-        value = 0.5 * self.dim * _LOG_2PI - 0.5 * log_det + 0.5 * float(y @ y)
-        self._guard(math.isfinite(value))
+        memo = _memo(theta)
+        value = memo.get((self, "F"))
+        if value is None:
+            chol = self._precision_chol(theta)
+            log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            y = np.linalg.solve(chol, theta.vector)
+            value = 0.5 * self.dim * _LOG_2PI - 0.5 * log_det + 0.5 * float(y @ y)
+            self._guard(math.isfinite(value))
+            value = memo.setdefault((self, "F"), value)
         return value
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        inv_chol = _lower_inverse(self._precision_chol(theta))
-        cov = inv_chol.T @ inv_chol
-        mu = cov @ theta.vector
-        self._guard(bool(np.isfinite(mu).all() and np.isfinite(cov).all()))
-        return NaturalParam(mu, cov + np.outer(mu, mu))
+        memo = _memo(theta)
+        grad = memo.get((self, "grad F"))
+        if grad is None:
+            inv_chol = _lower_inverse(self._precision_chol(theta))
+            cov = inv_chol.T @ inv_chol
+            mu = cov @ theta.vector
+            self._guard(bool(np.isfinite(mu).all() and np.isfinite(cov).all()))
+            grad = memo.setdefault((self, "grad F"), NaturalParam(mu, cov + np.outer(mu, mu)))
+        return grad
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
         if eta.matrix is None or eta.vector.size != self.dim:

@@ -117,9 +117,9 @@ class _Integrand:
     b: tuple[float, ...] | None = None
 
 
-def _terms(logs, mags, a, b) -> tuple[np.ndarray, np.ndarray]:
+def _terms(logs, mags, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | float]:
     """An integrand's terms w exp(e) from log-densities at an array of points,
-    and a bound on each term's rounding error.
+    a bound on each term's rounding error, and exp(e) and w themselves.
 
     ``mags`` holds, per log-density, the summed magnitudes of the pieces it
     was computed from, which its rounding error scales with.
@@ -128,10 +128,10 @@ def _terms(logs, mags, a, b) -> tuple[np.ndarray, np.ndarray]:
     m = 1.0 + sum(abs(c) * v for c, v in zip(a, mags))
     p = np.exp(e)
     if b is None:
-        return p, _ROUNDING_ULPS * _EPS * p * m
+        return p, _ROUNDING_ULPS * _EPS * p * m, p, 1.0
     w = sum(c * v for c, v in zip(b, logs))
     mw = sum(abs(c) * v for c, v in zip(b, mags))
-    return w * p, _ROUNDING_ULPS * _EPS * p * (np.abs(w) * m + mw)
+    return w * p, _ROUNDING_ULPS * _EPS * p * (np.abs(w) * m + mw), p, w
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
 
     def terms(ks):
         logs, mags = _log_masses(fam, members, ks)
-        ts, rounding = _terms([logs[0], *logs], [np.abs(logs[0]), *mags], coeffs, weights)
+        ts, rounding, _, _ = _terms([logs[0], *logs], [np.abs(logs[0]), *mags], coeffs, weights)
         last.update(ks=ks, ts=ts, rounding=rounding, ps=np.exp(logs[0]), mag_p=mags[0])
         return ts
 
@@ -236,11 +236,15 @@ _LAGUERRE_RULES = [
 ]
 
 
-def _two_rules(integrand: _Integrand, rules, log_densities) -> OracleEstimate:
+def _two_rules(integrand: _Integrand, rules, log_densities, moves=None) -> OracleEstimate:
     """E_g[integrand / g] over a coarse and a fine rule for z, with
     ``log_densities(z)`` the members' and then g's log-densities at the nodes
     and the summed magnitudes of their pieces: the value is the fine rule's
-    sum, and the bound its gap to the coarse one plus rounding."""
+    sum, and the bound its gap to the coarse one plus rounding. ``moves(zs)``
+    lists per member the first-order changes of its log-density at the nodes
+    zs under each rounding of its recovered parameters; the bound adds the fine
+    sum's change under each, summed with signs like the value, since they move
+    the members, not the terms."""
     # The proposal g enters with coefficient -1, and the rule's log weights
     # as one more log-density with coefficient 1.
     a = (*integrand.a, -1.0, 1.0)
@@ -248,9 +252,19 @@ def _two_rules(integrand: _Integrand, rules, log_densities) -> OracleEstimate:
     sums = []
     for z, log_w in rules:
         logs, mags = log_densities(z)
-        ts, rounding = _terms([*logs, log_w], [*mags, np.abs(log_w)], a, b)
+        ts, rounding, p, w = _terms([*logs, log_w], [*mags, np.abs(log_w)], a, b)
         sums.append((math.fsum(ts.tolist()), float(rounding.sum())))
     (coarse, _), (value, rounding) = sums
+    if moves is not None:
+        # d(w exp(e)) / d log p_j = (a_j w + b_j) exp(e), at the fine rule's nodes
+        # z (few: plain floats cost less than numpy calls).
+        ps = p.tolist()
+        ws = [1.0] * len(ps) if b is None else w.tolist()
+        bs = integrand.b or [0.0] * len(integrand.a)
+        for a_j, b_j, changes in zip(integrand.a, bs, moves(z.tolist())):
+            slopes = [(a_j * wn + b_j) * pn for wn, pn in zip(ws, ps)]
+            for d in changes:
+                rounding += abs(math.fsum(map(float.__mul__, slopes, d)))
     nodes = sum(len(z) for z, _ in rules)
     return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, nodes)
 
@@ -283,7 +297,18 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
         us = [0.5 * y * y for y in ys] if gaussian else ys
         return [-u - n for u, n in zip(us, norms)], [u + abs(n) for u, n in zip(us, norms)]
 
-    return _two_rules(integrand, _HERMITE_RULES if gaussian else _LAGUERRE_RULES, log_densities)
+    def moves(zs):
+        # from_natural's var = -1 / (2 t2) and mu = t1 var carry up to eps var_j and
+        # 2 eps |mu_j|, which move log p_j by (y_j^2 - 1) / (2 var_j) and y_j / s_j per unit.
+        out = []
+        for (shift, lin), p, sd in zip(affine, members[:-1], sds):
+            ys = [shift + lin * z for z in zs]
+            per_mu = 2.0 * _EPS * abs(p.mu) / sd
+            out.append(([per_mu * y for y in ys], [0.5 * _EPS * (y * y - 1.0) for y in ys]))
+        return out
+
+    rules = _HERMITE_RULES if gaussian else _LAGUERRE_RULES
+    return _two_rules(integrand, rules, log_densities, moves if gaussian else None)
 
 
 def _mean_chol(fam: Family, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray, float]:

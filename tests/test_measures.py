@@ -1,9 +1,13 @@
 """Closed-form measures: values, branches, conversions, and error paths."""
 
 import ast
+import dataclasses
 import functools
 import inspect
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from efmeasures.errors import (
 )
 from efmeasures.families import NaturalParam
 
-from conftest import ALL_FAMILY_NAMES, make_family, random_source, random_theta_pair
+from conftest import ALL_FAMILY_NAMES, _random_cov, make_family, random_source, random_theta_pair
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -479,12 +483,6 @@ _MEMBERS = {
     "renyi": 2, "tsallis": 2, "shannon": 1, "cross-entropy": 2, "kl": 2, "bregman": 2,
     "renyi-div": 3, "tsallis-div": 3, "bhattacharyya": 3, "hellinger": 3, "jensen": 3,
 }
-# Most Cholesky factorizations of -2M an mvn measure may run: one check per
-# member plus one per F or grad F evaluation.
-_MVN_CHOLESKYS = {
-    "renyi": 4, "tsallis": 4, "shannon": 3, "cross-entropy": 4, "kl": 5, "bregman": 5,
-    "renyi-div": 6, "tsallis-div": 6, "bhattacharyya": 6, "hellinger": 6, "jensen": 6,
-}
 
 
 @pytest.fixture
@@ -510,12 +508,142 @@ def tally(monkeypatch):
 def test_each_member_is_checked_once(tally, name, measure):
     fam = make_family(name)
     theta, theta2 = random_theta_pair(name, np.random.default_rng(8))
+    choleskys = []
     for alpha in (0.5, 2.0):
         tally.update(validations=0, choleskys=0)
         M.evaluate_measure(fam, measure, theta, theta2, alpha)
         assert tally["validations"] == _MEMBERS[measure]
-        if name == "mvn":
-            assert tally["choleskys"] <= _MVN_CHOLESKYS[measure]
+        choleskys.append(tally["choleskys"])
+    if name == "mvn":
+        # -2M is factored once per distinct member: on the first call at most
+        # once per member, on a repeat at another alpha only for the member
+        # the call builds anew (alpha*theta or the mixture), if any.
+        built = _MEMBERS[measure] - 1 - M.measure_needs_pair(measure)
+        assert choleskys[0] <= _MEMBERS[measure]
+        assert choleskys[1] == built
+
+
+# --------------------------------------------------------------------------
+# The mvn family keeps each member's factor of -2M, F and grad F on the member.
+# --------------------------------------------------------------------------
+
+_MEMO_CELLS = [
+    (m.name, a)
+    for m in M.MEASURES
+    for a in ((0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 2.0) if m.needs_alpha else (None,))
+]
+
+
+def _fresh_mvn_pair(dim: int, seed: int):
+    """The same two mvn members on every call, as new objects with nothing kept on them."""
+    rng = np.random.default_rng(seed)
+    fam = em.get_family("mvn", dim)
+    mu = rng.uniform(-1, 1, size=dim)
+    p = em.MultivariateGaussianParams(mu=mu, cov=_random_cov(rng, dim))
+    q = em.MultivariateGaussianParams(mu=mu + rng.uniform(-0.8, 0.8, size=dim), cov=_random_cov(rng, dim))
+    return fam, fam.to_natural(p), fam.to_natural(q)
+
+
+def _bits(fam, theta, theta2) -> list:
+    """Every memo cell's value, and F and grad F of both members, as exact bit patterns."""
+    out = [
+        M.evaluate_measure(fam, m, theta, theta2 if M.measure_needs_pair(m) else None, a).value.hex()
+        for m, a in _MEMO_CELLS
+    ]
+    for t in (theta, theta2):
+        out += [fam.log_normalizer(t).hex(), fam.grad_log_normalizer(t).flat().tobytes()]
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class _DoubledFactor(F.MultivariateGaussianFamily):
+    """Not an exponential family: mvn with its precision factor doubled, so
+    its F differs from mvn's on every member."""
+
+    def _precision_chol(self, theta):
+        return 2.0 * super()._precision_chol(theta)
+
+
+class TestMemberMemo:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_used_members_give_the_bits_of_fresh_ones(self, dim):
+        fam, p, q = _fresh_mvn_pair(dim, 90 + dim)
+        first = _bits(fam, p, q)
+        # p and q now carry everything the cells read; each cell again on them,
+        # and on fresh members.
+        for (m, a), want in zip(_MEMO_CELLS, first):
+            second = M.measure_needs_pair(m)
+            _, fresh_p, fresh_q = _fresh_mvn_pair(dim, 90 + dim)
+            cold = M.evaluate_measure(fam, m, fresh_p, fresh_q if second else None, a).value
+            warm = M.evaluate_measure(fam, m, p, q if second else None, a).value
+            assert warm.hex() == cold.hex() == want, (m, a)
+        assert _bits(fam, p, q) == first
+
+    def test_equal_families_share_a_member_and_others_do_not(self):
+        _, theta, _ = _fresh_mvn_pair(2, 7)
+        a, b = F.MultivariateGaussianFamily(2), F.MultivariateGaussianFamily(2)
+        assert a == b and a is not b
+        value, grad = a.log_normalizer(theta), a.grad_log_normalizer(theta).flat()
+        assert b.log_normalizer(theta) == value
+        assert np.array_equal(b.grad_log_normalizer(theta).flat(), grad)
+        # A family of another class is never served what mvn computed, nor mvn what it did.
+        doubled = _DoubledFactor(2)
+        _, fresh, _ = _fresh_mvn_pair(2, 7)
+        assert doubled.log_normalizer(theta) == doubled.log_normalizer(fresh) != value
+        assert a.log_normalizer(fresh) == value
+
+    def test_derived_members_are_frozen_and_exactly_symmetric(self):
+        _, p, q = _fresh_mvn_pair(3, 11)
+        for member, want in (
+            (p.scaled(0.7), 0.7 * p.matrix),
+            (p.mix(q, 0.3), 0.3 * p.matrix + 0.7 * q.matrix),
+            (p.mix(q, 2.0), 2.0 * p.matrix + (1.0 - 2.0) * q.matrix),
+        ):
+            assert np.array_equal(member.matrix, want)
+            assert np.array_equal(member.matrix, member.matrix.T)
+            for block in (member.vector, member.matrix):
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0] = 1.0
+        scalar = _gauss_theta(1.0, 2.0).scaled(0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            scalar.vector[0] = 1.0
+        # What a family keeps on a member shows in neither its repr nor its fields.
+        fam, fresh, _ = _fresh_mvn_pair(3, 11)
+        before = repr(fresh)
+        fam.grad_log_normalizer(fresh)
+        assert repr(fresh) == before and "_memo" not in before
+        assert [f.name for f in dataclasses.fields(fresh)] == ["vector", "matrix"]
+
+    def test_outside_member_raises_on_every_call(self):
+        fam, good, _ = _fresh_mvn_pair(2, 5)
+        indefinite = NaturalParam([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]])
+        infinite = NaturalParam([math.inf, 0.0], [[-0.5, 0.0], [0.0, -0.5]])
+        for bad in (indefinite, infinite):
+            for _ in range(3):
+                assert not fam.in_natural_domain(bad)
+                for fn in (fam.log_normalizer, fam.grad_log_normalizer, fam.from_natural):
+                    _raises_exactly(NaturalDomainError, fn, bad)
+                _raises_exactly(NaturalDomainError, M.evaluate_measure, fam, "kl", good, bad)
+
+    def test_concurrent_readers_get_identical_bits(self):
+        fam, p, q = _fresh_mvn_pair(3, 13)
+        start = threading.Barrier(4, timeout=30)
+
+        def read(_):
+            start.wait()  # all four threads reach the members before any has filled them
+            return _bits(fam, p, q), fam.grad_log_normalizer(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(read, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        want = _bits(*_fresh_mvn_pair(3, 13))
+        assert all(bits == want for bits, _ in results)
+        # Every reader was handed the one stored grad F, whichever thread computed it.
+        assert all(grad is results[0][1] for _, grad in results)
 
 
 # --------------------------------------------------------------------------

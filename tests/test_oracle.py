@@ -273,6 +273,61 @@ class TestHonestBounds:
         assert abs(est.value - want) <= est.error_bound < closed_form_error, (est, want)
 
 
+class TestGaussianMembersFarFromOrigin:
+    """The oracle recovers each Gaussian member as var = -1 / (2 t2), mu = t1 var,
+    which carry up to eps var and 2 eps |mu| of rounding; the bound carries
+    what that moves the value by, so far from the origin it still holds."""
+
+    @staticmethod
+    def _pair(shift):
+        return (em.GAUSSIAN.to_natural(em.GaussianParams(mu=shift + d, var=v))
+                for d, v in ((0.3, 0.7), (1.1, 1.3)))
+
+    @pytest.mark.parametrize("shift", [1e5, 1e7])
+    def test_every_verify_cell_passes(self, shift):
+        p, q = self._pair(shift)
+        failed = []
+        for measure, alpha in cli.VERIFY_CELLS:
+            second = q if M.measure_needs_pair(measure) else None
+            closed = M.evaluate_measure(em.GAUSSIAN, measure, p, second, alpha).value
+            est = O.oracle_measure(em.GAUSSIAN, measure, p, second, alpha)
+            if abs(closed - est.value) > est.error_bound + 1e-12 * (1.0 + abs(closed)):
+                failed.append((measure, alpha, closed, est))
+        assert not failed
+
+    @pytest.mark.parametrize("shift", [1e5, 1e7])
+    def test_kl_bound_covers_mpmath(self, shift):
+        mpmath = pytest.importorskip("mpmath")
+        p, q = self._pair(shift)
+        est = O.oracle_kl(em.GAUSSIAN, p, q)
+        with mpmath.workdps(50):
+            # The members the natural parameters encode, and their KL divergence in 50 digits.
+            (m1, v1), (m2, v2) = (
+                (t1 * v, v)
+                for t1, v in ((mpmath.mpf(t1), -1 / (2 * mpmath.mpf(t2)))
+                              for t1, t2 in (t.vector.tolist() for t in (p, q)))
+            )
+            want = float((mpmath.log(v2 / v1) + (v1 + (m1 - m2) ** 2) / v2 - 1) / 2)
+        assert abs(est.value - want) <= est.error_bound, (est, want)
+
+    def test_member_term_is_negligible_near_the_origin(self, monkeypatch):
+        # On `verify`'s built-in pair (means 0 and 0.5) the term stays at the
+        # rounding level, so the check keeps its edge there.
+        p, q = (em.GAUSSIAN.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS["gaussian"])
+
+        def bounds():
+            return [
+                O.oracle_measure(em.GAUSSIAN, m, p, q if M.measure_needs_pair(m) else None, a).error_bound
+                for m, a in cli.VERIFY_CELLS
+            ]
+
+        with_term = bounds()
+        two_rules = O._two_rules
+        monkeypatch.setattr(O, "_two_rules", lambda i, r, l, moves=None: two_rules(i, r, l))
+        terms = [b - b0 for b, b0 in zip(with_term, bounds())]
+        assert max(terms) > 0.0 and all(0.0 <= t <= 1e-13 for t in terms)
+
+
 def _mvn_pair(dim, rng):
     fam = em.get_family("mvn", dim)
     mu = rng.uniform(-1, 1, size=dim)
