@@ -28,9 +28,15 @@ Implemented decompositions:
 Natural domains are open sets; boundary values raise instead of clamping,
 because F or its gradient diverges there.
 
+The closed forms in ``measures`` read two private primitives of each family,
+its Shannon entropy H and its Bregman gap B(theta : theta') = F(theta) -
+F(theta') - <theta - theta', grad F(theta')>. Each family writes B on the step
+theta - theta' (Nielsen & Garcia, arXiv:0911.4863, tabulate F, grad F and F*),
+so neither subtracts two large values of F.
+
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
-The mvn family keeps a member's precision factor, F and grad F on it once
+The mvn family keeps a member's precision factor and moments on it once
 computed: only what the pure functions return, so concurrent fills store equal values.
 """
 
@@ -234,6 +240,26 @@ def _memo(theta: NaturalParam) -> dict:
     return theta.__dict__.setdefault("_memo", {})
 
 
+def _h(r: float) -> float:
+    """r - log1p(r) >= 0 for r > -1; near 0, where the two cancel, as r v -
+    2 (v^3/3 + v^5/5 + ...) with v = r / (2 + r), from log1p(r) = 2 atanh(v)."""
+    if not -0.1 < r < 0.1:
+        return r - math.log1p(r)
+    v = r / (2.0 + r)
+    w = v * v
+    series = 1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w / 13))))
+    return r * v - 2.0 * v * w * series
+
+
+def _rate_gap(ta: float, tb: float) -> float:
+    """q - 1 - log q for q = ta / tb of two negative coordinates: h((ta - tb) / tb),
+    and far from q = 1, where q may under- or overflow, with log q from both logs."""
+    r = (ta - tb) / tb
+    if -0.5 < r < 1.0:
+        return _h(r)
+    return r - (math.log(-ta) - math.log(-tb))
+
+
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular factor by forward substitution, row by row,
     scaling by the reciprocal diagonal as LAPACK's triangular solve does."""
@@ -356,8 +382,9 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     Their magnitudes must be log-concave in k outside the window (a count
     density times a log-concave weight is), so each tail is at most
     ``|t_edge| r / (1 - r)`` for the ratio r of the edge term to its neighbour.
-    Returns (sum, sum of magnitudes, tail bound, number of terms); a
-    non-finite term raises OverflowError.
+    Returns (pairwise sum, sum of magnitudes, tail bound, number of terms); a
+    non-finite term raises OverflowError. ``terms`` may return rows of terms,
+    one per sum over the window; then the first three are lists, one entry a row.
     """
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
     spread = 9.0 / math.sqrt(min(alpha, 1.0))
@@ -366,16 +393,18 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
         ks = np.arange(lo, math.ceil(high + widen * (spread * math.sqrt(high) + 20.0)) + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             ts = np.asarray(terms(ks), dtype=float)
-        total = math.fsum(ts.tolist())
-        if not math.isfinite(total):
+        rows = ts.reshape(-1, ks.size)
+        totals = rows.sum(axis=1).tolist()
+        if not all(map(math.isfinite, totals)):
             raise OverflowError("a count series term is not finite")
-        mags = np.abs(ts)
-        tail = _tail(float(mags[-1]), float(mags[-2]))
-        if lo > 0:
-            tail += _tail(float(mags[0]), float(mags[1]))
-        abs_total = float(mags.sum())
-        if tail <= _SERIES_TAIL * abs_total:
-            return total, abs_total, tail, ks.size
+        mags = np.abs(rows)
+        edges = mags[:, [0, 1, -2, -1]].tolist()
+        tails = [_tail(e3, e2) + (_tail(e0, e1) if lo > 0 else 0.0) for e0, e1, e2, e3 in edges]
+        abs_totals = mags.sum(axis=1).tolist()
+        if all(t <= _SERIES_TAIL * a for t, a in zip(tails, abs_totals)):
+            if ts.ndim == 1:
+                return totals[0], abs_totals[0], tails[0], ks.size
+            return totals, abs_totals, tails, ks.size
     raise ConvergenceError("a count series did not converge within 8 widenings of its window")
 
 
@@ -399,8 +428,6 @@ class Family(ABC):
     source_keys: ClassVar[tuple[str, ...]]
     # Human-readable decomposition strings for the CLI `families` listing.
     decomposition: ClassVar[dict[str, str]]
-    # Whether k(x) is nonzero; the closed forms skip the carrier terms otherwise.
-    has_carrier: ClassVar[bool] = False
 
     @property
     def order(self) -> int:
@@ -476,8 +503,8 @@ class Family(ABC):
         return 0.0
 
     # -- carrier moments (identically trivial unless k(x) != 0) ---------
-    # Both raise outside the domain. The closed forms call them only when
-    # ``has_carrier``, and such a family checks theta and alpha*theta inline.
+    # Both raise outside the domain; a family with a carrier checks theta and
+    # alpha*theta inline. The closed forms read the primitives below instead.
 
     def carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
         """Expectation of exp((alpha-1) k(x)) under the alpha-scaled member."""
@@ -502,11 +529,20 @@ class Family(ABC):
         self.require_natural(theta)
         return 0.0
 
-    def centred(self, *thetas: NaturalParam) -> tuple[NaturalParam, ...]:
-        """The members moved by the one shift of x that takes the first to the
-        origin, where F values stay small; every measure is unchanged by it.
-        Only a location family moves its members. Nothing is checked."""
-        return thetas
+    # -- the primitives of the closed forms, on members the caller checked --
+
+    @abstractmethod
+    def _entropy(self, theta: NaturalParam) -> float:
+        """Shannon entropy H(theta) = F - <theta, grad F> - E[k(x)], in nats."""
+
+    @abstractmethod
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        """Bregman gap B(theta : base) >= 0, from the step theta - base."""
+
+    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
+        """H and G = log(integral of p^alpha) - (1 - alpha) H >= 0, so that the
+        Renyi entropy is H + G / (1 - alpha); G = B(alpha theta : theta) here."""
+        return self._entropy(theta), self._gap(scaled, theta)
 
     # -- coordinate packing helpers -------------------------------------
 
@@ -613,6 +649,13 @@ class ExponentialDistFamily(Family):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
         return NaturalParam([-1.0 / e])
 
+    def _entropy(self, theta: NaturalParam) -> float:
+        return 1.0 - math.log(-float(theta.vector[0]))
+
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        # B(a : b) = q - 1 - log q with q = rate_a / rate_b.
+        return _rate_gap(float(theta.vector[0]), float(base.vector[0]))
+
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         x = _flat_values(xs)
         return np.isfinite(x) & (x >= 0)
@@ -644,7 +687,6 @@ class PoissonFamily(Family):
         "carrier": "k(x) = -log x!",
         "support": "x in {0, 1, 2, ...}",
     }
-    has_carrier: ClassVar[bool] = True
 
     def to_natural(self, params: PoissonParams) -> NaturalParam:
         if not isinstance(params, PoissonParams):
@@ -724,6 +766,37 @@ class PoissonFamily(Family):
         total, _, _, _ = count_series(terms, [rate])
         return -total
 
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        # B(a : b) = rate_b (e^d - 1 - d) with d = theta_a - theta_b; away from
+        # d = 0 as rate_a - rate_b (1 + d), where no e^d can overflow alone.
+        ta, tb = float(theta.vector[0]), float(base.vector[0])
+        d = ta - tb
+        if abs(d) < 1.0:
+            return math.exp(tb) * _h(math.expm1(d))
+        return math.exp(ta) - math.exp(tb) * (1.0 + d)
+
+    def _entropy(self, theta: NaturalParam) -> float:
+        return self._renyi_gap(theta, theta, 1.0)[0]
+
+    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
+        # One series over the log-masses l sums H = -E[l], y = E[expm1((alpha - 1) l)]
+        # (terms of one sign; e^(alpha l) - p where expm1 is large), so that
+        # log sum p^alpha = log1p(y) keeps its digits near alpha = 1, and, for
+        # where y is near -1, sum p^alpha itself shifted by its largest term.
+        t = float(theta.vector[0])
+        rate = math.exp(t)
+        shift = alpha * (int(rate) * t - rate - math.lgamma(int(rate) + 1.0))
+
+        def terms(ks: np.ndarray):
+            log_p = ks * t - rate - _log_factorials(ks)
+            p, x, power = np.exp(log_p), (alpha - 1.0) * log_p, np.exp(alpha * log_p - shift)
+            y = np.where(x < 1.0, p * np.expm1(x), power * math.exp(shift) - p)
+            return -p * log_p, y, power
+
+        (h, y, power), _, _, _ = count_series(terms, [rate], alpha)
+        log_power = math.log1p(y) if y > -0.5 else shift + math.log(power)
+        return h, log_power + (alpha - 1.0) * h
+
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
         return np.random.default_rng(seed).poisson(math.exp(float(theta.vector[0])), n)
@@ -759,8 +832,7 @@ class BernoulliFamily(Family):
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self._guard(self._in_domain(theta))
-        t = float(theta.vector[0])
-        return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+        return _softplus(float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         self._guard(self._in_domain(theta))
@@ -773,6 +845,21 @@ class BernoulliFamily(Family):
                 f"{self.name}: mean statistic must lie in (0, 1), got {e}"
             )
         return NaturalParam([math.log(e) - math.log1p(-e)])
+
+    def _entropy(self, theta: NaturalParam) -> float:
+        t = abs(float(theta.vector[0]))
+        return math.log1p(math.exp(-t)) + t * _sigmoid(-t)
+
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        # B(a : b) is the KL divergence of b from a, sum_x P_b(x) h(P_a(x) / P_b(x) - 1),
+        # where the ratios less 1 are q_a expm1(d) and p_a expm1(-d) for d = theta_a - theta_b.
+        # Away from d = 0, sum_x P_b(x) log(P_b(x) / P_a(x)) from the log-masses -softplus(-+theta).
+        ta, tb = float(theta.vector[0]), float(base.vector[0])
+        d = ta - tb
+        pa, qa, pb, qb = _sigmoid(ta), _sigmoid(-ta), _sigmoid(tb), _sigmoid(-tb)
+        if abs(d) < 1.0:
+            return pb * _h(qa * math.expm1(d)) + qb * _h(pa * math.expm1(-d))
+        return pb * (_softplus(-ta) - _softplus(-tb)) + qb * (_softplus(ta) - _softplus(tb))
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         x, integral = _counts(xs)
@@ -845,13 +932,25 @@ class GaussianFamily(Family):
             )
         return self.to_natural(GaussianParams(mu=float(e[0]), var=var))
 
-    def centred(self, *thetas: NaturalParam) -> tuple[NaturalParam, ...]:
-        # x -> x - c takes (mu, var) to (mu - c, var), so theta1 = mu / var
-        # becomes theta1 + 2 c theta2; c is the first member's mean.
-        t1, t2 = thetas[0].vector.tolist()
-        c2 = -t1 / t2
-        pairs = (t.vector.tolist() for t in thetas)
-        return tuple(NaturalParam._derived([v1 + c2 * v2, v2], None) for v1, v2 in pairs)
+    def _entropy(self, theta: NaturalParam) -> float:
+        # log(2 pi e var) / 2 with var = -1 / (2 theta2).
+        return 0.5 * (1.0 + math.log(math.pi) - math.log(-float(theta.vector[1])))
+
+    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
+        # alpha theta has theta's mean and variance / alpha: B = h(alpha - 1) / 2,
+        # which a far mean cannot reach.
+        return self._entropy(theta), 0.5 * _h(alpha - 1.0)
+
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        # B(a : b) = (h(var_b / var_a - 1) + (mu_a - mu_b)^2 / var_a) / 2, with
+        # var_b / var_a = theta2_a / theta2_b and (mu_a - mu_b) / var_a = w =
+        # theta1_a - 2 mu_b theta2_a = d1 - 2 mu_b d2 for the step (d1, d2). Far from
+        # the origin both terms are large; those of the step are the smaller while
+        # theta2_a / theta2_b > 1/2, the members' own beyond.
+        (t1, t2), (ta1, ta2) = base.vector.tolist(), theta.vector.tolist()
+        ratio = t1 / t2  # -2 mu_b
+        w = ta1 - t1 - ratio * (ta2 - t2) if ta2 / t2 > 0.5 else ta1 - ratio * ta2
+        return 0.5 * (_rate_gap(ta2, t2) - 0.5 * w * w / ta2)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(_flat_values(xs))
@@ -932,39 +1031,69 @@ class MultivariateGaussianFamily(Family):
         precision = inv_chol.T @ inv_chol
         return NaturalParam(precision @ params.mu, -0.5 * precision)
 
+    def _moments(self, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The member's mean, covariance = C^-T C^-1, C^-1 and log det(-2M) = log det
+        C C^T, from its factor C, kept on the member keyed by the family, which only
+        an equal family shares; raises outside the domain."""
+        memo = _memo(theta)
+        moments = memo.get((self, "moments"))
+        if moments is None:
+            chol = self._precision_chol(theta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv_chol = np.linalg.inv(chol)
+                cov = inv_chol.T @ inv_chol
+                mean = cov @ theta.vector
+            # Every entry of cov meets one of theta's, so an overflow leaves inf or nan in mean.
+            self._guard(bool(np.isfinite(mean).all()))
+            log_det = 2.0 * sum(map(math.log, chol.diagonal().tolist()))
+            moments = memo.setdefault((self, "moments"), (mean, cov, inv_chol, log_det))
+        return moments
+
     def from_natural(self, theta: NaturalParam) -> MultivariateGaussianParams:
         self.require_natural(theta)
-        inv_chol = _lower_inverse(self._precision_chol(theta))
-        cov = inv_chol.T @ inv_chol
-        return MultivariateGaussianParams(mu=cov @ theta.vector, cov=cov)
+        mean, cov, _, _ = self._moments(theta)
+        return MultivariateGaussianParams(mu=mean, cov=cov)
 
     def _in_domain(self, theta: NaturalParam) -> bool:
         return self._factor(theta) is not None
 
-    # F and grad F read the member's factor; a finite result is their domain check.
-    # Each is kept on the member keyed by the family, which only an equal family shares.
+    # F and grad F read the member's moments; a finite result is their domain check.
     def log_normalizer(self, theta: NaturalParam) -> float:
-        memo = _memo(theta)
-        value = memo.get((self, "F"))
-        if value is None:
-            chol = self._precision_chol(theta)
-            log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            y = np.linalg.solve(chol, theta.vector)
-            value = 0.5 * self.dim * _LOG_2PI - 0.5 * log_det + 0.5 * float(y @ y)
-            self._guard(math.isfinite(value))
-            value = memo.setdefault((self, "F"), value)
+        _, _, inv_chol, log_det = self._moments(theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = inv_chol @ theta.vector
+            value = 0.5 * (self.dim * _LOG_2PI - log_det + float(y @ y))
+        self._guard(math.isfinite(value))
         return value
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        memo = _memo(theta)
-        grad = memo.get((self, "grad F"))
-        if grad is None:
-            inv_chol = _lower_inverse(self._precision_chol(theta))
-            cov = inv_chol.T @ inv_chol
-            mu = cov @ theta.vector
-            self._guard(bool(np.isfinite(mu).all() and np.isfinite(cov).all()))
-            grad = memo.setdefault((self, "grad F"), NaturalParam(mu, cov + np.outer(mu, mu)))
-        return grad
+        mean, cov, _, _ = self._moments(theta)
+        return NaturalParam(mean, cov + np.outer(mean, mean))
+
+    def _entropy(self, theta: NaturalParam) -> float:
+        return 0.5 * (self.dim * (1.0 + _LOG_2PI) - self._moments(theta)[3])
+
+    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
+        # alpha theta has theta's mean and covariance / alpha, so every e_i of
+        # B(alpha theta : theta) below is alpha - 1, and the mean term is 0.
+        return self._entropy(theta), 0.5 * self.dim * _h(alpha - 1.0)
+
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        # B(a : b) = (tr(P_a S_b) - d - log det(P_a S_b) + dmu^T P_a dmu) / 2 for the
+        # precision P = -2M and covariance S, dmu = mu_a - mu_b. With S_b = R R^T for
+        # R = C_b^-T, P_a S_b is similar to I + E, E = -2 R^T (M_a - M_b) R, so the
+        # first part is sum_i h(e_i) over E's eigenvalues; and dmu = S_a w with
+        # w = v_a - v_b + 2 (M_a - M_b) mu_b, so the second is |C_a^-1 w|^2.
+        _, _, inv_a, log_det_a = self._moments(theta)
+        mean_b, _, inv_b, log_det_b = self._moments(base)
+        dm = theta.matrix - base.matrix
+        e = (-2.0 * np.linalg.eigvalsh(inv_b @ dm @ inv_b.T)).tolist()
+        y = inv_a @ (theta.vector - base.vector + 2.0 * dm @ mean_b)
+        if min(e) > -0.5:
+            spread = sum(map(_h, e))
+        else:  # some e_i near -1, where h needs log(1 + e_i) from the log dets
+            spread = sum(e) - (log_det_a - log_det_b)
+        return 0.5 * (spread + float(y @ y))
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
         if eta.matrix is None or eta.vector.size != self.dim:
@@ -1050,6 +1179,13 @@ class CenteredLaplacianFamily(Family):
             )
         return NaturalParam([-1.0 / e])
 
+    def _entropy(self, theta: NaturalParam) -> float:
+        return 1.0 + math.log(2.0) - math.log(-float(theta.vector[0]))
+
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        # F differs from the exponential's by the constant log 2, so B is the same.
+        return _rate_gap(float(theta.vector[0]), float(base.vector[0]))
+
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(_flat_values(xs))
 
@@ -1063,6 +1199,11 @@ class CenteredLaplacianFamily(Family):
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         self._check_sample_args(theta, n)
         return np.random.default_rng(seed).laplace(0.0, -1.0 / float(theta.vector[0]), n)
+
+
+def _softplus(t: float) -> float:
+    """log(1 + e^t), which cannot overflow."""
+    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
 
 
 def _sigmoid(t: float) -> float:

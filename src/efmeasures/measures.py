@@ -1,21 +1,21 @@
 """Closed-form information measures for same-family exponential distributions.
 
-Everything is generated by the log-normalizer F. With G(a) = F(a*theta) -
-a*F(theta) and C(a) the carrier moment (1 for zero-carrier families):
+Every measure is arithmetic on the family's Shannon entropy H and Bregman gap
+B(theta : theta') = F(theta) - F(theta') - <theta - theta', grad F(theta')>,
+which the family computes from the step theta - theta'. With the mixture
+m = a theta + (1 - a) theta' and phi(x) = expm1(x) / x:
 
-    renyi entropy      (G(a) + log C(a)) / (1 - a)
-    tsallis entropy    expm1(G(a) + log C(a)) / (1 - a)
-    shannon entropy    F(theta) - <theta, grad F(theta)> - E[k(x)]
-    cross entropy      F(theta') - <theta', grad F(theta)> - E[k(x)]
-    skew jensen        a F(theta) + (1-a) F(theta') - F(a theta + (1-a) theta')
-    renyi divergence   J / (1 - a)
-    tsallis divergence expm1(-J) / (a - 1)
-    kl divergence      bregman gap of F with swapped arguments
+    shannon entropy    H(theta); cross entropy H(theta) + B(theta' : theta)
+    kl divergence      B(theta' : theta); bregman B(theta_q : theta_p)
+    skew jensen        J = a B(theta : m) + (1 - a) B(theta' : m)  (grad F cancels)
+    renyi divergence   D = J / (1 - a) = B(theta' : m) + a B(theta : m) / (1 - a)
+    tsallis divergence expm1((a - 1) D) / (a - 1) = D phi((a - 1) D)
+    renyi entropy      H_a = H + G / (1 - a), G = log(integral of p^a) - (1 - a) H
+    tsallis entropy    expm1((1 - a) H_a) / (1 - a) = H_a phi((1 - a) H_a)
     bhattacharyya      exp(-J at a = 1/2); hellinger = sqrt(-expm1(-J at a = 1/2))
 
-Inside a narrow band around a = 1 the generic forms are 0/0; those calls are
-routed to the Shannon/KL limit formulas and the branch taken is recorded on
-the result. Natural logarithms throughout, so values are in nats.
+One form per measure at every order: at a = 1 a gap over 1 - a is 0/0 and is
+taken at its limit, 0, at that one point. Natural logarithms, so values are in nats.
 """
 
 from __future__ import annotations
@@ -28,10 +28,7 @@ from .errors import DomainError, MixedParameterError, ScaledParameterError
 from .families import Family, NaturalParam
 
 __all__ = [
-    "EPS_LIMIT",
     "CLOSED_FORM",
-    "SHANNON_LIMIT",
-    "KL_LIMIT",
     "MeasureResult",
     "i_alpha_self",
     "renyi_entropy",
@@ -56,18 +53,12 @@ __all__ = [
     "evaluate_measure",
 ]
 
-# Width of the band around alpha = 1 inside which the generic closed forms
-# cancel catastrophically; such calls take the explicit limit branch.
-EPS_LIMIT = 1e-6
-
 CLOSED_FORM = "closed-form"
-SHANNON_LIMIT = "shannon-limit"
-KL_LIMIT = "kl-limit"
 
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """A measure value plus which formula branch produced it."""
+    """A measure value plus which formula produced it (always the closed form)."""
 
     value: float
     branch: str
@@ -81,45 +72,43 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _over(gap: float, denom: float) -> float:
+    """gap / denom for a gap that vanishes with denom, and their limit 0 at denom = 0."""
+    return gap / denom if denom else 0.0
+
+
+def _phi(x: float) -> float:
+    """expm1(x) / x, and its limit 1 at x = 0."""
+    return math.expm1(x) / x if x else 1.0
+
+
 # The public closed forms check each member they are given once, then hand
 # the checked members to these private forms, which check only the members
-# they derive. F, grad F and the carrier terms they call keep an inline guard.
-# Each form first centres its members (Family.centred) and derives the rest
-# from the centred ones, so that the F values it subtracts are not of size
-# mu^2 / (2 var).
+# they derive (alpha theta, the mixture) before the family's primitives read them.
 
 
-def _log_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> float:
-    (theta,) = fam.centred(theta)
+def _renyi_entropy(fam: Family, theta: NaturalParam, alpha: float) -> float:
     scaled = theta.scaled(alpha)
     fam.require_natural(scaled, "alpha-scaled parameter", ScaledParameterError)
-    gap = fam.log_normalizer(scaled) - alpha * fam.log_normalizer(theta)
-    return gap + fam.log_carrier_moment(theta, alpha) if fam.has_carrier else gap
+    entropy, gap = fam._renyi_gap(theta, scaled, alpha)
+    return entropy + _over(gap, 1.0 - alpha)
 
 
-def _cross_entropy(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
-    theta, theta2 = fam.centred(theta, theta2)
-    value = fam.log_normalizer(theta2) - theta2.dot(fam.grad_log_normalizer(theta))
-    return value - fam.carrier_expectation(theta) if fam.has_carrier else value
-
-
-def _jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float) -> float:
-    theta, theta2 = fam.centred(theta, theta2)
+def _jensen_gaps(
+    fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
+) -> tuple[float, float]:
+    """B(theta : m) and B(theta' : m) at the mixture m = alpha theta + (1 - alpha) theta'."""
     mixed = theta.mix(theta2, alpha)
     label = f"mixed parameter alpha*theta + (1-alpha)*theta' at alpha={alpha:g}"
     fam.require_natural(mixed, label, MixedParameterError)
-    return (
-        alpha * fam.log_normalizer(theta)
-        + (1.0 - alpha) * fam.log_normalizer(theta2)
-        - fam.log_normalizer(mixed)
-    )
+    return fam._gap(theta, mixed), fam._gap(theta2, mixed)
 
 
-def _bregman(fam: Family, theta_q: NaturalParam, theta_p: NaturalParam) -> float:
-    theta_q, theta_p = fam.centred(theta_q, theta_p)
-    grad_p = fam.grad_log_normalizer(theta_p)
-    gap = fam.log_normalizer(theta_q) - fam.log_normalizer(theta_p)
-    return gap - (theta_q.dot(grad_p) - theta_p.dot(grad_p))
+def _renyi_divergence(
+    fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
+) -> float:
+    gap, gap2 = _jensen_gaps(fam, theta, theta2, alpha)
+    return gap2 + _over(alpha * gap, 1.0 - alpha)
 
 
 def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> None:
@@ -131,36 +120,31 @@ def i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> float:
     """Integral of p^alpha over the support, in closed form."""
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
-    return math.exp(_log_i_alpha_self(fam, theta, alpha))
+    return math.exp((1.0 - alpha) * _renyi_entropy(fam, theta, alpha))
 
 
 def renyi_entropy(fam: Family, theta: NaturalParam, alpha: float) -> MeasureResult:
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
-    if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(_cross_entropy(fam, theta, theta), SHANNON_LIMIT, alpha)
-    value = _log_i_alpha_self(fam, theta, alpha) / (1.0 - alpha)
-    return MeasureResult(value, CLOSED_FORM, alpha)
+    return MeasureResult(_renyi_entropy(fam, theta, alpha), CLOSED_FORM, alpha)
 
 
 def tsallis_entropy(fam: Family, theta: NaturalParam, alpha: float) -> MeasureResult:
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
-    if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(_cross_entropy(fam, theta, theta), SHANNON_LIMIT, alpha)
-    value = math.expm1(_log_i_alpha_self(fam, theta, alpha)) / (1.0 - alpha)
-    return MeasureResult(value, CLOSED_FORM, alpha)
+    h = _renyi_entropy(fam, theta, alpha)
+    return MeasureResult(h * _phi((1.0 - alpha) * h), CLOSED_FORM, alpha)
 
 
 def shannon_entropy(fam: Family, theta: NaturalParam) -> float:
     fam.require_natural(theta)
-    return _cross_entropy(fam, theta, theta)
+    return fam._entropy(theta)
 
 
 def shannon_cross_entropy(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
     """Cross entropy of the theta member against the theta' model."""
     _check_pair(fam, theta, theta2)
-    return _cross_entropy(fam, theta, theta2)
+    return fam._entropy(theta) + fam._gap(theta2, theta)
 
 
 def skew_jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float) -> float:
@@ -173,13 +157,14 @@ def skew_jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: f
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     _check_pair(fam, theta, theta2)
-    return _jensen(fam, theta, theta2, alpha)
+    gap, gap2 = _jensen_gaps(fam, theta, theta2, alpha)
+    return alpha * gap + (1.0 - alpha) * gap2
 
 
 def bregman(fam: Family, theta_q: NaturalParam, theta_p: NaturalParam) -> float:
     """Bregman gap F(q) - F(p) - <q - p, grad F(p)>; zero iff q = p."""
     _check_pair(fam, theta_q, theta_p)
-    return _bregman(fam, theta_q, theta_p)
+    return fam._gap(theta_q, theta_p)
 
 
 def kl_divergence(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
@@ -192,10 +177,7 @@ def renyi_divergence(
 ) -> MeasureResult:
     alpha = _check_alpha(alpha)
     _check_pair(fam, theta, theta2)
-    if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(_bregman(fam, theta2, theta), KL_LIMIT, alpha)
-    value = _jensen(fam, theta, theta2, alpha) / (1.0 - alpha)
-    return MeasureResult(value, CLOSED_FORM, alpha)
+    return MeasureResult(_renyi_divergence(fam, theta, theta2, alpha), CLOSED_FORM, alpha)
 
 
 def tsallis_divergence(
@@ -203,10 +185,8 @@ def tsallis_divergence(
 ) -> MeasureResult:
     alpha = _check_alpha(alpha)
     _check_pair(fam, theta, theta2)
-    if abs(alpha - 1.0) < EPS_LIMIT:
-        return MeasureResult(_bregman(fam, theta2, theta), KL_LIMIT, alpha)
-    value = math.expm1(-_jensen(fam, theta, theta2, alpha)) / (alpha - 1.0)
-    return MeasureResult(value, CLOSED_FORM, alpha)
+    d = _renyi_divergence(fam, theta, theta2, alpha)
+    return MeasureResult(d * _phi((alpha - 1.0) * d), CLOSED_FORM, alpha)
 
 
 def i_alpha_cross(

@@ -17,7 +17,7 @@ integrals and p itself otherwise. Within an exponential family p^a q^(1-a)
 is a constant times another member, so every integrand divided by g is a
 constant or a polynomial of degree at most 2 in the standardized variable:
 z = (x - m) / s for a Gaussian g = N(m, s^2) (or x = m + L z with L L^T its
-covariance), and z = |x| / scale for an exponential or centred Laplacian g,
+covariance), and z = |x| / scale for an exponential or zero-mean Laplacian g,
 under which z is Exp(1). Two rules integrate that exactly: the 2- and 2d +
 1-node fully symmetric degree-3 rules for z ~ N(0, I_d) (Stroud,
 Approximate Calculation of Multiple Integrals, 1971; at d = 1 the 2- and
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NaturalDomainError
-from .families import Family, GaussianParams, LaplacianParams, NaturalParam, count_series
-from .families import _log_factorials, _lower_inverse, _tail
+from .families import Family, GaussianParams, LaplacianParams, MultivariateGaussianParams
+from .families import NaturalParam, _log_factorials, _lower_inverse, _tail, count_series
 
 __all__ = [
     "OracleConfig",
@@ -272,7 +272,7 @@ def _two_rules(integrand: _Integrand, rules, log_densities, moves=None) -> Oracl
 def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> OracleEstimate:
     """Integrate over the line in z = (x - m) / s for a Gaussian proposal
     N(m, s^2), and over the half-line in z = |x| / scale for an exponential or
-    centred Laplacian one, whose integrands depend on |x| only. Member j's
+    zero-mean Laplacian one, whose integrands depend on |x| only. Member j's
     log-density is -u_j - n_j there, with u_j = y_j^2 / 2 or y_j for a y_j
     affine in z."""
     members = [fam.from_natural(m) for m in (*integrand.members, proposal)]
@@ -312,8 +312,12 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
 
 
 def _mean_chol(fam: Family, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray, float]:
-    """Mean, covariance Cholesky factor and log normalizer (log det + d/2 log 2 pi) of a member."""
-    p = fam.from_natural(theta)
+    """Mean, covariance Cholesky factor and log normalizer (log det + d/2 log 2 pi)
+    of a member, from a factor of -2M made here: the factor and moments the family
+    keeps on a member are what the closed forms read, so the oracle reads neither."""
+    inv_chol = _lower_inverse(np.linalg.cholesky(-2.0 * theta.matrix))
+    cov = inv_chol.T @ inv_chol
+    p = MultivariateGaussianParams(mu=cov @ theta.vector, cov=cov)
     chol = np.linalg.cholesky(p.cov)
     return p.mu, chol, float(np.sum(np.log(np.diag(chol)))) + 0.5 * fam.dim * _LOG_2PI
 

@@ -17,7 +17,7 @@ from efmeasures.errors import (
 from efmeasures.estimation import SampleSet
 from efmeasures.families import NaturalParam
 
-from conftest import ALL_FAMILY_NAMES, make_family, random_source
+from conftest import ALL_FAMILY_NAMES, make_family, random_source, random_theta_pair
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -145,6 +145,15 @@ class TestNaturalDomain:
         with pytest.raises(NaturalDomainError):
             em.GAUSSIAN.grad_log_normalizer(NaturalParam([1.0, 0.0]))
 
+    def test_mvn_overflow_is_a_domain_error_not_a_warning(self):
+        # -2M is positive-definite, but the mean and F overflow: the domain error,
+        # with no numpy overflow warning first (an error under this suite's filter).
+        fam = em.get_family("mvn", 2)
+        theta = NaturalParam([1e200, 0.0], [[-1e-200, 0.0], [0.0, -0.5]])
+        for fn in (fam.log_normalizer, fam.grad_log_normalizer, fam.from_natural):
+            with pytest.raises(NaturalDomainError):
+                fn(theta)
+
 
 class TestLogNormalizer:
     def test_exponential_value(self):
@@ -194,6 +203,41 @@ class TestGradient:
         assert np.allclose(grad.vector, params.mu, rtol=1e-12)
         expected = params.cov + np.outer(params.mu, params.mu)
         assert np.allclose(grad.matrix, expected, rtol=1e-12)
+
+
+class TestPrimitivesMatchF:
+    """The closed forms read each family's entropy H and Bregman gap B, written
+    on the step between members, not F. These tie both to F and grad F at seeded
+    moderate members, where the F differences keep their digits."""
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_gap_and_entropy_equal_their_f_forms(self, name):
+        fam = make_family(name)
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            a, b = random_theta_pair(name, rng)
+            for x, y in ((a, b), (b, a)):
+                step = NaturalParam(x.vector - y.vector, x.matrix - y.matrix if name == "mvn" else None)
+                from_f = fam.log_normalizer(x) - fam.log_normalizer(y)
+                from_f -= step.dot(fam.grad_log_normalizer(y))
+                assert fam._gap(x, y) == pytest.approx(from_f, rel=1e-12)
+            from_f = fam.log_normalizer(a) - a.dot(fam.grad_log_normalizer(a))
+            from_f -= fam.carrier_expectation(a)
+            assert fam._entropy(a) == pytest.approx(from_f, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_renyi_gap_equals_its_f_form(self, name, alpha):
+        # G = log(integral of p^alpha) - (1 - alpha) H, the integral's log being
+        # F(alpha theta) - alpha F(theta) + log C(alpha) with the carrier moment C.
+        fam = make_family(name)
+        for theta in (random_theta_pair(name, np.random.default_rng(32 + k))[0] for k in range(4)):
+            scaled = theta.scaled(alpha)
+            h, gap = fam._renyi_gap(theta, scaled, alpha)
+            log_power = fam.log_normalizer(scaled) - alpha * fam.log_normalizer(theta)
+            log_power += fam.log_carrier_moment(theta, alpha)
+            assert h == fam._entropy(theta)
+            assert gap == pytest.approx(log_power - (1.0 - alpha) * h, rel=1e-12)
 
 
 class TestGradInverse:

@@ -1,4 +1,4 @@
-"""Closed-form measures: values, branches, conversions, and error paths."""
+"""Closed-form measures: values, conversions, and error paths."""
 
 import ast
 import dataclasses
@@ -97,10 +97,13 @@ class TestRenyiEntropy:
         assert res.value == pytest.approx(1.1760064585170437, rel=1e-13)
 
     def test_limit_branch(self, std_gauss):
-        res = M.renyi_entropy(em.GAUSSIAN, std_gauss, 1.0 + 5e-7)
-        assert res.branch == M.SHANNON_LIMIT
-        assert res.value == M.shannon_entropy(em.GAUSSIAN, std_gauss)
-        assert M.renyi_entropy(em.GAUSSIAN, std_gauss, 1.0 + 2e-6).branch == M.CLOSED_FORM
+        # Next to alpha = 1 the one closed form keeps the order's own value:
+        # log(2 pi) / 2 + log(alpha) / (2 (alpha - 1)) for N(0, 1), just below Shannon.
+        for alpha in (1.0 + 5e-7, 1.0 + 2e-6):
+            res = M.renyi_entropy(em.GAUSSIAN, std_gauss, alpha)
+            want = 0.5 * LOG_2PI + 0.5 * math.log1p(alpha - 1.0) / (alpha - 1.0)
+            assert res.value == pytest.approx(want, rel=1e-14)
+            assert res.value < M.shannon_entropy(em.GAUSSIAN, std_gauss)
 
 
 class TestTsallisEntropy:
@@ -113,9 +116,15 @@ class TestTsallisEntropy:
         assert res.value == pytest.approx(0.5, rel=1e-14)
 
     def test_limit_branch_returns_shannon(self, std_gauss):
-        res = M.tsallis_entropy(em.GAUSSIAN, std_gauss, 1.0 - 5e-7)
-        assert res.branch == M.SHANNON_LIMIT
-        assert res.value == M.shannon_entropy(em.GAUSSIAN, std_gauss)
+        # Tsallis is expm1((1 - alpha) H_alpha) / (1 - alpha): 5e-7 from alpha = 1
+        # it is within ~1e-6 of Shannon, and above it for alpha < 1.
+        alpha = 1.0 - 5e-7
+        res = M.tsallis_entropy(em.GAUSSIAN, std_gauss, alpha)
+        h_alpha = 0.5 * LOG_2PI + 0.5 * math.log1p(alpha - 1.0) / (alpha - 1.0)
+        want = math.expm1((1 - alpha) * h_alpha) / (1 - alpha)
+        assert res.value == pytest.approx(want, rel=1e-14)
+        shannon = M.shannon_entropy(em.GAUSSIAN, std_gauss)
+        assert 0.0 < res.value - shannon < 1e-6
 
 
 class TestShannonEntropy:
@@ -205,12 +214,21 @@ class TestDivergences:
         assert res.value == pytest.approx(0.1143819168358732, rel=1e-12)
 
     def test_divergence_limit_branches(self):
+        # 5e-7 from alpha = 1 both divergences keep their own value, the overlap
+        # I = 2^(1 - alpha) / (alpha + 2 (1 - alpha)) of rates 1 and 2 taken as
+        # log(I) / (alpha - 1) and (I - 1) / (alpha - 1), a little above the KL.
+        mpmath = pytest.importorskip("mpmath")
         a, b = _exp_theta(1.0), _exp_theta(2.0)
         kl = M.kl_divergence(em.EXPONENTIAL, a, b)
-        for fn in (M.renyi_divergence, M.tsallis_divergence):
-            res = fn(em.EXPONENTIAL, a, b, 1.0 + 5e-7)
-            assert res.branch == M.KL_LIMIT
-            assert res.value == kl
+        alpha = 1.0 + 5e-7
+        with mpmath.workdps(50):
+            x = mpmath.mpf(alpha)
+            overlap = 2 ** (1 - x) / (x + 2 * (1 - x))
+            wants = (float(mpmath.log(overlap) / (x - 1)), float((overlap - 1) / (x - 1)))
+        for fn, want in zip((M.renyi_divergence, M.tsallis_divergence), wants):
+            value = fn(em.EXPONENTIAL, a, b, alpha).value
+            assert value == pytest.approx(want, rel=1e-13)
+            assert 0.0 < value - kl < 1e-6
 
     def test_kl_exponential(self):
         assert M.kl_divergence(em.EXPONENTIAL, _exp_theta(1.0), _exp_theta(2.0)) == pytest.approx(
@@ -288,8 +306,8 @@ class TestNearIdenticalMembers:
 
 
 class TestFarFromOrigin:
-    """Gaussian closed forms are centred on the first member's mean, so F values
-    of size mu^2 / (2 var) never cancel."""
+    """Gaussian gaps are written on the step between members and their means'
+    difference, so F values of size mu^2 / (2 var) never cancel."""
 
     @staticmethod
     def _mp_reference(measure, mu1, var1, mu2, var2):
@@ -313,16 +331,6 @@ class TestFarFromOrigin:
         value = M.evaluate_measure(em.GAUSSIAN, measure, p, second).value
         want = self._mp_reference(measure, 1e8, 1.0, 1e8 + 1.0, 1.0)
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
-
-    def test_centred_is_a_common_shift(self):
-        p, q = _gauss_theta(3.0, 0.5), _gauss_theta(-1.0, 2.0)
-        cp, cq = em.GAUSSIAN.centred(p, q)
-        for theta, moved, mu in ((p, cp, 0.0), (q, cq, -4.0)):
-            got = em.GAUSSIAN.from_natural(moved)
-            assert got.var == em.GAUSSIAN.from_natural(theta).var
-            assert got.mu == pytest.approx(mu, abs=1e-15)
-        a, b = _exp_theta(1.0), _exp_theta(2.0)
-        assert em.EXPONENTIAL.centred(a, b) == (a, b)
 
 
 class TestConversions:
@@ -524,7 +532,7 @@ def test_each_member_is_checked_once(tally, name, measure):
 
 
 # --------------------------------------------------------------------------
-# The mvn family keeps each member's factor of -2M, F and grad F on the member.
+# The mvn family keeps each member's factor of -2M and its moments on the member.
 # --------------------------------------------------------------------------
 
 _MEMO_CELLS = [
@@ -631,7 +639,7 @@ class TestMemberMemo:
 
         def read(_):
             start.wait()  # all four threads reach the members before any has filled them
-            return _bits(fam, p, q), fam.grad_log_normalizer(p)
+            return _bits(fam, p, q), fam._moments(p)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -642,8 +650,8 @@ class TestMemberMemo:
             sys.setswitchinterval(interval)
         want = _bits(*_fresh_mvn_pair(3, 13))
         assert all(bits == want for bits, _ in results)
-        # Every reader was handed the one stored grad F, whichever thread computed it.
-        assert all(grad is results[0][1] for _, grad in results)
+        # Every reader was handed the one stored record, whichever thread computed it.
+        assert all(moments is results[0][1] for _, moments in results)
 
 
 # --------------------------------------------------------------------------
@@ -716,12 +724,17 @@ class TestPoissonSeries:
             F.count_series(lambda ks: np.ones(ks.size), [2.0])
 
     def test_swamped_series_never_returns_a_non_finite_value(self):
-        # At rate 9999 and alpha = 5, rho = rate^alpha ~ 1e20 swamps every
-        # log-term (a known precision defect): raising is allowed, inf is not.
+        # At rate 9999 and alpha = 5, rate^alpha ~ 1e20: the entropies sum p^alpha
+        # from the log-masses, where nothing of that size appears, so they return
+        # the 50-digit value and never raise.
+        mpmath = pytest.importorskip("mpmath")
         theta = em.POISSON.to_natural(em.PoissonParams(rate=9999.0))
-        for alpha in (3.0, 4.0, 5.0):
-            try:
-                value = M.renyi_entropy(em.POISSON, theta, alpha).value
-            except OverflowError:
-                continue
-            assert math.isfinite(value)
+        with mpmath.workdps(50):
+            t = mpmath.mpf(float(theta.vector[0]))
+            # log p_k over a window of +-30 standard deviations around the rate.
+            log_p = [k * t - mpmath.exp(t) - mpmath.loggamma(k + 1) for k in range(6999, 13000)]
+            for alpha in (3.0, 4.0, 5.0):
+                total = mpmath.fsum(mpmath.exp(alpha * lp) for lp in log_p)
+                want = float(mpmath.log(total) / (1 - alpha))
+                got = M.renyi_entropy(em.POISSON, theta, alpha).value
+                assert got == pytest.approx(want, rel=1e-11), alpha

@@ -204,8 +204,19 @@ class TestJensenOrders:
                 O.oracle_measure(em.EXPONENTIAL, measure, p, second, alpha, CFG)
 
 
+def _doubled_factor(self, theta):
+    """The factor of -4M (twice the precision) for a member inside the domain, None outside."""
+    if not (np.isfinite(theta.vector).all() and np.isfinite(theta.matrix).all()):
+        return None
+    try:
+        return np.linalg.cholesky(-4.0 * theta.matrix)
+    except np.linalg.LinAlgError:
+        return None
+
+
 class TestIndependentOfF:
-    """Every oracle log-density comes from source parameters, never from F."""
+    """Every oracle log-density comes from source parameters, never from F or
+    from what the mvn family keeps on a member for the closed forms."""
 
     def test_verify_cells_never_call_f(self, monkeypatch):
         cells = []
@@ -221,6 +232,13 @@ class TestIndependentOfF:
         for cls in {type(fam) for fam, *_ in cells}:
             for name in ("log_normalizer", "grad_log_normalizer", "log_density_batch"):
                 monkeypatch.setattr(cls, name, forbidden)
+        # The mvn closed forms read a member's precision factor and its moments.
+        # The oracle's domain checks go through the factor, which keeps answering
+        # in or out but now hands out a wrong one; the rest may not be read at all.
+        mvn = em.families.MultivariateGaussianFamily
+        monkeypatch.setattr(mvn, "_precision_chol", forbidden)
+        monkeypatch.setattr(mvn, "_moments", forbidden)
+        monkeypatch.setattr(mvn, "_factor", _doubled_factor)
         for fam, measure, p, second, alpha, closed in cells:
             est = O.oracle_measure(fam, measure, p, second, alpha, CFG)
             assert _agrees(closed, est), (fam.name, measure, alpha, closed, est)
@@ -385,9 +403,43 @@ class TestCubature:
 
 
 class TestWrongLogNormalizer:
-    """The mvn oracle builds log-densities from (mu, cov), so a wrong F fails `verify`."""
+    """The mvn closed forms read each member's factor and moments, and the oracle
+    builds log-densities from a factor of its own, so an error in what the closed
+    forms read fails `verify`; F is tied to the closed forms in test_families."""
+
+    @staticmethod
+    def _assert_every_mvn_cell_fails(capsys):
+        assert cli.run(["verify", "--family", "mvn"]) == 1
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert len(rows) == 31
+        assert [r["measure"] for r in rows if r["pass"]] == []
+        fam, p, _ = _mvn_pair(2, np.random.default_rng(5))
+        est = O.oracle_normalization(fam, p, CFG)
+        assert abs(est.value - 1.0) <= est.error_bound
 
     def test_one_percent_log_det_error_fails_every_mvn_cell(self, monkeypatch, capsys):
+        mvn = em.families.MultivariateGaussianFamily
+        right = mvn._moments
+
+        def wrong(self, theta):
+            # log det(-2M) 1% too large in magnitude, with the covariance and
+            # factor of the precision s (-2M) that has it, s = exp(0.01 log det / d).
+            mean, cov, inv_chol, log_det = right(self, theta)
+            s = math.exp(0.01 * log_det / self.dim)
+            return mean, cov / s, inv_chol / math.sqrt(s), 1.01 * log_det
+
+        monkeypatch.setattr(mvn, "_moments", wrong)
+        self._assert_every_mvn_cell_fails(capsys)
+
+    def test_doubled_precision_factor_fails_every_mvn_cell(self, monkeypatch, capsys):
+        # The member's kept factor is that of -4M: the oracle, which factors -2M
+        # itself, still integrates the right densities.
+        monkeypatch.setattr(em.families.MultivariateGaussianFamily, "_factor", _doubled_factor)
+        self._assert_every_mvn_cell_fails(capsys)
+
+    def test_one_percent_log_det_error_in_f_breaks_its_tie_to_the_gap(self, monkeypatch):
+        # F itself no longer reaches a closed form; a wrong F shows as a gap that
+        # no longer equals F(a) - F(b) - <a - b, grad F(b)>.
         mvn = em.families.MultivariateGaussianFamily
         right = mvn.log_normalizer
 
@@ -397,10 +449,8 @@ class TestWrongLogNormalizer:
             return right(self, theta) - 0.005 * log_det
 
         monkeypatch.setattr(mvn, "log_normalizer", wrong)
-        assert cli.run(["verify", "--family", "mvn"]) == 1
-        rows = json.loads(capsys.readouterr().out)["results"]
-        assert len(rows) == 31
-        assert [r["measure"] for r in rows if r["pass"]] == []
-        fam, p, _ = _mvn_pair(2, np.random.default_rng(5))
-        est = O.oracle_normalization(fam, p, CFG)
-        assert abs(est.value - 1.0) <= est.error_bound
+        fam, p, q = _mvn_pair(2, np.random.default_rng(5))
+        step = NaturalParam(p.vector - q.vector, p.matrix - q.matrix)
+        from_f = fam.log_normalizer(p) - fam.log_normalizer(q)
+        from_f -= step.dot(fam.grad_log_normalizer(q))
+        assert abs(fam._gap(p, q) - from_f) > 1e-6 * abs(from_f)

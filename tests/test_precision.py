@@ -1,0 +1,329 @@
+"""Closed forms against 50-digit references, over the whole natural domain.
+
+Each reference is a source-parameter formula (rates, scales, means and
+variances, probabilities) evaluated in 50-digit mpmath at the source
+parameters the float member encodes, recovered from its natural coordinates
+at 50 digits. Nothing here calls F, grad F or a carrier moment, so the
+references measure the arithmetic of the closed forms alone.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+import efmeasures as em
+from efmeasures import measures as M
+from efmeasures.errors import MixedParameterError
+from efmeasures.families import NaturalParam
+
+from conftest import ALL_FAMILY_NAMES, make_family, random_theta_pair
+
+mpmath = pytest.importorskip("mpmath")
+mpf = mpmath.mpf
+
+DPS = 50
+
+
+# --------------------------------------------------------------------------
+# 50-digit references.
+# --------------------------------------------------------------------------
+
+
+def _source(name: str, theta: NaturalParam):
+    """The source parameters a float member encodes, at 50 digits."""
+    v = [mpf(float(x)) for x in theta.vector]
+    if name == "exponential":
+        return -v[0]  # rate
+    if name == "laplacian":
+        return -1 / v[0]  # scale
+    if name == "poisson":
+        return mpmath.exp(v[0])  # rate
+    if name == "bernoulli":  # (p, 1 - p), each to full relative precision
+        return 1 / (1 + mpmath.exp(-v[0])), 1 / (1 + mpmath.exp(v[0]))
+    if name == "gaussian":
+        var = -1 / (2 * v[1])
+        return v[0] * var, var
+    cov = (-2 * mpmath.matrix([[mpf(float(x)) for x in row] for row in theta.matrix])) ** -1
+    return cov * mpmath.matrix(v), cov
+
+
+@functools.lru_cache(maxsize=None)
+def _poisson_log_masses(rate):
+    """log p_k over counts +-(40 sqrt(rate) + 40) around the rate: the tails of
+    p^alpha are below 1e-150 for the orders used here, alpha >= 1/2."""
+    half = 40 * mpmath.sqrt(rate) + 40
+    lo, hi = max(0, int(rate - half)), int(rate + half) + 1
+    log_rate = mpmath.log(rate)
+    return tuple((k, k * log_rate - rate - mpmath.loggamma(k + 1)) for k in range(lo, hi + 1))
+
+
+def _primitives(name: str, s, s2):
+    """entropy(), cross(), kl(p || q), power(a) = integral of p^a and
+    overlap(a) = integral of p^a q^(1-a), for source parameters s, s2."""
+    if name in ("exponential", "laplacian"):
+        # Work in rates r = 1 / scale for the Laplacian: p(x) = (r/2) e^(-r|x|).
+        r1, r2 = (s, s2) if name == "exponential" else (1 / s, 1 / s2 if s2 is not None else None)
+        c = 0 if name == "exponential" else mpmath.log(2)
+        return dict(
+            entropy=lambda: 1 - mpmath.log(r1) + c,
+            cross=lambda: r2 / r1 - mpmath.log(r2) + c,
+            kl=lambda: mpmath.log(r1 / r2) + r2 / r1 - 1,
+            power=lambda a: r1 ** (a - 1) / a * mpmath.exp((1 - a) * c),
+            overlap=lambda a: r1**a * r2 ** (1 - a) / (a * r1 + (1 - a) * r2),
+        )
+    if name == "gaussian":
+        (m1, v1), (m2, v2) = s, s2 if s2 is not None else (None, None)
+
+        def overlap(a):
+            va = a * v2 + (1 - a) * v1
+            spread = mpmath.sqrt(v1 ** (1 - a) * v2**a / va)
+            return spread * mpmath.exp(-a * (1 - a) * (m1 - m2) ** 2 / (2 * va))
+
+        return dict(
+            entropy=lambda: mpmath.log(2 * mpmath.pi * mpmath.e * v1) / 2,
+            cross=lambda: mpmath.log(2 * mpmath.pi * v2) / 2 + (v1 + (m1 - m2) ** 2) / (2 * v2),
+            kl=lambda: (mpmath.log(v2 / v1) + (v1 + (m1 - m2) ** 2) / v2 - 1) / 2,
+            power=lambda a: (2 * mpmath.pi * v1) ** ((1 - a) / 2) / mpmath.sqrt(a),
+            overlap=overlap,
+        )
+    if name == "mvn":
+        (m1, c1), (m2, c2) = s, s2 if s2 is not None else (None, None)
+        d = c1.rows
+
+        def quad(cov):
+            diff = m1 - m2
+            return (diff.T * cov**-1 * diff)[0]
+
+        def overlap(a):
+            ca = a * c2 + (1 - a) * c1
+            dets = mpmath.det(c1) ** (1 - a) * mpmath.det(c2) ** a / mpmath.det(ca)
+            return mpmath.sqrt(dets) * mpmath.exp(-a * (1 - a) * quad(ca) / 2)
+
+        def trace(cov):
+            prod = c2**-1 * cov
+            return sum(prod[i, i] for i in range(d))
+
+        log_2pi, log_det1 = mpmath.log(2 * mpmath.pi), mpmath.log(mpmath.det(c1))
+        log_det2 = mpmath.log(mpmath.det(c2)) if c2 is not None else None
+        return dict(
+            entropy=lambda: (d * (1 + log_2pi) + log_det1) / 2,
+            cross=lambda: (d * log_2pi + log_det2 + trace(c1) + quad(c2)) / 2,
+            kl=lambda: (trace(c1) - d + quad(c2) + log_det2 - log_det1) / 2,
+            power=lambda a: mpmath.exp((1 - a) * (d * log_2pi + log_det1) / 2) / a ** (mpf(d) / 2),
+            overlap=overlap,
+        )
+    if name == "bernoulli":
+        (p1, q1), (p2, q2) = s, s2 if s2 is not None else (None, None)
+        return dict(
+            entropy=lambda: -p1 * mpmath.log(p1) - q1 * mpmath.log(q1),
+            cross=lambda: -p1 * mpmath.log(p2) - q1 * mpmath.log(q2),
+            kl=lambda: p1 * mpmath.log(p1 / p2) + q1 * mpmath.log(q1 / q2),
+            power=lambda a: p1**a + q1**a,
+            overlap=lambda a: p1**a * p2 ** (1 - a) + q1**a * q2 ** (1 - a),
+        )
+    # poisson
+    r1, r2 = s, s2
+    masses = _poisson_log_masses(r1)
+    return dict(
+        entropy=lambda: -mpmath.fsum(mpmath.exp(lp) * lp for _, lp in masses),
+        cross=lambda: r2 - r1 * mpmath.log(r2)
+        + mpmath.fsum(mpmath.exp(lp) * mpmath.loggamma(k + 1) for k, lp in masses),
+        kl=lambda: r1 * mpmath.log(r1 / r2) + r2 - r1,
+        power=lambda a: mpmath.fsum(mpmath.exp(a * lp) for _, lp in masses),
+        overlap=lambda a: mpmath.exp(r1**a * r2 ** (1 - a) - a * r1 - (1 - a) * r2),
+    )
+
+
+def reference(name: str, measure: str, theta, theta2, alpha) -> float:
+    """50-digit value of a measure at the members theta, theta2 (alpha != 1)."""
+    with mpmath.workdps(DPS):
+        s = _source(name, theta)
+        s2 = _source(name, theta2) if theta2 is not None else None
+        f = _primitives(name, s, s2)
+        a = mpf(alpha) if alpha is not None else None
+        if measure == "renyi":
+            value = mpmath.log(f["power"](a)) / (1 - a)
+        elif measure == "tsallis":
+            value = (1 - f["power"](a)) / (a - 1)
+        elif measure == "shannon":
+            value = f["entropy"]()
+        elif measure == "cross-entropy":
+            value = f["cross"]()
+        elif measure == "kl":
+            value = f["kl"]()
+        elif measure == "bregman":  # B(theta : theta2) = KL(theta2 || theta)
+            value = _primitives(name, s2, s)["kl"]()
+        elif measure == "renyi-div":
+            value = mpmath.log(f["overlap"](a)) / (a - 1)
+        elif measure == "tsallis-div":
+            value = (f["overlap"](a) - 1) / (a - 1)
+        elif measure == "jensen":
+            value = -mpmath.log(f["overlap"](a))
+        elif measure == "bhattacharyya":
+            value = f["overlap"](mpf(1) / 2)
+        else:  # hellinger; 1 - overlap may round below 0 at equal members
+            value = mpmath.sqrt(max(0, 1 - f["overlap"](mpf(1) / 2)))
+        return float(value)
+
+
+def _evaluate(fam, measure, theta, theta2, alpha) -> float:
+    second = theta2 if M.measure_needs_pair(measure) else None
+    return M.evaluate_measure(fam, measure, theta, second, alpha).value
+
+
+def _rel_error(got: float, want: float) -> float:
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+# --------------------------------------------------------------------------
+# The measured defects of the F-difference forms, one row each.
+# --------------------------------------------------------------------------
+
+
+def _mvn_pair_shifted(shift):
+    fam = em.get_family("mvn", 2)
+    cov = np.array([[1.0, 0.2], [0.2, 0.8]])
+    return fam, fam.to_natural(em.MultivariateGaussianParams(mu=[shift, shift], cov=cov))
+
+
+# (id, family, first member, second member, measure, alpha, relative bound)
+_ROWS = [
+    ("poisson-renyi-div-600-900-0.9999", "poisson", 600.0, 900.0, "renyi-div", 0.9999, 1e-13),
+    ("poisson-renyi-div-600-900-1-5e-7", "poisson", 600.0, 900.0, "renyi-div", 1 - 5e-7, 1e-13),
+    ("poisson-shannon-900", "poisson", 900.0, None, "shannon", None, 1e-12),
+    ("poisson-shannon-1e4", "poisson", 1e4, None, "shannon", None, 2e-11),
+    ("poisson-renyi-9999-alpha-3", "poisson", 9999.0, None, "renyi", 3.0, 1e-11),
+    ("poisson-renyi-9999-alpha-5", "poisson", 9999.0, None, "renyi", 5.0, 1e-11),
+    ("exponential-hellinger-1-1+1e-6", "exponential", 1.0, 1.0 + 1e-6, "hellinger", None, 1e-13),
+    ("gaussian-kl-0-1e-6", "gaussian", (0.0, 1.0), (1e-6, 1.0), "kl", None, 1e-13),
+    ("gaussian-renyi-1-0.99e-6", "gaussian", (0.3, 2.0), None, "renyi", 1 - 0.99e-6, 1e-14),
+    ("bernoulli-kl-0.5-0.5+1e-9", "bernoulli", 0.5, 0.5 + 1e-9, "kl", None, 1e-12),
+    ("bernoulli-hellinger-0.5-0.5+1e-9", "bernoulli", 0.5, 0.5 + 1e-9, "hellinger", None, 1e-12),
+    ("bernoulli-renyi-div-0.5-0.5+1e-9-0.9", "bernoulli", 0.5, 0.5 + 1e-9, "renyi-div", 0.9, 1e-12),
+]
+
+_SOURCE = {
+    "poisson": lambda r: em.PoissonParams(rate=r),
+    "exponential": lambda r: em.ExponentialParams(rate=r),
+    "bernoulli": lambda p: em.BernoulliParams(p=p),
+    "gaussian": lambda mv: em.GaussianParams(mu=mv[0], var=mv[1]),
+}
+
+
+class TestMeasuredDefects:
+    """Each row failed at the F-difference forms: a large relative error, an
+    OverflowError, or a zero or negative value where the truth is positive."""
+
+    @pytest.mark.parametrize("row", _ROWS, ids=[r[0] for r in _ROWS])
+    def test_row_matches_50_digits(self, row):
+        _, name, first, second, measure, alpha, bound = row
+        fam = make_family(name)
+        theta = fam.to_natural(_SOURCE[name](first))
+        theta2 = fam.to_natural(_SOURCE[name](second)) if second is not None else None
+        want = reference(name, measure, theta, theta2, alpha)
+        got = _evaluate(fam, measure, theta, theta2, alpha)
+        assert _rel_error(got, want) <= bound, (got, want)
+
+    @pytest.mark.parametrize("shift", [1e3, 1e7])
+    def test_mvn_renyi_entropy_does_not_depend_on_the_mean(self, shift):
+        # log(2 pi) + log det(cov) / 2 + 2 log 2 at alpha = 1/2, exactly the
+        # value at the origin: the far mean must not leak into it.
+        fam, theta = _mvn_pair_shifted(shift)
+        want = reference("mvn", "renyi", _mvn_pair_shifted(0.0)[1], None, 0.5)
+        got = M.renyi_entropy(fam, theta, 0.5).value
+        assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+
+
+# --------------------------------------------------------------------------
+# A seeded grid of moderate members: every measure near rounding.
+# --------------------------------------------------------------------------
+
+_GRID_ALPHAS = (0.5, 0.9, 1 - 1e-4, 1 + 1e-4, 1 - 1e-7, 1 + 1e-7, 2.0)
+
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_seeded_grid_is_within_1e13(name):
+    fam = make_family(name)
+    rng = np.random.default_rng(2024)
+    worst = []
+    for _ in range(3):
+        theta, theta2 = random_theta_pair(name, rng)
+        for measure in M.MEASURE_NAMES:
+            for alpha in _GRID_ALPHAS if M.measure_needs_alpha(measure) else (None,):
+                want = reference(name, measure, theta, theta2, alpha)
+                got = _evaluate(fam, measure, theta, theta2, alpha)
+                worst.append((_rel_error(got, want), measure, alpha))
+    assert max(worst)[0] <= 1e-13, max(worst)
+
+
+_FAR_APART = {
+    "exponential": (em.ExponentialParams(rate=1.0), em.ExponentialParams(rate=12.0)),
+    "laplacian": (em.LaplacianParams(scale=1.0), em.LaplacianParams(scale=0.2)),
+    "poisson": (em.PoissonParams(rate=1.5), em.PoissonParams(rate=20.0)),
+    "bernoulli": (em.BernoulliParams(p=0.2), em.BernoulliParams(p=0.9)),
+    "gaussian": (em.GaussianParams(mu=0.3, var=1.0), em.GaussianParams(mu=-1.0, var=16.0)),
+    "mvn": (
+        em.MultivariateGaussianParams(mu=[0.0, 0.0], cov=np.eye(2)),
+        em.MultivariateGaussianParams(mu=[0.5, -1.0], cov=[[16.0, 1.0], [1.0, 0.5]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_members_far_apart_are_within_1e13(name):
+    # Steps far from 0 (a rate ratio of 12, a precision ratio below 1/2 in some
+    # direction, |theta - theta'| > 1) take each gap's far branch.
+    fam = make_family(name)
+    members = [fam.to_natural(src) for src in _FAR_APART[name]]
+    for theta, theta2 in (members, members[::-1]):
+        for measure in M.MEASURE_NAMES:
+            for alpha in (0.5, 0.9, 1 - 1e-7) if M.measure_needs_alpha(measure) else (None,):
+                want = reference(name, measure, theta, theta2, alpha)
+                got = _evaluate(fam, measure, theta, theta2, alpha)
+                assert _rel_error(got, want) <= 1e-13, (measure, alpha, got, want)
+
+
+# --------------------------------------------------------------------------
+# Members at the ends of the domain: finite wherever the value is.
+# --------------------------------------------------------------------------
+
+_EXTREMES = {
+    "bernoulli": [[-800.0], [-30.0], [0.0], [30.0], [800.0]],
+    "exponential": [[-1e-300], [-1.0], [-1e300]],
+    "laplacian": [[-1e-300], [-1.0], [-1e300]],
+    "poisson": [[-5.0], [-1.0], [0.0], [2.0], [4.0], [6.5]],
+    "gaussian": [[mu / var, -0.5 / var] for mu in (-1e10, 0.0, 1e10) for var in (0.5, 1.0)],
+}
+_EXTREME_ALPHAS = (0.5, 0.9, 1 - 1e-7, 1 + 1e-7, 2.0)
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREMES))
+def test_extreme_members_give_finite_values(name):
+    """Every value that fits a float comes back finite; only a mixture outside
+    the domain (alpha > 1) raises, and only a value beyond the float range may
+    overflow. The bound is loose: next to alpha = 1 the Gaussian divergences at
+    means of 1e10 carry the rounding of the mixture's natural coordinates,
+    B(m : m rounded) / (1 - alpha), ~2e-4 relative there (see ROADMAP)."""
+    fam = make_family(name)
+    members = [NaturalParam(v) for v in _EXTREMES[name]]
+    for theta in members:
+        for theta2 in members:
+            for measure in M.MEASURE_NAMES:
+                if not M.measure_needs_pair(measure) and theta2 is not members[0]:
+                    continue
+                for alpha in _EXTREME_ALPHAS if M.measure_needs_alpha(measure) else (None,):
+                    cell = (measure, alpha, theta.vector.tolist(), theta2.vector.tolist())
+                    mixed = theta.mix(theta2, alpha) if alpha is not None else None
+                    leaves = mixed is not None and not fam.in_natural_domain(mixed)
+                    if measure in ("renyi-div", "tsallis-div", "jensen") and leaves:
+                        with pytest.raises(MixedParameterError):
+                            _evaluate(fam, measure, theta, theta2, alpha)
+                        continue
+                    want = reference(name, measure, theta, theta2, alpha)
+                    if not math.isfinite(want):
+                        continue  # beyond the float range: inf or OverflowError
+                    got = _evaluate(fam, measure, theta, theta2, alpha)
+                    assert math.isfinite(got), cell
+                    assert abs(got - want) <= 1e-3 * abs(want) + 1e-15, (cell, got, want)
