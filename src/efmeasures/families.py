@@ -28,11 +28,12 @@ Implemented decompositions:
 Natural domains are open sets; boundary values raise instead of clamping,
 because F or its gradient diverges there.
 
-The closed forms in ``measures`` read two private primitives of each family,
-its Shannon entropy H and its Bregman gap B(theta : theta') = F(theta) -
-F(theta') - <theta - theta', grad F(theta')>. Each family writes B on the step
-theta - theta' (Nielsen & Garcia, arXiv:0911.4863, tabulate F, grad F and F*),
-so neither subtracts two large values of F.
+The closed forms in ``measures`` read private primitives of each family: its
+Shannon entropy H, its Bregman gap B(theta : theta') = F(theta) - F(theta') -
+<theta - theta', grad F(theta')> on the step theta - theta' (Nielsen & Garcia,
+arXiv:0911.4863, tabulate F, grad F and F*), so no two large F are subtracted,
+and the gaps B(theta : m), B(theta' : m) to a mixture m. The Gaussian families
+never form m: where one member's precision is I, the other's and m's are diagonal.
 
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
@@ -53,6 +54,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ExpectationDomainError,
+    MixedParameterError,
     NaturalDomainError,
     ParameterDomainError,
     ScaledParameterError,
@@ -93,6 +95,8 @@ _MATRIX_ASYMMETRY_TOL = 1e-9
 # A count series widens its window until both tails are certified below this
 # share of the summed magnitudes.
 _SERIES_TAIL = 2.0**-60
+
+_MIXED = "mixed parameter alpha*theta + (1-alpha)*theta' at alpha={:g}"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -258,6 +262,30 @@ def _rate_gap(ta: float, tb: float) -> float:
     if -0.5 < r < 1.0:
         return _h(r)
     return r - (math.log(-ta) - math.log(-tb))
+
+
+def _whitened_gaps(fam, alpha: float, axes, swap: bool = False):
+    """B(theta : m), B(theta' : m) of Gaussians, m = alpha theta + (1 - alpha) theta', over axes
+    (g, lam = 1 + g, log lam, z) where theta's, theta''s and m's precisions are 1, lam and s = 1 +
+    (1 - alpha) g, and z is mu - mu' (``swap``: whitened by theta'). A gap is sum(h(e) + P dmu^2)
+    / 2: 1 + e = 1/s, lam/s; P = 1, lam; dmu = (1 - alpha) lam z / s, alpha z / s."""
+    a, b = (1.0 - alpha, alpha) if swap else (alpha, 1.0 - alpha)
+    inside = 0.0 <= a <= 1.0
+    gap = gap2 = 0.0
+    for g, lam, log_lam, z in axes:
+        s = a + b * lam if inside else 1.0 + b * g  # in [0, 1] a sum of positives
+        if not 0.0 < s < math.inf:
+            break
+        e, e2, log_s = -b * g / s, a * g / s, math.log(s)
+        u, u2 = b / s * lam * z, a / s * z
+        # Near e = -1, h(e) = e - log(1 + e) needs the log: -log s, and log lam - log s.
+        gap += (_h(e) if e > -0.5 else e + log_s) + u * u
+        gap2 += (_h(e2) if e2 > -0.5 else e2 - log_lam + log_s) + lam * u2 * u2
+    else:  # every s in (0, inf): the mixture is in the domain
+        drift = abs(a + b - 1.0) * max(gap, gap2)  # how far 1 - alpha's rounding moves J
+        if inside or drift <= 1e-13 * abs(a * gap + b * gap2):  # J = a gap + b gap2; nan: False
+            return (0.5 * gap2, 0.5 * gap) if swap else (0.5 * gap, 0.5 * gap2)
+    fam._guard(False, _MIXED.format(alpha), MixedParameterError)
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
@@ -538,6 +566,12 @@ class Family(ABC):
     @abstractmethod
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         """Bregman gap B(theta : base) >= 0, from the step theta - base."""
+
+    def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
+        """B(theta : m), B(theta' : m) at m = alpha theta + (1 - alpha) theta', if m is inside."""
+        mixed = theta.mix(theta2, alpha)
+        self.require_natural(mixed, _MIXED.format(alpha), MixedParameterError)
+        return self._gap(theta, mixed), self._gap(theta2, mixed)
 
     def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
         """H and G = log(integral of p^alpha) - (1 - alpha) H >= 0, so that the
@@ -941,16 +975,24 @@ class GaussianFamily(Family):
         # which a far mean cannot reach.
         return self._entropy(theta), 0.5 * _h(alpha - 1.0)
 
-    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
-        # B(a : b) = (h(var_b / var_a - 1) + (mu_a - mu_b)^2 / var_a) / 2, with
-        # var_b / var_a = theta2_a / theta2_b and (mu_a - mu_b) / var_a = w =
-        # theta1_a - 2 mu_b theta2_a = d1 - 2 mu_b d2 for the step (d1, d2). Far from
-        # the origin both terms are large; those of the step are the smaller while
-        # theta2_a / theta2_b > 1/2, the members' own beyond.
-        (t1, t2), (ta1, ta2) = base.vector.tolist(), theta.vector.tolist()
+    @staticmethod
+    def _mean_step(ta1: float, ta2: float, t1: float, t2: float) -> float:
+        """w = (mu_a - mu_b) / var_a from a's own coordinates or the step: the smaller terms."""
         ratio = t1 / t2  # -2 mu_b
-        w = ta1 - t1 - ratio * (ta2 - t2) if ta2 / t2 > 0.5 else ta1 - ratio * ta2
+        return ta1 - t1 - ratio * (ta2 - t2) if ta2 / t2 > 0.5 else ta1 - ratio * ta2
+
+    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+        # B(a : b) = (h(var_b / var_a - 1) + (mu_a - mu_b)^2 / var_a) / 2 in theta2 and w.
+        (t1, t2), (ta1, ta2) = base.vector.tolist(), theta.vector.tolist()
+        w = self._mean_step(ta1, ta2, t1, t2)
         return 0.5 * (_rate_gap(ta2, t2) - 0.5 * w * w / ta2)
+
+    def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
+        # mvn's at d = 1, lam = theta2' / theta2, z = w / sqrt(-2 theta2): no mixture is rounded.
+        (t1, t2), (u1, u2) = theta.vector.tolist(), theta2.vector.tolist()
+        z = self._mean_step(t1, t2, u1, u2) / math.sqrt(-2.0 * t2)
+        axes = [((u2 - t2) / t2, u2 / t2, math.log(-u2) - math.log(-t2), z)]
+        return _whitened_gaps(self, alpha, axes)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(_flat_values(xs))
@@ -1094,6 +1136,25 @@ class MultivariateGaussianFamily(Family):
         else:  # some e_i near -1, where h needs log(1 + e_i) from the log dets
             spread = sum(e) - (log_det_a - log_det_b)
         return 0.5 * (spread + float(y @ y))
+
+    def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
+        # Whitened by a's factor C, b's precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, and
+        # the mixture's is weighted I + G; in G's eigenbasis U, _gap's step w is z = U^T C^-1 w.
+        # w reads b's mean, which loses digits to b's conditioning: b's factor spreads less.
+        diags = [self._factor(t).diagonal().tolist() for t in (theta, theta2)]
+        swap = max(diags[1]) / min(diags[1]) > max(diags[0]) / min(diags[0])
+        a, b = (theta2, theta) if swap else (theta, theta2)
+        inv_a, (mean_b, _, inv_b, _) = self._moments(a)[2], self._moments(b)
+        dm = 2.0 * (a.matrix - b.matrix)
+        g, basis = np.linalg.eigh(inv_a @ dm @ inv_a.T)
+        z = basis.T @ (inv_a @ (a.vector - b.vector + dm @ mean_b))
+        g, lam, z = g.tolist(), (1.0 + g).tolist(), z.tolist()
+        if g[0] <= -0.5:  # lam to eps of itself, not of the largest: 1 / u^T (I + G)^-1 u
+            y = inv_b @ self._factor(a) @ basis
+            rq = (1.0 / (y * y).sum(axis=0)).tolist()
+            lam = [l if x > -0.5 else q for x, l, q in zip(g, lam, rq)]
+            g = [x if x > -0.5 else l - 1.0 for x, l in zip(g, lam)]
+        return _whitened_gaps(self, alpha, zip(g, lam, map(math.log, lam), z), swap)
 
     def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
         if eta.matrix is None or eta.vector.size != self.dim:

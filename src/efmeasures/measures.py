@@ -24,7 +24,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import DomainError, MixedParameterError, ScaledParameterError
+from .errors import DomainError, ScaledParameterError
 from .families import Family, NaturalParam
 
 __all__ = [
@@ -82,9 +82,8 @@ def _phi(x: float) -> float:
     return math.expm1(x) / x if x else 1.0
 
 
-# The public closed forms check each member they are given once, then hand
-# the checked members to these private forms, which check only the members
-# they derive (alpha theta, the mixture) before the family's primitives read them.
+# The public closed forms check each member they are given once, these private forms
+# the alpha-scaled member, and the family's _jensen_gaps the mixture, if it forms one.
 
 
 def _renyi_entropy(fam: Family, theta: NaturalParam, alpha: float) -> float:
@@ -94,20 +93,10 @@ def _renyi_entropy(fam: Family, theta: NaturalParam, alpha: float) -> float:
     return entropy + _over(gap, 1.0 - alpha)
 
 
-def _jensen_gaps(
-    fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
-) -> tuple[float, float]:
-    """B(theta : m) and B(theta' : m) at the mixture m = alpha theta + (1 - alpha) theta'."""
-    mixed = theta.mix(theta2, alpha)
-    label = f"mixed parameter alpha*theta + (1-alpha)*theta' at alpha={alpha:g}"
-    fam.require_natural(mixed, label, MixedParameterError)
-    return fam._gap(theta, mixed), fam._gap(theta2, mixed)
-
-
 def _renyi_divergence(
     fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> float:
-    gap, gap2 = _jensen_gaps(fam, theta, theta2, alpha)
+    gap, gap2 = fam._jensen_gaps(theta, theta2, alpha)
     return gap2 + _over(alpha * gap, 1.0 - alpha)
 
 
@@ -157,7 +146,7 @@ def skew_jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: f
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
     _check_pair(fam, theta, theta2)
-    gap, gap2 = _jensen_gaps(fam, theta, theta2, alpha)
+    gap, gap2 = fam._jensen_gaps(theta, theta2, alpha)
     return alpha * gap + (1.0 - alpha) * gap2
 
 

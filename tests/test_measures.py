@@ -16,6 +16,7 @@ import efmeasures as em
 from efmeasures import families as F
 from efmeasures import measures as M
 from efmeasures import oracle as O
+from efmeasures.cli import VERIFY_ALPHAS, VERIFY_PAIRS
 from efmeasures.errors import (
     ConvergenceError,
     DomainError,
@@ -511,24 +512,65 @@ def tally(monkeypatch):
     return counts
 
 
+# The measures built on the mixture, and the families that take its gaps from
+# theta and theta' alone, without forming the mixture.
+_MIXTURE_MEASURES = ("renyi-div", "tsallis-div", "bhattacharyya", "hellinger", "jensen")
+_WHITENED = ("gaussian", "mvn")
+
+
 @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
 @pytest.mark.parametrize("measure", M.MEASURE_NAMES)
 def test_each_member_is_checked_once(tally, name, measure):
     fam = make_family(name)
     theta, theta2 = random_theta_pair(name, np.random.default_rng(8))
+    members = _MEMBERS[measure] - (name in _WHITENED and measure in _MIXTURE_MEASURES)
     choleskys = []
     for alpha in (0.5, 2.0):
         tally.update(validations=0, choleskys=0)
         M.evaluate_measure(fam, measure, theta, theta2, alpha)
-        assert tally["validations"] == _MEMBERS[measure]
+        assert tally["validations"] == members
         choleskys.append(tally["choleskys"])
     if name == "mvn":
         # -2M is factored once per distinct member: on the first call at most
         # once per member, on a repeat at another alpha only for the member
-        # the call builds anew (alpha*theta or the mixture), if any.
-        built = _MEMBERS[measure] - 1 - M.measure_needs_pair(measure)
-        assert choleskys[0] <= _MEMBERS[measure]
+        # the call builds anew (alpha*theta), if any.
+        built = members - 1 - M.measure_needs_pair(measure)
+        assert choleskys[0] <= members
         assert choleskys[1] == built
+
+
+@pytest.mark.parametrize("name", _WHITENED)
+def test_gaussian_mixture_measures_never_form_the_mixture(monkeypatch, name):
+    fam = make_family(name)
+    theta, theta2 = (fam.to_natural(dict(src)) for src in VERIFY_PAIRS[name])
+
+    def no_mix(self, other, weight):
+        raise AssertionError("a mixture member was formed")
+
+    monkeypatch.setattr(NaturalParam, "mix", no_mix)
+    for measure in _MIXTURE_MEASURES:
+        for alpha in VERIFY_ALPHAS if M.measure_needs_alpha(measure) else (None,):
+            for p, q in ((theta, theta2), (theta2, theta)):
+                assert math.isfinite(M.evaluate_measure(fam, measure, p, q, alpha).value)
+
+
+@pytest.mark.parametrize("name", _WHITENED)
+def test_gaussian_mixture_domain_agrees_with_the_mixture_member(name):
+    # Raises exactly where the mixture member, were it formed, would leave the domain.
+    fam = make_family(name)
+    rng = np.random.default_rng(1212)
+    alphas = np.linspace(-3.0, 12.0, 250).tolist()
+    for _ in range(40):
+        pair = random_theta_pair(name, rng)
+        for theta, theta2 in (pair, pair[::-1]):
+            for alpha in alphas:
+                inside = fam.in_natural_domain(theta.mix(theta2, alpha))
+                try:
+                    M.skew_jensen(fam, theta, theta2, alpha)
+                except MixedParameterError:
+                    assert not inside, alpha
+                else:
+                    assert inside, alpha
 
 
 # --------------------------------------------------------------------------
