@@ -34,6 +34,7 @@ Shannon entropy H, its Bregman gap B(theta : theta') = F(theta) - F(theta') -
 arXiv:0911.4863, tabulate F, grad F and F*), so no two large F are subtracted,
 and the gaps B(theta : m), B(theta' : m) to a mixture m. The Gaussian families
 never form m: where one member's precision is I, the other's and m's are diagonal.
+Their B is the first of these gaps at m = theta' (alpha = 0), so one form serves both.
 
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
@@ -273,6 +274,10 @@ def _whitened_gaps(fam, alpha: float, axes, swap: bool = False):
     inside = 0.0 <= a <= 1.0
     gap = gap2 = 0.0
     for g, lam, log_lam, z in axes:
+        if a == 0.0:  # m = theta', already checked: s = lam, which may under- or overflow
+            inv = 1.0 / lam if lam else math.inf  # h(1/lam - 1) = 1/lam - 1 + log lam
+            gap += (_h(-g / lam) if 0.5 < lam < 2.0 else inv - 1.0 + log_lam) + z * z
+            continue
         s = a + b * lam if inside else 1.0 + b * g  # in [0, 1] a sum of positives
         if not 0.0 < s < math.inf:
             break
@@ -975,23 +980,16 @@ class GaussianFamily(Family):
         # which a far mean cannot reach.
         return self._entropy(theta), 0.5 * _h(alpha - 1.0)
 
-    @staticmethod
-    def _mean_step(ta1: float, ta2: float, t1: float, t2: float) -> float:
-        """w = (mu_a - mu_b) / var_a from a's own coordinates or the step: the smaller terms."""
-        ratio = t1 / t2  # -2 mu_b
-        return ta1 - t1 - ratio * (ta2 - t2) if ta2 / t2 > 0.5 else ta1 - ratio * ta2
-
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
-        # B(a : b) = (h(var_b / var_a - 1) + (mu_a - mu_b)^2 / var_a) / 2 in theta2 and w.
-        (t1, t2), (ta1, ta2) = base.vector.tolist(), theta.vector.tolist()
-        w = self._mean_step(ta1, ta2, t1, t2)
-        return 0.5 * (_rate_gap(ta2, t2) - 0.5 * w * w / ta2)
+        return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
 
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
-        # mvn's at d = 1, lam = theta2' / theta2, z = w / sqrt(-2 theta2): no mixture is rounded.
+        # mvn's at d = 1: lam = theta2' / theta2, z = w / sqrt(-2 theta2) for the step
+        # w = (mu - mu') / var, from theta's own coordinates or the step: the smaller terms.
         (t1, t2), (u1, u2) = theta.vector.tolist(), theta2.vector.tolist()
-        z = self._mean_step(t1, t2, u1, u2) / math.sqrt(-2.0 * t2)
-        axes = [((u2 - t2) / t2, u2 / t2, math.log(-u2) - math.log(-t2), z)]
+        ratio = u1 / u2  # -2 mu'
+        w = t1 - u1 - ratio * (t2 - u2) if t2 / u2 > 0.5 else t1 - ratio * t2
+        axes = [((u2 - t2) / t2, u2 / t2, math.log(-u2) - math.log(-t2), w / math.sqrt(-2.0 * t2))]
         return _whitened_gaps(self, alpha, axes)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -1121,25 +1119,12 @@ class MultivariateGaussianFamily(Family):
         return self._entropy(theta), 0.5 * self.dim * _h(alpha - 1.0)
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
-        # B(a : b) = (tr(P_a S_b) - d - log det(P_a S_b) + dmu^T P_a dmu) / 2 for the
-        # precision P = -2M and covariance S, dmu = mu_a - mu_b. With S_b = R R^T for
-        # R = C_b^-T, P_a S_b is similar to I + E, E = -2 R^T (M_a - M_b) R, so the
-        # first part is sum_i h(e_i) over E's eigenvalues; and dmu = S_a w with
-        # w = v_a - v_b + 2 (M_a - M_b) mu_b, so the second is |C_a^-1 w|^2.
-        _, _, inv_a, log_det_a = self._moments(theta)
-        mean_b, _, inv_b, log_det_b = self._moments(base)
-        dm = theta.matrix - base.matrix
-        e = (-2.0 * np.linalg.eigvalsh(inv_b @ dm @ inv_b.T)).tolist()
-        y = inv_a @ (theta.vector - base.vector + 2.0 * dm @ mean_b)
-        if min(e) > -0.5:
-            spread = sum(map(_h, e))
-        else:  # some e_i near -1, where h needs log(1 + e_i) from the log dets
-            spread = sum(e) - (log_det_a - log_det_b)
-        return 0.5 * (spread + float(y @ y))
+        return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
 
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         # Whitened by a's factor C, b's precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, and
-        # the mixture's is weighted I + G; in G's eigenbasis U, _gap's step w is z = U^T C^-1 w.
+        # the mixture's is weighted I + G; in G's eigenbasis U, the mean step is z = U^T C^-1 w
+        # for w = v_a - v_b + 2 (M_a - M_b) mu_b, since mu_a - mu_b = C^-T C^-1 w.
         # w reads b's mean, which loses digits to b's conditioning: b's factor spreads less.
         diags = [self._factor(t).diagonal().tolist() for t in (theta, theta2)]
         swap = max(diags[1]) / min(diags[1]) > max(diags[0]) / min(diags[0])

@@ -158,7 +158,8 @@ def bregman(fam: Family, theta_q: NaturalParam, theta_p: NaturalParam) -> float:
 
 def kl_divergence(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
     """Relative entropy of theta against theta2: the Bregman gap with swapped arguments."""
-    return bregman(fam, theta2, theta)
+    _check_pair(fam, theta, theta2)
+    return fam._gap(theta2, theta)
 
 
 def renyi_divergence(

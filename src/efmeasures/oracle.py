@@ -311,40 +311,50 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
     return _two_rules(integrand, rules, log_densities, moves if gaussian else None)
 
 
-def _mean_chol(fam: Family, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray, float]:
-    """Mean, covariance Cholesky factor and log normalizer (log det + d/2 log 2 pi)
-    of a member, from a factor of -2M made here: the factor and moments the family
-    keeps on a member are what the closed forms read, so the oracle reads neither."""
-    inv_chol = _lower_inverse(np.linalg.cholesky(-2.0 * theta.matrix))
+def _mean_chol(fam: Family, theta: NaturalParam):
+    """Mean, covariance Cholesky factor, log normalizer (log det + d/2 log 2 pi) and a rounding
+    bound per mean coordinate of a member, from a factor of -2M made here: the closed forms
+    read the factor and moments the family keeps on a member, so the oracle reads neither."""
+    prec_chol = np.linalg.cholesky(-2.0 * theta.matrix)
+    inv_chol = _lower_inverse(prec_chol)
     cov = inv_chol.T @ inv_chol
     p = MultivariateGaussianParams(mu=cov @ theta.vector, cov=cov)
     chol = np.linalg.cholesky(p.cov)
-    return p.mu, chol, float(np.sum(np.log(np.diag(chol)))) + 0.5 * fam.dim * _LOG_2PI
+    # The mean solves -2M mu = v through a factor L of -2M, whose backward error is
+    # a few eps |L| |L^T| per dimension; it moves mu by |cov| times that times |mu|.
+    scale = np.abs(cov) @ (np.abs(prec_chol) @ (np.abs(prec_chol.T) @ np.abs(p.mu)))
+    norm = float(np.sum(np.log(np.diag(chol)))) + 0.5 * fam.dim * _LOG_2PI
+    return p.mu, chol, norm, _ROUNDING_ULPS * fam.dim * _EPS * scale
 
 
 def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
     """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T),
     with z over both symmetric rules."""
-    mean, chol, norm_g = _mean_chol(fam, proposal)
+    mean, chol, norm_g, _ = _mean_chol(fam, proposal)
     # Member j at x is -|y|^2/2 - norm_j with y = C_j^-1 (m - mu_j) + (C_j^-1 L) z;
     # the proposal itself has y = z.
     affine, norms = [], []
-    for mu, c, norm in (_mean_chol(fam, m) for m in integrand.members):
+    for mu, c, norm, slack in (_mean_chol(fam, m) for m in integrand.members):
         inv = _lower_inverse(c)
-        affine.append((inv @ (mean - mu), inv @ chol))
+        affine.append((inv @ (mean - mu), inv @ chol, inv * slack))
         norms.append(norm)
     norms.append(norm_g)
 
     def log_densities(z):
         logs, mags = [], []
-        for y, norm in zip([shift + z @ lin.T for shift, lin in affine] + [z], norms):
+        for y, norm in zip([shift + z @ lin.T for shift, lin, _ in affine] + [z], norms):
             half = 0.5 * np.einsum("ij,ij->i", y, y)
             logs.append(-half - norm)
             mags.append(half + abs(norm))
         return logs, mags
 
+    def moves(zs):
+        # A change dmu_j of member j's mean moves its log-density by y_j^T C_j^-1 dmu_j:
+        # one change per coordinate i, |dmu_ji| up to the rounding bound of mu_ji.
+        return [((shift + np.asarray(zs) @ lin.T) @ dmu).T.tolist() for shift, lin, dmu in affine]
+
     rules = [_symmetric_rule(fam.dim, origin) for origin in (False, True)]
-    return _two_rules(integrand, rules, log_densities)
+    return _two_rules(integrand, rules, log_densities, moves)
 
 
 # --------------------------------------------------------------------------
@@ -391,8 +401,7 @@ def _check_alpha(alpha: float | None, *, positive: bool = True) -> float:
 
 
 def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None) -> None:
-    # Either may be missing: `bregman` passes the second member first.
-    if theta is None or theta2 is None:
+    if theta2 is None:
         raise ValueError("the measure needs a second parameter")
     fam.require_natural(theta)
     fam.require_natural(theta2, "second natural parameter")
@@ -460,6 +469,10 @@ def oracle_kl(
 ) -> OracleEstimate:
     """Direct integral/sum of p log(p/q)."""
     _check_pair(fam, theta, theta2)
+    return _kl(fam, theta, theta2)
+
+
+def _kl(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> OracleEstimate:
     integrand = _Integrand((theta, theta2), (1.0, 0.0), (1.0, -1.0))
     return _integrate(fam, integrand, around=[theta, theta2], proposal=theta)
 
@@ -554,8 +567,8 @@ _ASSEMBLY = {
     "jensen": lambda fam, p, q, a: _jensen(
         _i_alpha_cross(fam, p, q, _check_alpha(a, positive=False))
     ),
-    # The Bregman gap of (q, p) is the relative entropy of p against q.
-    "bregman": lambda fam, p, q, a: oracle_kl(fam, q, p),
+    # B(p : q) is the relative entropy of q against p; the pair is checked as given.
+    "bregman": lambda fam, p, q, a: _check_pair(fam, p, q) or _kl(fam, q, p),
 }
 
 

@@ -471,6 +471,17 @@ class TestDomainGuards:
                 MixedParameterError, M.evaluate_measure, fam, measure, mix_p, mix_q, 2.0
             )
 
+    @pytest.mark.parametrize("evaluate", [M.evaluate_measure, O.oracle_measure],
+                             ids=["closed-form", "oracle"])
+    @pytest.mark.parametrize("measure", [m for m in M.MEASURE_NAMES if M.measure_needs_pair(m)])
+    def test_error_names_the_member_outside(self, name, measure, evaluate):
+        # The pair is checked in the order given, whichever gap the measure takes.
+        fam, good, good2, bad, _, _, _ = self._setup(name)
+        for pair, label in (((bad, good2), "natural parameter"), ((good, bad), "second natural parameter")):
+            with pytest.raises(NaturalDomainError, match=f"^{fam.name}: {label} outside") as info:
+                evaluate(fam, measure, *pair, 0.5)
+            assert info.type is NaturalDomainError
+
     def test_public_entry_points(self, name):
         fam, good, _, bad, big, _, _ = self._setup(name)
         for fn in (fam.log_normalizer, fam.grad_log_normalizer, fam.carrier_expectation):

@@ -329,21 +329,51 @@ class TestGaussianMembersFarFromOrigin:
         assert abs(est.value - want) <= est.error_bound, (est, want)
 
     def test_member_term_is_negligible_near_the_origin(self, monkeypatch):
-        # On `verify`'s built-in pair (means 0 and 0.5) the term stays at the
-        # rounding level, so the check keeps its edge there.
-        p, q = (em.GAUSSIAN.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS["gaussian"])
-
-        def bounds():
-            return [
-                O.oracle_measure(em.GAUSSIAN, m, p, q if M.measure_needs_pair(m) else None, a).error_bound
-                for m, a in cli.VERIFY_CELLS
-            ]
-
-        with_term = bounds()
+        # On `verify`'s built-in pairs (means 0 and 0.5, or (0, 0) and (0.4, -0.3))
+        # the term stays at the rounding level, so the check keeps its edge there.
         two_rules = O._two_rules
-        monkeypatch.setattr(O, "_two_rules", lambda i, r, l, moves=None: two_rules(i, r, l))
-        terms = [b - b0 for b, b0 in zip(with_term, bounds())]
-        assert max(terms) > 0.0 and all(0.0 <= t <= 1e-13 for t in terms)
+        for name in ("gaussian", "mvn"):
+            fam = make_family(name)
+            p, q = (fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS[name])
+
+            def bounds():
+                return [
+                    O.oracle_measure(fam, m, p, q if M.measure_needs_pair(m) else None, a).error_bound
+                    for m, a in cli.VERIFY_CELLS
+                ]
+
+            with_term = bounds()
+            monkeypatch.setattr(O, "_two_rules", lambda i, r, l, moves=None: two_rules(i, r, l))
+            terms = [b - b0 for b, b0 in zip(with_term, bounds())]
+            monkeypatch.setattr(O, "_two_rules", two_rules)
+            assert max(terms) > 0.0 and all(0.0 <= t <= 1e-13 for t in terms), name
+
+
+class TestMvnMembersFarFromOrigin:
+    """The mvn oracle recovers each mean as cov v through a factor of -2M, which
+    carries a few eps |cov| |L| |L^T| |mu| of rounding; the bound carries what that
+    moves the value by, so `verify`'s pair shifted far from the origin still passes."""
+
+    @pytest.mark.parametrize("shift", [1e5, 1e7])
+    def test_every_verify_cell_passes_within_a_bound_that_covers_mpmath(self, shift):
+        pytest.importorskip("mpmath")
+        from test_precision import reference
+
+        fam = make_family("mvn")
+        p, q = (
+            fam.to_natural(em.MultivariateGaussianParams(mu=np.add(obj["mu"], shift), cov=obj["sigma"]))
+            for obj in cli.VERIFY_PAIRS["mvn"]
+        )
+        failed, uncovered = [], []
+        for measure, alpha in cli.VERIFY_CELLS:
+            second = q if M.measure_needs_pair(measure) else None
+            closed = M.evaluate_measure(fam, measure, p, second, alpha).value
+            est = O.oracle_measure(fam, measure, p, second, alpha)
+            if not _agrees(closed, est):
+                failed.append((measure, alpha, closed, est))
+            if abs(est.value - reference("mvn", measure, p, second, alpha)) > est.error_bound:
+                uncovered.append((measure, alpha, est))
+        assert not failed and not uncovered, (failed, uncovered)
 
 
 def _mvn_pair(dim, rng):

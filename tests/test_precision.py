@@ -314,7 +314,8 @@ def test_graded_pairs_keep_their_digits(row):
     fam = make_family(name)
     members = [fam.to_natural(src) for src in sources]
     for theta, theta2 in (members, members[::-1]):
-        for measure in ("renyi-div", "tsallis-div", "jensen", "bhattacharyya", "hellinger"):
+        for measure in ("renyi-div", "tsallis-div", "jensen", "bhattacharyya", "hellinger",
+                        "kl", "cross-entropy", "bregman"):
             alphas = (1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8)
             for alpha in alphas if M.measure_needs_alpha(measure) else (None,):
                 want = reference(name, measure, theta, theta2, alpha)
@@ -365,6 +366,36 @@ def test_extreme_members_give_finite_values(name):
                     got = _evaluate(fam, measure, theta, theta2, alpha)
                     assert math.isfinite(got), cell
                     assert abs(got - want) <= bound * abs(want) + 1e-15, (cell, got, want)
+
+
+# Variances and precisions whose ratios leave the float range, and mean steps
+# whose squares overflow before they are scaled.
+_EXTREME_GAP_MEMBERS = {
+    "gaussian": [em.GaussianParams(mu=mu, var=var) for mu in (0.0, 3.0) for var in (1e-300, 1.0, 1e300)],
+    "mvn": [
+        em.MultivariateGaussianParams(mu=[0.0, 1.0], cov=cov)
+        for cov in (np.diag([1e-20, 1e20]), np.eye(2), np.diag([1e20, 1e-20]))
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME_GAP_MEMBERS))
+def test_extreme_gaps_are_finite_wherever_the_value_is(name):
+    """KL, cross entropy and Bregman are one gap B(theta : theta'): finite and within
+    1e-13 wherever the value fits a float, the infinity where it does not, and never
+    a mixture error, since the only mixture they take is theta' itself."""
+    fam = make_family(name)
+    members = [fam.to_natural(src) for src in _EXTREME_GAP_MEMBERS[name]]
+    for theta in members:
+        for theta2 in members:
+            for measure in ("kl", "cross-entropy", "bregman"):
+                cell = (measure, theta.vector.tolist(), theta2.vector.tolist())
+                want = reference(name, measure, theta, theta2, None)
+                got = _evaluate(fam, measure, theta, theta2, None)
+                if math.isfinite(want):
+                    assert _rel_error(got, want) <= 1e-13, (cell, got, want)
+                else:
+                    assert got == want, (cell, got, want)
 
 
 # --------------------------------------------------------------------------
