@@ -41,7 +41,7 @@ from .measures import (
     measure_needs_pair,
 )
 from .estimation import MeasureRequest, SampleSet, mle, plugin_measure
-from .oracle import CUBATURE, DISCRETE_SUM, oracle_measure
+from .oracle import oracle_measure
 
 ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
 DIVERGENCE_MEASURES = tuple(m.name for m in MEASURES if m.needs_pair)
@@ -52,13 +52,6 @@ VERIFY_ALPHAS = (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 2.0)
 VERIFY_CELLS = tuple(
     (m.name, alpha) for m in MEASURES for alpha in (VERIFY_ALPHAS if m.needs_alpha else (None,))
 )
-
-# Closed form vs oracle agreement floors per oracle method; cubature relies
-# purely on its reported bound.
-VERIFY_BASE_TOL = {
-    DISCRETE_SUM: 1e-9,
-    CUBATURE: 0.0,
-}
 
 # Built-in parameter pairs for `verify`, chosen so that every grid alpha
 # (including 2) keeps the mixed parameter inside the natural domain.
@@ -408,10 +401,7 @@ def _run_verify(parser, args) -> tuple[dict, bool]:
             second = theta2 if measure_needs_pair(measure) else None
             closed = evaluate_measure(fam, measure, theta, second, alpha)
             est = oracle_measure(fam, measure, theta, second, alpha)
-            tol = max(
-                VERIFY_BASE_TOL[est.method],
-                est.error_bound + 1e-12 * (1.0 + abs(closed.value)),
-            )
+            tol = est.error_bound + 1e-12 * (1.0 + abs(closed.value))
             ok = abs(closed.value - est.value) <= tol
             all_pass = all_pass and ok
             row = _result_row(

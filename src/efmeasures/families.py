@@ -989,7 +989,9 @@ class GaussianFamily(Family):
         (t1, t2), (u1, u2) = theta.vector.tolist(), theta2.vector.tolist()
         ratio = u1 / u2  # -2 mu'
         w = t1 - u1 - ratio * (t2 - u2) if t2 / u2 > 0.5 else t1 - ratio * t2
-        axes = [((u2 - t2) / t2, u2 / t2, math.log(-u2) - math.log(-t2), w / math.sqrt(-2.0 * t2))]
+        lam = u2 / t2  # log lam from both logs only where lam under- or overflows
+        log_lam = math.log(lam) if 2.0**-1022 <= lam < math.inf else math.log(-u2) - math.log(-t2)
+        axes = [((u2 - t2) / t2, lam, log_lam, w / math.sqrt(-2.0 * t2))]
         return _whitened_gaps(self, alpha, axes)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Independent numerical verification of the closed forms.
 
-Each measure is recomputed directly from the members' log-densities: exact
-rules of a few nodes for the continuous families, and windowed summation
-with a certified tail bound for the discrete ones. Nothing in this module
-consults ``measures``.
+``oracle_measure`` is the one entry point per measure, public beside the
+power integrals it reads. Each measure is recomputed directly from the
+members' log-densities: exact rules of a few nodes for the continuous
+families, and windowed summation with a certified tail bound for the
+discrete ones. Nothing in this module consults ``measures``.
 
 Every log-density is built from source parameters (a rate, a scale, a
-Gaussian mean and variance or covariance Cholesky), never from the
+Gaussian mean and variance or precision Cholesky), never from the
 log-normalizer F. Every family log-density subtracts F, so a sum of
 ``log_density_batch`` values would reproduce F's differences term by term
 and agree with a wrong F.
@@ -16,14 +17,15 @@ alpha-scaled member for power integrals, the alpha-mixture for cross
 integrals and p itself otherwise. Within an exponential family p^a q^(1-a)
 is a constant times another member, so every integrand divided by g is a
 constant or a polynomial of degree at most 2 in the standardized variable:
-z = (x - m) / s for a Gaussian g = N(m, s^2) (or x = m + L z with L L^T its
-covariance), and z = |x| / scale for an exponential or zero-mean Laplacian g,
-under which z is Exp(1). Two rules integrate that exactly: the 2- and 2d +
-1-node fully symmetric degree-3 rules for z ~ N(0, I_d) (Stroud,
-Approximate Calculation of Multiple Integrals, 1971; at d = 1 the 2- and
-3-point Gauss-Hermite rules), and the 1- and 2-point Gauss-Laguerre rules
-for z ~ Exp(1). The value is the finer rule's sum, and its bound the gap
-between the two rules plus rounding, which is at the rounding level.
+z = (x - m) / s for a Gaussian g = N(m, s^2) (or x = m + L z with L = P^-T
+for the factor P P^T of its precision), and z = |x| / scale for an
+exponential or zero-mean Laplacian g, under which z is Exp(1). Two rules
+integrate that exactly: the 2- and 2d + 1-node fully symmetric degree-3
+rules for z ~ N(0, I_d) (Stroud, Approximate Calculation of Multiple
+Integrals, 1971; at d = 1 the 2- and 3-point Gauss-Hermite rules), and the
+1- and 2-point Gauss-Laguerre rules for z ~ Exp(1). The value is the finer
+rule's sum, and its bound the gap between the two rules plus rounding, which
+is at the rounding level.
 
 Summed terms carry a rounding bound proportional to the magnitudes their
 exponents are computed from, not to the exponents: at a Poisson rate of 900,
@@ -42,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NaturalDomainError
-from .families import Family, GaussianParams, LaplacianParams, MultivariateGaussianParams
+from .errors import ConvergenceError, DomainError, NaturalDomainError
+from .families import Family, GaussianParams, LaplacianParams
 from .families import NaturalParam, _log_factorials, _lower_inverse, _tail, count_series
 
 __all__ = [
@@ -53,10 +55,6 @@ __all__ = [
     "CUBATURE",
     "oracle_i_alpha_self",
     "oracle_i_alpha_cross",
-    "oracle_shannon_entropy",
-    "oracle_shannon_cross_entropy",
-    "oracle_kl",
-    "oracle_normalization",
     "oracle_grad_check",
     "oracle_measure",
 ]
@@ -75,12 +73,13 @@ _ROUNDING_ULPS = 4.0
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Accepted for compatibility and read by nothing: every oracle backend is
-    an exact rule or a certified sum, with nothing to tune or sample.
+    """The last argument of ``oracle_measure``, accepted and read by nothing:
+    every oracle backend is an exact rule or a certified sum, with nothing to
+    tune or sample. No other oracle function takes it.
 
-    ``mc_samples`` and ``seed`` remain, validated, only because the benchmark
-    harness (``bench/workloads.py``, ``bench/probe.py``) still passes them,
-    and go once it stops.
+    It and ``mc_samples`` and ``seed``, validated, remain only because the
+    benchmark harness (``bench/workloads.py``, ``bench/probe.py``) still
+    builds it and passes it to ``oracle_measure``, and go once it stops.
     """
 
     mc_samples: int = 1_000_000
@@ -311,32 +310,31 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
     return _two_rules(integrand, rules, log_densities, moves if gaussian else None)
 
 
-def _mean_chol(fam: Family, theta: NaturalParam):
-    """Mean, covariance Cholesky factor, log normalizer (log det + d/2 log 2 pi) and a rounding
-    bound per mean coordinate of a member, from a factor of -2M made here: the closed forms
-    read the factor and moments the family keeps on a member, so the oracle reads neither."""
+def _member(fam: Family, theta: NaturalParam):
+    """Mean, factor P of -2M = P P^T and its inverse, log normalizer (d/2 log 2 pi - log det P)
+    and a rounding bound per mean coordinate of a member, from a factor made here: the closed
+    forms read the factor and moments the family keeps on a member, so the oracle reads neither."""
     prec_chol = np.linalg.cholesky(-2.0 * theta.matrix)
     inv_chol = _lower_inverse(prec_chol)
     cov = inv_chol.T @ inv_chol
-    p = MultivariateGaussianParams(mu=cov @ theta.vector, cov=cov)
-    chol = np.linalg.cholesky(p.cov)
-    # The mean solves -2M mu = v through a factor L of -2M, whose backward error is
-    # a few eps |L| |L^T| per dimension; it moves mu by |cov| times that times |mu|.
-    scale = np.abs(cov) @ (np.abs(prec_chol) @ (np.abs(prec_chol.T) @ np.abs(p.mu)))
-    norm = float(np.sum(np.log(np.diag(chol)))) + 0.5 * fam.dim * _LOG_2PI
-    return p.mu, chol, norm, _ROUNDING_ULPS * fam.dim * _EPS * scale
+    mu = cov @ theta.vector
+    fam._guard(bool(np.isfinite(mu).all()))  # an overflowed covariance fails as in the closed forms
+    # The mean solves -2M mu = v through the factor P, whose backward error is a few
+    # eps |P| |P^T| per dimension; it moves mu by |cov| times that times |mu|.
+    scale = np.abs(cov) @ (np.abs(prec_chol) @ (np.abs(prec_chol.T) @ np.abs(mu)))
+    norm = 0.5 * fam.dim * _LOG_2PI - float(np.sum(np.log(np.diag(prec_chol))))
+    return mu, prec_chol, inv_chol, norm, _ROUNDING_ULPS * fam.dim * _EPS * scale
 
 
 def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
-    """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T),
-    with z over both symmetric rules."""
-    mean, chol, norm_g, _ = _mean_chol(fam, proposal)
-    # Member j at x is -|y|^2/2 - norm_j with y = C_j^-1 (m - mu_j) + (C_j^-1 L) z;
+    """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T)
+    with L = P^-T from its precision factor, with z over both symmetric rules."""
+    mean, _, inv_g, norm_g, _ = _member(fam, proposal)
+    # Member j at x is -|y|^2/2 - norm_j with y = P_j^T (m - mu_j) + (P_j^T L) z;
     # the proposal itself has y = z.
     affine, norms = [], []
-    for mu, c, norm, slack in (_mean_chol(fam, m) for m in integrand.members):
-        inv = _lower_inverse(c)
-        affine.append((inv @ (mean - mu), inv @ chol, inv * slack))
+    for mu, prec_chol, _, norm, slack in (_member(fam, m) for m in integrand.members):
+        affine.append((prec_chol.T @ (mean - mu), prec_chol.T @ inv_g.T, prec_chol.T * slack))
         norms.append(norm)
     norms.append(norm_g)
 
@@ -349,7 +347,7 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
         return logs, mags
 
     def moves(zs):
-        # A change dmu_j of member j's mean moves its log-density by y_j^T C_j^-1 dmu_j:
+        # A change dmu_j of member j's mean moves its log-density by y_j^T P_j^T dmu_j:
         # one change per coordinate i, |dmu_ji| up to the rounding bound of mu_ji.
         return [((shift + np.asarray(zs) @ lin.T) @ dmu).T.tolist() for shift, lin, dmu in affine]
 
@@ -386,31 +384,31 @@ def _integrate(
 # --------------------------------------------------------------------------
 # Oracle operations.
 # --------------------------------------------------------------------------
-# Each takes an OracleConfig last, which it does not read (see OracleConfig).
 
 
 def _check_alpha(alpha: float | None, *, positive: bool = True) -> float:
-    # A missing argument raises the ValueError the closed-form dispatch raises.
+    # A missing argument raises the ValueError the closed-form dispatch raises,
+    # and a bad order the DomainError the closed forms raise.
     if alpha is None:
         raise ValueError("the measure needs an alpha order")
     alpha = float(alpha)
     if not (math.isfinite(alpha) and (alpha > 0 or not positive)):
         kind = "positive" if positive else "finite"
-        raise ValueError(f"alpha must be a {kind} real, got {alpha}")
+        raise DomainError(f"alpha must be a {kind} real, got {alpha}")
     return alpha
 
 
-def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None) -> None:
+def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None):
     if theta2 is None:
         raise ValueError("the measure needs a second parameter")
     fam.require_natural(theta)
     fam.require_natural(theta2, "second natural parameter")
+    return theta, theta2
 
 
-def oracle_i_alpha_self(
-    fam: Family, theta: NaturalParam, alpha: float, cfg: OracleConfig | None = None
-) -> OracleEstimate:
-    """Direct integral/sum of p^alpha over the support."""
+def oracle_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> OracleEstimate:
+    """Direct integral/sum of p^alpha over the support; at alpha = 1 it is the
+    mass of p itself, which should be 1."""
     alpha = _check_alpha(alpha)
     fam.require_natural(theta)
     # Without a carrier, p^alpha is proportional to the alpha-scaled member's
@@ -436,52 +434,17 @@ def _i_alpha_cross(
 
 
 def oracle_i_alpha_cross(
-    fam: Family,
-    theta: NaturalParam,
-    theta2: NaturalParam,
-    alpha: float,
-    cfg: OracleConfig | None = None,
+    fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> OracleEstimate:
     """Direct integral/sum of p^alpha q^(1-alpha)."""
     return _i_alpha_cross(fam, theta, theta2, _check_alpha(alpha))
 
 
-def oracle_shannon_entropy(
-    fam: Family, theta: NaturalParam, cfg: OracleConfig | None = None
-) -> OracleEstimate:
-    """Direct -integral/sum of p log p."""
-    fam.require_natural(theta)
-    integrand = _Integrand((theta,), (1.0,), (-1.0,))
-    return _integrate(fam, integrand, around=[theta], proposal=theta)
-
-
-def oracle_shannon_cross_entropy(
-    fam: Family, theta: NaturalParam, theta2: NaturalParam, cfg: OracleConfig | None = None
-) -> OracleEstimate:
-    """Direct -integral/sum of p log q."""
-    _check_pair(fam, theta, theta2)
-    integrand = _Integrand((theta, theta2), (1.0, 0.0), (0.0, -1.0))
-    return _integrate(fam, integrand, around=[theta, theta2], proposal=theta)
-
-
-def oracle_kl(
-    fam: Family, theta: NaturalParam, theta2: NaturalParam, cfg: OracleConfig | None = None
-) -> OracleEstimate:
-    """Direct integral/sum of p log(p/q)."""
-    _check_pair(fam, theta, theta2)
-    return _kl(fam, theta, theta2)
-
-
-def _kl(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> OracleEstimate:
-    integrand = _Integrand((theta, theta2), (1.0, 0.0), (1.0, -1.0))
-    return _integrate(fam, integrand, around=[theta, theta2], proposal=theta)
-
-
-def oracle_normalization(
-    fam: Family, theta: NaturalParam, cfg: OracleConfig | None = None
-) -> OracleEstimate:
-    """Integral/sum of the density itself; should be 1."""
-    return oracle_i_alpha_self(fam, theta, 1.0)
+def _log_integral(fam: Family, b: tuple[float, ...], members) -> OracleEstimate:
+    """Direct integral/sum of p sum_j b_j log p_j over the checked ``members``,
+    p the first: -p log p, -p log q and p log(p/q) for b = (-1), (0, -1), (1, -1)."""
+    integrand = _Integrand(members, (1.0,) + (0.0,) * (len(members) - 1), b)
+    return _integrate(fam, integrand, around=members, proposal=members[0])
 
 
 def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> float:
@@ -556,9 +519,9 @@ def _hellinger(est: OracleEstimate) -> OracleEstimate:
 _ASSEMBLY = {
     "renyi": lambda fam, p, q, a: _renyi(oracle_i_alpha_self(fam, p, a), 1.0 - a),
     "tsallis": lambda fam, p, q, a: _tsallis(oracle_i_alpha_self(fam, p, a), 1.0 - a),
-    "shannon": lambda fam, p, q, a: oracle_shannon_entropy(fam, p),
-    "cross-entropy": lambda fam, p, q, a: oracle_shannon_cross_entropy(fam, p, q),
-    "kl": lambda fam, p, q, a: oracle_kl(fam, p, q),
+    "shannon": lambda fam, p, q, a: fam.require_natural(p) or _log_integral(fam, (-1.0,), (p,)),
+    "cross-entropy": lambda fam, p, q, a: _log_integral(fam, (0.0, -1.0), _check_pair(fam, p, q)),
+    "kl": lambda fam, p, q, a: _log_integral(fam, (1.0, -1.0), _check_pair(fam, p, q)),
     "renyi-div": lambda fam, p, q, a: _renyi(oracle_i_alpha_cross(fam, p, q, a), a - 1.0),
     "tsallis-div": lambda fam, p, q, a: _tsallis(oracle_i_alpha_cross(fam, p, q, a), a - 1.0),
     "bhattacharyya": lambda fam, p, q, a: oracle_i_alpha_cross(fam, p, q, 0.5),
@@ -568,7 +531,7 @@ _ASSEMBLY = {
         _i_alpha_cross(fam, p, q, _check_alpha(a, positive=False))
     ),
     # B(p : q) is the relative entropy of q against p; the pair is checked as given.
-    "bregman": lambda fam, p, q, a: _check_pair(fam, p, q) or _kl(fam, q, p),
+    "bregman": lambda fam, p, q, a: _log_integral(fam, (1.0, -1.0), _check_pair(fam, p, q)[::-1]),
 }
 
 
@@ -582,7 +545,8 @@ def oracle_measure(
 ) -> OracleEstimate:
     """Numerical value of a named measure, assembled from oracle primitives only.
 
-    ``cfg`` is accepted and read by nothing (see OracleConfig)."""
+    ``cfg`` is accepted, positionally too, and read by nothing: the benchmark
+    harness still passes it (see OracleConfig)."""
     assemble = _ASSEMBLY.get(measure)
     if assemble is None:
         raise ValueError(f"unknown measure {measure!r}")

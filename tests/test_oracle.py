@@ -28,37 +28,37 @@ def _assert_within_bound(est, target):
 
 class TestPowerIntegrals:
     def test_exponential_squared_density(self):
-        est = O.oracle_i_alpha_self(em.EXPONENTIAL, _exp_theta(1.0), 2.0, CFG)
+        est = O.oracle_i_alpha_self(em.EXPONENTIAL, _exp_theta(1.0), 2.0)
         assert (est.method, est.evaluations) == (O.CUBATURE, 3)
         assert est.value == pytest.approx(0.5, abs=1e-10)
         _assert_within_bound(est, 0.5)
 
     def test_fair_coin_squared_mass(self):
         theta = em.BERNOULLI.to_natural(em.BernoulliParams(p=0.5))
-        est = O.oracle_i_alpha_self(em.BERNOULLI, theta, 2.0, CFG)
+        est = O.oracle_i_alpha_self(em.BERNOULLI, theta, 2.0)
         assert est.method == O.DISCRETE_SUM
         assert est.value == pytest.approx(0.5, abs=1e-14)
 
     def test_mvn_squared_density(self):
         fam = em.get_family("mvn", 2)
         theta = fam.to_natural(em.MultivariateGaussianParams(mu=np.zeros(2), cov=np.eye(2)))
-        est = O.oracle_i_alpha_self(fam, theta, 2.0, CFG)
+        est = O.oracle_i_alpha_self(fam, theta, 2.0)
         assert est.method == O.CUBATURE
         _assert_within_bound(est, 1.0 / (4.0 * math.pi))
 
     def test_cross_integral_exponential_pair(self):
-        est = O.oracle_i_alpha_cross(em.EXPONENTIAL, _exp_theta(1.0), _exp_theta(2.0), 0.5, CFG)
+        est = O.oracle_i_alpha_cross(em.EXPONENTIAL, _exp_theta(1.0), _exp_theta(2.0), 0.5)
         assert est.value == pytest.approx(math.sqrt(2.0) / 1.5, abs=1e-10)
         _assert_within_bound(est, math.sqrt(2.0) / 1.5)
 
     def test_cross_integral_equal_members(self):
-        est = O.oracle_i_alpha_cross(em.EXPONENTIAL, _exp_theta(1.3), _exp_theta(1.3), 0.7, CFG)
+        est = O.oracle_i_alpha_cross(em.EXPONENTIAL, _exp_theta(1.3), _exp_theta(1.3), 0.7)
         assert est.value == pytest.approx(1.0, abs=1e-10)
 
     def test_cross_integral_two_point_sum(self):
         a = em.BERNOULLI.to_natural(em.BernoulliParams(p=0.5))
         b = em.BERNOULLI.to_natural(em.BernoulliParams(p=0.25))
-        est = O.oracle_i_alpha_cross(em.BERNOULLI, a, b, 0.5, CFG)
+        est = O.oracle_i_alpha_cross(em.BERNOULLI, a, b, 0.5)
         want = math.sqrt(0.5 * 0.25) + math.sqrt(0.5 * 0.75)
         assert est.value == pytest.approx(want, abs=1e-14)
 
@@ -66,45 +66,43 @@ class TestPowerIntegrals:
         a = em.GAUSSIAN.to_natural(em.GaussianParams(mu=0.0, var=1.0))
         b = em.GAUSSIAN.to_natural(em.GaussianParams(mu=0.0, var=0.4))
         with pytest.raises(ConvergenceError):
-            O.oracle_i_alpha_cross(em.GAUSSIAN, a, b, 2.0, CFG)
+            O.oracle_i_alpha_cross(em.GAUSSIAN, a, b, 2.0)
 
 
 class TestEntropyAndKL:
     def test_unit_exponential_entropy(self):
-        est = O.oracle_shannon_entropy(em.EXPONENTIAL, _exp_theta(1.0), CFG)
+        est = O.oracle_measure(em.EXPONENTIAL, "shannon", _exp_theta(1.0))
         assert est.value == pytest.approx(1.0, abs=1e-9)
         _assert_within_bound(est, 1.0)
 
     def test_fair_coin_entropy(self):
         theta = em.BERNOULLI.to_natural(em.BernoulliParams(p=0.5))
-        est = O.oracle_shannon_entropy(em.BERNOULLI, theta, CFG)
+        est = O.oracle_measure(em.BERNOULLI, "shannon", theta)
         assert est.value == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_poisson_entropy_truncated_sum(self):
         theta = em.POISSON.to_natural(em.PoissonParams(rate=1.0))
-        est = O.oracle_shannon_entropy(em.POISSON, theta, CFG)
+        est = O.oracle_measure(em.POISSON, "shannon", theta)
         assert est.method == O.DISCRETE_SUM
         assert est.value == pytest.approx(1.3048422422562515, abs=1e-9)
 
     def test_kl_exponential_pair(self):
-        est = O.oracle_kl(em.EXPONENTIAL, _exp_theta(1.0), _exp_theta(2.0), CFG)
+        est = O.oracle_measure(em.EXPONENTIAL, "kl", _exp_theta(1.0), _exp_theta(2.0))
         assert est.value == pytest.approx(1.0 - math.log(2.0), abs=1e-9)
         _assert_within_bound(est, 1.0 - math.log(2.0))
 
     def test_kl_same_member_is_zero(self):
-        est = O.oracle_kl(em.EXPONENTIAL, _exp_theta(1.7), _exp_theta(1.7), CFG)
+        est = O.oracle_measure(em.EXPONENTIAL, "kl", _exp_theta(1.7), _exp_theta(1.7))
         assert abs(est.value) < 1e-12
 
     def test_kl_shifted_gaussians(self):
         a = em.GAUSSIAN.to_natural(em.GaussianParams(mu=0.0, var=1.0))
         b = em.GAUSSIAN.to_natural(em.GaussianParams(mu=1.0, var=1.0))
-        est = O.oracle_kl(em.GAUSSIAN, a, b, CFG)
+        est = O.oracle_measure(em.GAUSSIAN, "kl", a, b)
         assert est.value == pytest.approx(0.5, abs=1e-9)
 
     def test_cross_entropy_direct(self):
-        est = O.oracle_shannon_cross_entropy(
-            em.EXPONENTIAL, _exp_theta(1.0), _exp_theta(2.0), CFG
-        )
+        est = O.oracle_measure(em.EXPONENTIAL, "cross-entropy", _exp_theta(1.0), _exp_theta(2.0))
         assert est.value == pytest.approx(2.0 - math.log(2.0), abs=1e-9)
 
 
@@ -115,7 +113,7 @@ class TestNormalization:
         rng = np.random.default_rng(31)
         for _ in range(3):
             theta = fam.to_natural(random_source(name, rng))
-            est = O.oracle_normalization(fam, theta, CFG)
+            est = O.oracle_i_alpha_self(fam, theta, 1.0)
             assert est.value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -142,6 +140,49 @@ class TestGradCheck:
     def test_step_leaving_domain_is_reported(self):
         with pytest.raises(NaturalDomainError):
             O.oracle_grad_check(em.EXPONENTIAL, NaturalParam([-1e-7]), 1e-5)
+
+
+class TestOneEntryPoint:
+    """`oracle_measure` is the oracle's one entry point per measure, beside the two
+    power integrals it reads, and the mvn oracle factors each member once."""
+
+    def test_public_names(self):
+        assert O.__all__ == [
+            "OracleConfig",
+            "OracleEstimate",
+            "DISCRETE_SUM",
+            "CUBATURE",
+            "oracle_i_alpha_self",
+            "oracle_i_alpha_cross",
+            "oracle_grad_check",
+            "oracle_measure",
+        ]
+
+    @pytest.mark.parametrize(
+        "measure, alpha, factors", [("kl", None, 3), ("renyi", 2.0, 2), ("renyi-div", 0.5, 4)]
+    )
+    def test_mvn_cell_runs_one_cholesky_per_member(self, monkeypatch, measure, alpha, factors):
+        # Two members and the proposal for kl, the member and its alpha-scaled proposal for
+        # renyi; renyi-div also runs the family's domain check of the mixture.
+        fam = make_family("mvn")
+        p, q = (fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS["mvn"])
+        assert fam.in_natural_domain(p) and fam.in_natural_domain(q)  # keeps their factors
+        second = q if M.measure_needs_pair(measure) else None
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        O.oracle_measure(fam, measure, p, second, alpha)
+        assert len(calls) == factors
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mvn_member_whose_covariance_overflows_is_a_domain_error(self):
+        # -2M = diag(1e-310, 1) has a factor, but its covariance overflows.
+        fam = make_family("mvn")
+        theta = NaturalParam(np.zeros(2), -0.5 * np.diag([1e-310, 1.0]))
+        with pytest.raises(DomainError):
+            M.evaluate_measure(fam, "shannon", theta)
+        with pytest.raises(DomainError):
+            O.oracle_measure(fam, "shannon", theta)
 
 
 class TestDeterminismAndConfig:
@@ -174,12 +215,12 @@ def _verify_pairs():
 
 def _agrees(closed, est):
     """The `verify` rule."""
-    tol = max(cli.VERIFY_BASE_TOL[est.method], est.error_bound + 1e-12 * (1.0 + abs(closed)))
-    return abs(closed - est.value) <= tol
+    return abs(closed - est.value) <= est.error_bound + 1e-12 * (1.0 + abs(closed))
 
 
 class TestJensenOrders:
-    """The oracle takes the orders the closed forms take: any finite one for `jensen`."""
+    """The oracle takes the orders the closed forms take, any finite one for `jensen`,
+    and rejects the others with the closed forms' DomainError."""
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5])
     def test_matches_closed_form_on_verify_pairs(self, alpha):
@@ -202,6 +243,21 @@ class TestJensenOrders:
                 M.evaluate_measure(em.EXPONENTIAL, measure, p, second, alpha)
             with pytest.raises(ValueError, match="alpha must be a positive real"):
                 O.oracle_measure(em.EXPONENTIAL, measure, p, second, alpha, CFG)
+
+    BAD_ORDERS = [
+        (m, a)
+        for m in ("renyi", "tsallis", "renyi-div", "tsallis-div")
+        for a in (0.0, -1.0, math.nan, math.inf)
+    ] + [("jensen", a) for a in (math.nan, math.inf)]
+
+    @pytest.mark.parametrize("measure, alpha", BAD_ORDERS)
+    def test_bad_orders_are_domain_errors_on_both_paths(self, measure, alpha):
+        p, q = _exp_theta(1.0), _exp_theta(1.5)
+        second = q if M.measure_needs_pair(measure) else None
+        with pytest.raises(DomainError):
+            M.evaluate_measure(em.EXPONENTIAL, measure, p, second, alpha)
+        with pytest.raises(DomainError):
+            O.oracle_measure(em.EXPONENTIAL, measure, p, second, alpha)
 
 
 def _doubled_factor(self, theta):
@@ -249,7 +305,7 @@ class TestSelfConsistency:
         # Renyi entropies assembled from oracle power integrals straddle the
         # directly integrated Shannon entropy as alpha crosses 1.
         theta = _exp_theta(1.3)
-        h = O.oracle_shannon_entropy(em.EXPONENTIAL, theta, CFG).value
+        h = O.oracle_measure(em.EXPONENTIAL, "shannon", theta).value
         for delta in (1e-3,):
             lo = O.oracle_measure(em.EXPONENTIAL, "renyi", theta, alpha=1 - delta, cfg=CFG).value
             hi = O.oracle_measure(em.EXPONENTIAL, "renyi", theta, alpha=1 + delta, cfg=CFG).value
@@ -259,7 +315,7 @@ class TestSelfConsistency:
 
     def test_divergence_route_extrapolates_to_kl(self):
         a, b = _exp_theta(1.0), _exp_theta(1.8)
-        kl = O.oracle_kl(em.EXPONENTIAL, a, b, CFG).value
+        kl = O.oracle_measure(em.EXPONENTIAL, "kl", a, b).value
         lo = O.oracle_measure(em.EXPONENTIAL, "renyi-div", a, b, 1 - 1e-3, CFG).value
         hi = O.oracle_measure(em.EXPONENTIAL, "renyi-div", a, b, 1 + 1e-3, CFG).value
         assert 0.5 * (lo + hi) == pytest.approx(kl, abs=1e-5)
@@ -317,7 +373,7 @@ class TestGaussianMembersFarFromOrigin:
     def test_kl_bound_covers_mpmath(self, shift):
         mpmath = pytest.importorskip("mpmath")
         p, q = self._pair(shift)
-        est = O.oracle_kl(em.GAUSSIAN, p, q)
+        est = O.oracle_measure(em.GAUSSIAN, "kl", p, q)
         with mpmath.workdps(50):
             # The members the natural parameters encode, and their KL divergence in 50 digits.
             (m1, v1), (m2, v2) = (
@@ -408,15 +464,15 @@ class TestCubature:
         for name, nodes in (("exponential", 3), ("laplacian", 3), ("gaussian", 5)):
             fam = make_family(name)
             p, q = random_theta_pair(name, np.random.default_rng(4))
-            est = O.oracle_kl(fam, p, q, CFG)
+            est = O.oracle_measure(fam, "kl", p, q)
             assert (est.method, est.evaluations) == (O.CUBATURE, nodes)
         coin = em.BERNOULLI.to_natural(em.BernoulliParams(p=0.3))
-        assert O.oracle_shannon_entropy(em.BERNOULLI, coin, CFG).evaluations == 2
-        poisson = O.oracle_shannon_entropy(em.POISSON, em.POISSON.to_natural(em.PoissonParams(rate=100.0)), CFG)
+        assert O.oracle_measure(em.BERNOULLI, "shannon", coin).evaluations == 2
+        poisson = O.oracle_measure(em.POISSON, "shannon", em.POISSON.to_natural(em.PoissonParams(rate=100.0)))
         assert 150 < poisson.evaluations < 300
         for dim, nodes in ((2, 9), (5, 21)):
             fam, p, _ = _mvn_pair(dim, np.random.default_rng(3))
-            assert O.oracle_normalization(fam, p, CFG).evaluations == nodes
+            assert O.oracle_i_alpha_self(fam, p, 1.0).evaluations == nodes
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_rules_are_exact_to_degree_three(self, dim):
@@ -444,7 +500,7 @@ class TestWrongLogNormalizer:
         assert len(rows) == 31
         assert [r["measure"] for r in rows if r["pass"]] == []
         fam, p, _ = _mvn_pair(2, np.random.default_rng(5))
-        est = O.oracle_normalization(fam, p, CFG)
+        est = O.oracle_i_alpha_self(fam, p, 1.0)
         assert abs(est.value - 1.0) <= est.error_bound
 
     def test_one_percent_log_det_error_fails_every_mvn_cell(self, monkeypatch, capsys):

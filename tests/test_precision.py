@@ -398,6 +398,28 @@ def test_extreme_gaps_are_finite_wherever_the_value_is(name):
                     assert got == want, (cell, got, want)
 
 
+# Gaussian variance scales across the float range, and ratios near and far from 1.
+_GAP_SCALES = (1.0, 1e100, 1e-100, 1e200, 1e-200, 1e300, 1e-300)
+_GAP_RATIOS = (1.001, 3.0, 1.0 / 3.0, 1e5, 1e-5)
+
+
+def test_gaussian_gaps_keep_their_digits_at_every_variance_scale():
+    """B(theta : theta') reads log lam for the variance ratio lam as the log of the
+    ratio, not as a difference of logs of size ~690 at variances near 1e+-300."""
+    fam = em.GAUSSIAN
+    for var in _GAP_SCALES:
+        for ratio in _GAP_RATIOS:
+            for step in (0.0, 3.0):  # the mean step, in sds of the first member
+                sources = ((0.0, var), (step * math.sqrt(var), ratio * var))
+                p, q = (fam.to_natural(em.GaussianParams(mu=mu, var=v)) for mu, v in sources)
+                for theta, theta2 in ((p, q), (q, p)):
+                    for measure in ("kl", "cross-entropy", "bregman"):
+                        cell = (measure, theta.vector.tolist(), theta2.vector.tolist())
+                        want = reference("gaussian", measure, theta, theta2, None)
+                        got = _evaluate(fam, measure, theta, theta2, None)
+                        assert _rel_error(got, want) <= 2e-15, (cell, got, want)
+
+
 # --------------------------------------------------------------------------
 # Orders far outside [0, 1], which jensen takes: finite, or the mixture leaves.
 # --------------------------------------------------------------------------
