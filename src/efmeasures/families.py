@@ -40,6 +40,8 @@ All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
 The mvn family keeps a member's precision factor and moments on it once
 computed: only what the pure functions return, so concurrent fills store equal values.
+The count series share one read-only table of log k! (at most 2^17 entries): a fill
+assigns a new, complete array and a call reads it once, so every reader slices a whole one.
 """
 
 from __future__ import annotations
@@ -258,11 +260,12 @@ def _h(r: float) -> float:
 
 def _rate_gap(ta: float, tb: float) -> float:
     """q - 1 - log q for q = ta / tb of two negative coordinates: h((ta - tb) / tb),
-    and far from q = 1, where q may under- or overflow, with log q from both logs."""
+    and far from q = 1 with log q from both logs only where q under- or overflows."""
     r = (ta - tb) / tb
     if -0.5 < r < 1.0:
         return _h(r)
-    return r - (math.log(-ta) - math.log(-tb))
+    q = ta / tb
+    return r - (math.log(q) if 2.0**-1022 <= q < math.inf else math.log(-ta) - math.log(-tb))
 
 
 def _whitened_gaps(fam, alpha: float, axes, swap: bool = False):
@@ -391,10 +394,24 @@ class LaplacianParams:
             raise ParameterDomainError(f"scale must be > 0, got {self.scale}")
 
 
+_LOG_FACTORIAL_CAP = 2**17  # entries: 1 MiB, the windows up to rate ~1.2e5
+_log_factorial_table = np.empty(0)  # lgamma(k + 1) at k, grown by doubling from 64; never written
+
+
 def _log_factorials(ks: np.ndarray) -> np.ndarray:
-    """log k! over a run of consecutive counts, one ``math.lgamma`` each."""
-    first = int(ks[0]) + 1
-    return np.fromiter(map(math.lgamma, range(first, first + ks.size)), float, ks.size)
+    """log k! over a run of consecutive counts: a table slice, one lgamma each past the cap."""
+    global _log_factorial_table
+    first, stop = int(ks[0]), int(ks[0]) + ks.size
+    table = _log_factorial_table  # one read: a concurrent fill replaces it, whole
+    size = min(max(64, 1 << (stop - 1).bit_length()), _LOG_FACTORIAL_CAP)
+    if table.size < size:
+        table = np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
+        table.flags.writeable = False
+        _log_factorial_table = table
+    if stop <= table.size:
+        return table[first:stop]
+    past = [math.lgamma(k + 1) for k in range(max(first, table.size), stop)]
+    return np.concatenate((table[first:], past))
 
 
 def _tail(edge: float, inner: float) -> float:

@@ -316,8 +316,9 @@ def _member(fam: Family, theta: NaturalParam):
     forms read the factor and moments the family keeps on a member, so the oracle reads neither."""
     prec_chol = np.linalg.cholesky(-2.0 * theta.matrix)
     inv_chol = _lower_inverse(prec_chol)
-    cov = inv_chol.T @ inv_chol
-    mu = cov @ theta.vector
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = inv_chol.T @ inv_chol
+        mu = cov @ theta.vector
     fam._guard(bool(np.isfinite(mu).all()))  # an overflowed covariance fails as in the closed forms
     # The mean solves -2M mu = v through the factor P, whose backward error is a few
     # eps |P| |P^T| per dimension; it moves mu by |cov| times that times |mu|.

@@ -35,6 +35,10 @@ def _exp_theta(rate):
     return em.EXPONENTIAL.to_natural(em.ExponentialParams(rate=rate))
 
 
+def _poisson_theta(rate):
+    return em.POISSON.to_natural(em.PoissonParams(rate=rate))
+
+
 def _gauss_theta(mu, var):
     return em.GAUSSIAN.to_natural(em.GaussianParams(mu=mu, var=var))
 
@@ -791,3 +795,91 @@ class TestPoissonSeries:
                 want = float(mpmath.log(total) / (1 - alpha))
                 got = M.renyi_entropy(em.POISSON, theta, alpha).value
                 assert got == pytest.approx(want, rel=1e-11), alpha
+
+    # Rates whose windows lie below the log k! table's cap, straddle it, and lie past it.
+    _TABLE_RATES = (0.1, 1e4, 1.3e5, 2e5)
+
+    @staticmethod
+    def _windows(monkeypatch, rate, alpha=0.5):
+        """The runs of counts a Renyi entropy at rate, alpha reads log k! over."""
+        seen, table = [], F._log_factorials
+        with monkeypatch.context() as m:
+            m.setattr(F, "_log_factorials", lambda ks: seen.append(ks.copy()) or table(ks))
+            M.renyi_entropy(em.POISSON, _poisson_theta(rate), alpha)
+        return seen
+
+    @staticmethod
+    def _empty_table(monkeypatch):
+        monkeypatch.setattr(F, "_log_factorial_table", F._log_factorial_table[:0])
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["rising", "falling"])
+    def test_log_factorials_are_lgamma_on_every_window(self, monkeypatch, order):
+        windows = [w for r in self._TABLE_RATES[::order] for w in self._windows(monkeypatch, r)]
+        cap = F._LOG_FACTORIAL_CAP
+        assert cap == 2**17
+        assert any(w[0] < cap <= w[-1] for w in windows)  # one straddles the cap
+        assert any(w[0] >= cap for w in windows)  # one lies past it
+        self._empty_table(monkeypatch)
+        for ks in windows:
+            want = [math.lgamma(k + 1) for k in ks.tolist()]
+            assert F._log_factorials(ks).tolist() == want, (ks[0], ks[-1])
+            table = F._log_factorial_table
+            assert table.size <= cap and not table.flags.writeable
+        assert F._log_factorial_table.size == cap
+        with pytest.raises(ValueError):
+            F._log_factorial_table[0] = 1.0
+
+    def test_a_rate_reached_again_calls_no_lgamma(self, monkeypatch):
+        high, low = (self._windows(monkeypatch, r) for r in (1e4, 10.0))
+        self._empty_table(monkeypatch)
+        for ks in high:
+            F._log_factorials(ks)
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+        for ks in high + low:
+            F._log_factorials(ks)
+        assert calls == []
+
+    def test_entropies_keep_the_per_term_bits(self, monkeypatch):
+        def per_term(ks):
+            first = int(ks[0]) + 1
+            return np.fromiter(map(math.lgamma, range(first, first + ks.size)), float, ks.size)
+
+        def values():
+            out = []
+            for rate in (0.05, 0.1, 3.7, 42.0, 777.0, 9999.0, 1e5, 1.3e5, 2e5):
+                p, q = _poisson_theta(rate), _poisson_theta(1.3 * rate)
+                out += [M.shannon_entropy(em.POISSON, p), M.shannon_cross_entropy(em.POISSON, p, q)]
+                for alpha in (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.0 + 1e-7, 2.0):
+                    out += [M.evaluate_measure(em.POISSON, m, p, None, alpha).value
+                            for m in ("renyi", "tsallis")]
+            return [v.hex() for v in out]
+
+        self._empty_table(monkeypatch)
+        got = values()
+        monkeypatch.setattr(F, "_log_factorials", per_term)
+        assert got == values()
+
+    def test_concurrent_fills_get_the_serial_bits(self, monkeypatch):
+        rates = (0.1, 10.0, 1e3, 1e4, 1e5, 2e5)
+
+        def entropies():
+            return [M.renyi_entropy(em.POISSON, _poisson_theta(r), 0.5).value.hex() for r in rates]
+
+        want = entropies()
+        self._empty_table(monkeypatch)
+        start = threading.Barrier(4, timeout=30)
+
+        def fill(_):
+            start.wait()  # all four threads find the table empty
+            return entropies()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(fill, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 4

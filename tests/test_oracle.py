@@ -174,7 +174,6 @@ class TestOneEntryPoint:
         O.oracle_measure(fam, measure, p, second, alpha)
         assert len(calls) == factors
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_mvn_member_whose_covariance_overflows_is_a_domain_error(self):
         # -2M = diag(1e-310, 1) has a factor, but its covariance overflows.
         fam = make_family("mvn")
