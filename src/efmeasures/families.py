@@ -38,8 +38,8 @@ Their B is the first of these gaps at m = theta' (alpha = 0), so one form serves
 
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
-The mvn family keeps a member's precision factor and moments on it once
-computed: only what the pure functions return, so concurrent fills store equal values.
+An mvn ``Member`` carries its precision factor from its check and its moments
+from their first read, outside its fields; every reader gets the first fill.
 The count series share one read-only table of log k! (at most 2^17 entries): a fill
 assigns a new, complete array and a call reads it once, so every reader slices a whole one.
 """
@@ -47,6 +47,7 @@ assigns a new, complete array and a call reads it once, so every reader slices a
 from __future__ import annotations
 
 import math
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar
@@ -66,6 +67,7 @@ from .errors import (
 
 __all__ = [
     "NaturalParam",
+    "Member",
     "Support",
     "Family",
     "ExponentialParams",
@@ -96,8 +98,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _MATRIX_ASYMMETRY_TOL = 1e-9
 
 # A count series widens its window until both tails are certified below this
-# share of the summed magnitudes.
+# share of the summed magnitudes, and raises rather than hold a window this wide.
 _SERIES_TAIL = 2.0**-60
+_SERIES_MAX_COUNTS = 2**22
 
 _MIXED = "mixed parameter alpha*theta + (1-alpha)*theta' at alpha={:g}"
 
@@ -117,8 +120,8 @@ class NaturalParam:
     symmetrized on construction (averaged with its transpose); input whose
     asymmetry exceeds the tolerance is rejected outright. ``scaled`` and
     ``mix`` make ``c M`` and ``w A + (1-w) B`` of exactly symmetric blocks,
-    exactly symmetric too, and do not re-symmetrize them. A family may keep
-    write-once values on a member (``_memo``), outside its fields, repr and eq.
+    exactly symmetric too, and do not re-symmetrize them. ``Family.member``
+    checks one into a ``Member`` of a family.
     """
 
     vector: np.ndarray
@@ -204,6 +207,18 @@ class NaturalParam:
         return np.concatenate([self.vector, self.matrix.ravel()])
 
 
+@dataclass(frozen=True, eq=False)
+class Member(NaturalParam):
+    """A natural parameter that ``Family.member`` checked inside ``family``'s domain;
+    one made another way (its constructor, ``dataclasses.replace``, a copy) has no
+    ``family`` and is checked again. An mvn member also carries ``factor`` and ``moments``."""
+
+    __slots__ = ("family", "factor", "moments")
+
+    def __reduce__(self):
+        return NaturalParam._derived, (self.vector.tolist(), self.matrix)
+
+
 @dataclass(frozen=True)
 class Support:
     """Shape of a family's sample space."""
@@ -240,11 +255,6 @@ def _counts(xs) -> tuple[np.ndarray, np.ndarray]:
     raw = np.asarray(xs)
     x = _flat_values(raw)
     return x, (raw.dtype != np.bool_) & np.isfinite(x) & (x == np.floor(x))
-
-
-def _memo(theta: NaturalParam) -> dict:
-    """The member's dict of write-once values, made on first use."""
-    return theta.__dict__.setdefault("_memo", {})
 
 
 def _h(r: float) -> float:
@@ -394,6 +404,8 @@ class LaplacianParams:
             raise ParameterDomainError(f"scale must be > 0, got {self.scale}")
 
 
+_MOMENTS_FILL = threading.Lock()
+
 _LOG_FACTORIAL_CAP = 2**17  # entries: 1 MiB, the windows up to rate ~1.2e5
 _log_factorial_table = np.empty(0)  # lgamma(k + 1) at k, grown by doubling from 64; never written
 
@@ -440,7 +452,10 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     spread = 9.0 / math.sqrt(min(alpha, 1.0))
     for widen in (1.0, 2.0, 4.0, 8.0):
         lo = max(0, math.floor(low - widen * (spread * math.sqrt(low) + 20.0)))
-        ks = np.arange(lo, math.ceil(high + widen * (spread * math.sqrt(high) + 20.0)) + 1)
+        hi = math.ceil(high + widen * (spread * math.sqrt(high) + 20.0)) + 1
+        if hi - lo >= _SERIES_MAX_COUNTS:
+            raise ConvergenceError(f"a count series window of {hi - lo:.3g} counts is too wide")
+        ks = np.arange(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             ts = np.asarray(terms(ks), dtype=float)
         rows = ts.reshape(-1, ks.size)
@@ -505,16 +520,25 @@ class Family(ABC):
         self.check_shape(theta)
         return self._in_domain(theta)
 
-    def require_natural(
+    def member(
         self,
         theta: NaturalParam,
         label: str = "natural parameter",
         exc: type[NaturalDomainError] = NaturalDomainError,
-    ) -> None:
-        self._guard(self.in_natural_domain(theta), label, exc)
+    ) -> Member:
+        """``theta`` checked once: itself if it is a member of an equal family, else
+        a member of its blocks; raises ``exc`` naming ``label`` outside the domain."""
+        family = getattr(theta, "family", None)
+        if family is self or family == self:
+            return theta
+        out = object.__new__(Member)
+        out.__dict__.update(vector=theta.vector, matrix=theta.matrix)  # frozen already
+        self._guard(self.in_natural_domain(out), label, exc)
+        object.__setattr__(out, "family", self)
+        return out
 
     def _guard(self, inside: bool, label: str = "natural parameter", exc=NaturalDomainError):
-        """Raise unless ``inside``; F, grad F and the carrier terms guard inline with it."""
+        """Raise unless ``inside``: what member() checks, and each derived member."""
         if not inside:
             raise exc(f"{self.name}: {label} outside the natural domain")
 
@@ -538,7 +562,7 @@ class Family(ABC):
 
     def log_density(self, theta: NaturalParam, x) -> float:
         """<t(x), theta> - F(theta) + k(x) of one observation: log_density_batch at N=1."""
-        self.require_natural(theta)
+        theta = self.member(theta)
         self.require_support(x)
         return float(self.log_density_batch(theta, np.asarray([x]))[0])
 
@@ -553,33 +577,33 @@ class Family(ABC):
         return 0.0
 
     # -- carrier moments (identically trivial unless k(x) != 0) ---------
-    # Both raise outside the domain; a family with a carrier checks theta and
-    # alpha*theta inline. The closed forms read the primitives below instead.
+    # Both check theta, and the moment alpha*theta; the closed forms read the
+    # primitives below instead.
 
     def carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
         """Expectation of exp((alpha-1) k(x)) under the alpha-scaled member."""
         return math.exp(self.log_carrier_moment(theta, alpha))
 
     def log_carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
-        """Log of carrier_moment; the scale-safe form used by the entropies."""
+        """Log of carrier_moment, finite where carrier_moment under- or overflows."""
         if not (math.isfinite(alpha) and alpha > 0):
             raise DomainError(f"alpha must be > 0, got {alpha}")
+        theta = self.member(theta)
+        scaled = theta.scaled(alpha)
+        self._guard(self.in_natural_domain(scaled), "alpha-scaled parameter", ScaledParameterError)
         return self._log_carrier_moment(theta, alpha)
 
-    def _log_carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
-        self.require_natural(theta)
-        self.require_natural(theta.scaled(alpha), "alpha-scaled parameter", ScaledParameterError)
+    def _log_carrier_moment(self, theta: Member, alpha: float) -> float:
         return 0.0
 
     def carrier_expectation(self, theta: NaturalParam) -> float:
         """Expectation of k(x) under theta; zero for zero-carrier families."""
-        return self._carrier_expectation(theta)
+        return self._carrier_expectation(self.member(theta))
 
-    def _carrier_expectation(self, theta: NaturalParam) -> float:
-        self.require_natural(theta)
+    def _carrier_expectation(self, theta: Member) -> float:
         return 0.0
 
-    # -- the primitives of the closed forms, on members the caller checked --
+    # -- the primitives of the closed forms, on members of this family --
 
     @abstractmethod
     def _entropy(self, theta: NaturalParam) -> float:
@@ -592,7 +616,7 @@ class Family(ABC):
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         """B(theta : m), B(theta' : m) at m = alpha theta + (1 - alpha) theta', if m is inside."""
         mixed = theta.mix(theta2, alpha)
-        self.require_natural(mixed, _MIXED.format(alpha), MixedParameterError)
+        self._guard(self.in_natural_domain(mixed), _MIXED.format(alpha), MixedParameterError)
         return self._gap(theta, mixed), self._gap(theta2, mixed)
 
     def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
@@ -615,7 +639,7 @@ class Family(ABC):
     # -- abstract operations --------------------------------------------
 
     @abstractmethod
-    def to_natural(self, params) -> NaturalParam: ...
+    def to_natural(self, params) -> Member: ...
 
     @abstractmethod
     def from_natural(self, theta: NaturalParam): ...
@@ -630,7 +654,7 @@ class Family(ABC):
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam: ...
 
     @abstractmethod
-    def grad_inverse(self, eta: NaturalParam) -> NaturalParam: ...
+    def grad_inverse(self, eta: NaturalParam) -> Member: ...
 
     @abstractmethod
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -648,10 +672,10 @@ class Family(ABC):
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws, deterministic for a given seed."""
 
-    def _check_sample_args(self, theta: NaturalParam, n: int) -> None:
-        self.require_natural(theta)
+    def _check_sample_args(self, theta: NaturalParam, n: int) -> Member:
         if n < 1:
             raise ValueError(f"sample size must be >= 1, got {n}")
+        return self.member(theta)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<family {self.name!r} order={self.order}>"
@@ -678,13 +702,13 @@ class ExponentialDistFamily(Family):
         "support": "x >= 0",
     }
 
-    def to_natural(self, params: ExponentialParams) -> NaturalParam:
+    def to_natural(self, params: ExponentialParams) -> Member:
         if not isinstance(params, ExponentialParams):
             params = ExponentialParams(**_params_as_dict(params))
-        return NaturalParam([-params.rate])
+        return self.member(NaturalParam([-params.rate]))
 
     def from_natural(self, theta: NaturalParam) -> ExponentialParams:
-        self.require_natural(theta)
+        self.member(theta)
         return ExponentialParams(rate=-float(theta.vector[0]))
 
     def _in_domain(self, theta: NaturalParam) -> bool:
@@ -692,18 +716,18 @@ class ExponentialDistFamily(Family):
         return math.isfinite(t) and t < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return -math.log(-float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return NaturalParam([-1.0 / float(theta.vector[0])])
 
-    def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
+    def grad_inverse(self, eta: NaturalParam) -> Member:
         e = float(np.atleast_1d(eta.vector)[0])
         if not (math.isfinite(e) and e > 0):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
-        return NaturalParam([-1.0 / e])
+        return self.member(NaturalParam([-1.0 / e]))
 
     def _entropy(self, theta: NaturalParam) -> float:
         return 1.0 - math.log(-float(theta.vector[0]))
@@ -724,7 +748,7 @@ class ExponentialDistFamily(Family):
         return t * np.asarray(xs, dtype=float) + math.log(-t)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
-        self._check_sample_args(theta, n)
+        theta = self._check_sample_args(theta, n)
         return np.random.default_rng(seed).exponential(-1.0 / float(theta.vector[0]), n)
 
 
@@ -744,31 +768,31 @@ class PoissonFamily(Family):
         "support": "x in {0, 1, 2, ...}",
     }
 
-    def to_natural(self, params: PoissonParams) -> NaturalParam:
+    def to_natural(self, params: PoissonParams) -> Member:
         if not isinstance(params, PoissonParams):
             params = PoissonParams(**_params_as_dict(params))
-        return NaturalParam([math.log(params.rate)])
+        return self.member(NaturalParam([math.log(params.rate)]))
 
     def from_natural(self, theta: NaturalParam) -> PoissonParams:
-        self.require_natural(theta)
+        self.member(theta)
         return PoissonParams(rate=math.exp(float(theta.vector[0])))
 
     def _in_domain(self, theta: NaturalParam) -> bool:
         return math.isfinite(float(theta.vector[0]))
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return math.exp(float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return NaturalParam([math.exp(float(theta.vector[0]))])
 
-    def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
+    def grad_inverse(self, eta: NaturalParam) -> Member:
         e = float(np.atleast_1d(eta.vector)[0])
         if not (math.isfinite(e) and e > 0):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
-        return NaturalParam([math.log(e)])
+        return self.member(NaturalParam([math.log(e)]))
 
     def carrier(self, x) -> float:
         self.require_support(x)
@@ -787,32 +811,18 @@ class PoissonFamily(Family):
         log_fact = np.fromiter(map(math.lgamma, (ks + 1.0).tolist()), float, ks.size)
         return ks * t - math.exp(t) - log_fact
 
-    def _log_carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
+    def _log_carrier_moment(self, theta: Member, alpha: float) -> float:
+        # The alpha-scaled member's mass at k is p_k^alpha e^(alpha rate - rate^alpha)
+        # (k!)^(alpha - 1), so the log moment is log sum p^alpha = G + (1 - alpha) H, from
+        # the entropies' series, plus alpha rate - rate^alpha: nothing of size rate^alpha is summed.
         t = float(theta.vector[0])
-        log_rho = alpha * t
-        self._guard(math.isfinite(t))
-        self._guard(math.isfinite(log_rho), "alpha-scaled parameter", ScaledParameterError)
-        if alpha == 1.0:
-            return 0.0
-        # E over the alpha-scaled member of (x!)^(1-alpha):
-        #   exp(-rho) * sum_k rho^k / (k!)^alpha, with rho = exp(alpha*theta),
-        # summed in log space shifted by the log of the largest term: the raw
-        # terms can under- or overflow (rho can reach rate^alpha). The terms are
-        # log-concave; their ratio rho / (k+1)^alpha falls through 1 at k+1 = rate.
-        rho, rate = math.exp(log_rho), math.exp(t)
-        mode = int(rate)
-        shift = mode * log_rho - rho - alpha * math.lgamma(mode + 1.0)
+        h, gap = self._renyi_gap(theta, theta, alpha)
+        rate_terms = math.exp(t) * ((alpha - 1.0) - math.expm1((alpha - 1.0) * t))
+        return gap + (1.0 - alpha) * h + rate_terms
 
-        def terms(ks: np.ndarray) -> np.ndarray:
-            return np.exp(ks * log_rho - rho - alpha * _log_factorials(ks) - shift)
-
-        total, _, _, _ = count_series(terms, [rate], alpha)
-        return shift + math.log(total)
-
-    def _carrier_expectation(self, theta: NaturalParam) -> float:
+    def _carrier_expectation(self, theta: Member) -> float:
         # E[k(x)] = -E[log x!] under the member itself.
         t = float(theta.vector[0])
-        self._guard(math.isfinite(t))
         rate = math.exp(t)
 
         def terms(ks: np.ndarray) -> np.ndarray:
@@ -854,7 +864,7 @@ class PoissonFamily(Family):
         return h, log_power + (alpha - 1.0) * h
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
-        self._check_sample_args(theta, n)
+        theta = self._check_sample_args(theta, n)
         return np.random.default_rng(seed).poisson(math.exp(float(theta.vector[0])), n)
 
 
@@ -874,33 +884,33 @@ class BernoulliFamily(Family):
         "support": "x in {0, 1}",
     }
 
-    def to_natural(self, params: BernoulliParams) -> NaturalParam:
+    def to_natural(self, params: BernoulliParams) -> Member:
         if not isinstance(params, BernoulliParams):
             params = BernoulliParams(**_params_as_dict(params))
-        return NaturalParam([math.log(params.p) - math.log1p(-params.p)])
+        return self.member(NaturalParam([math.log(params.p) - math.log1p(-params.p)]))
 
     def from_natural(self, theta: NaturalParam) -> BernoulliParams:
-        self.require_natural(theta)
+        self.member(theta)
         return BernoulliParams(p=_sigmoid(float(theta.vector[0])))
 
     def _in_domain(self, theta: NaturalParam) -> bool:
         return math.isfinite(float(theta.vector[0]))
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return _softplus(float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return NaturalParam([_sigmoid(float(theta.vector[0]))])
 
-    def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
+    def grad_inverse(self, eta: NaturalParam) -> Member:
         e = float(np.atleast_1d(eta.vector)[0])
         if not (math.isfinite(e) and 0.0 < e < 1.0):
             raise ExpectationDomainError(
                 f"{self.name}: mean statistic must lie in (0, 1), got {e}"
             )
-        return NaturalParam([math.log(e) - math.log1p(-e)])
+        return self.member(NaturalParam([math.log(e) - math.log1p(-e)]))
 
     def _entropy(self, theta: NaturalParam) -> float:
         t = abs(float(theta.vector[0]))
@@ -928,7 +938,7 @@ class BernoulliFamily(Family):
         return np.asarray(xs, dtype=float) * float(theta.vector[0]) - self.log_normalizer(theta)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
-        self._check_sample_args(theta, n)
+        theta = self._check_sample_args(theta, n)
         p = _sigmoid(float(theta.vector[0]))
         rng = np.random.default_rng(seed)
         return (rng.random(n) < p).astype(np.int64)
@@ -950,13 +960,13 @@ class GaussianFamily(Family):
         "support": "x real",
     }
 
-    def to_natural(self, params: GaussianParams) -> NaturalParam:
+    def to_natural(self, params: GaussianParams) -> Member:
         if not isinstance(params, GaussianParams):
             params = GaussianParams(**_params_as_dict(params))
-        return NaturalParam([params.mu / params.var, -0.5 / params.var])
+        return self.member(NaturalParam([params.mu / params.var, -0.5 / params.var]))
 
     def from_natural(self, theta: NaturalParam) -> GaussianParams:
-        self.require_natural(theta)
+        self.member(theta)
         t1, t2 = theta.vector.tolist()
         var = -0.5 / t2
         return GaussianParams(mu=t1 * var, var=var)
@@ -966,18 +976,18 @@ class GaussianFamily(Family):
         return math.isfinite(t1) and math.isfinite(t2) and t2 < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         t1, t2 = theta.vector.tolist()
         # In natural coordinates F = -t1^2/(4 t2) + log(pi / -t2) / 2, which
         # equals mu^2/(2 var) + log(2 pi var) / 2 in source coordinates.
         return -t1 * t1 / (4.0 * t2) + 0.5 * (math.log(math.pi) - math.log(-t2))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         t1, t2 = theta.vector.tolist()
         return NaturalParam([-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)])
 
-    def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
+    def grad_inverse(self, eta: NaturalParam) -> Member:
         e = np.atleast_1d(np.asarray(eta.vector, dtype=float))
         if e.size != 2:
             raise ValueError(f"{self.name}: expected 2 expectation coordinates")
@@ -1024,7 +1034,7 @@ class GaussianFamily(Family):
         return t1 * xs + t2 * xs * xs - self.log_normalizer(theta)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
-        self._check_sample_args(theta, n)
+        theta = self._check_sample_args(theta, n)
         p = self.from_natural(theta)
         return p.mu + math.sqrt(p.var) * np.random.default_rng(seed).standard_normal(n)
 
@@ -1062,62 +1072,55 @@ class MultivariateGaussianFamily(Family):
         return Support("real-vector", self.dim)
 
     def _factor(self, theta: NaturalParam) -> np.ndarray | None:
-        """Cholesky factor of -2M (the precision matrix), kept on the member; None
-        outside the domain (a non-finite coordinate, or -2M not positive-definite)."""
-        memo = _memo(theta)
-        if "chol" not in memo:
-            chol = None
-            if np.isfinite(theta.vector).all() and np.isfinite(theta.matrix).all():
-                try:
-                    chol = np.linalg.cholesky(-2.0 * theta.matrix)
-                    chol.setflags(write=False)
-                except np.linalg.LinAlgError:
-                    pass
-            memo.setdefault("chol", chol)
-        return memo["chol"]
+        """Cholesky factor of -2M (the precision matrix); None outside the domain
+        (a non-finite coordinate, or -2M not positive-definite)."""
+        if np.isfinite(theta.vector).all() and np.isfinite(theta.matrix).all():
+            try:
+                chol = np.linalg.cholesky(-2.0 * theta.matrix)
+            except np.linalg.LinAlgError:
+                return None
+            chol.setflags(write=False)
+            return chol
+        return None
 
-    def _precision_chol(self, theta: NaturalParam) -> np.ndarray:
-        """The member's factor of -2M; raises outside the domain."""
-        chol = self._factor(theta)
-        self._guard(chol is not None)
-        return chol
-
-    def to_natural(self, params: MultivariateGaussianParams) -> NaturalParam:
+    def to_natural(self, params: MultivariateGaussianParams) -> Member:
         if not isinstance(params, MultivariateGaussianParams):
             d = _params_as_dict(params)
             params = MultivariateGaussianParams(mu=d["mu"], cov=d.get("cov", d.get("sigma")))
         inv_chol = _lower_inverse(np.linalg.cholesky(params.cov))
         precision = inv_chol.T @ inv_chol
-        return NaturalParam(precision @ params.mu, -0.5 * precision)
+        return self.member(NaturalParam(precision @ params.mu, -0.5 * precision))
 
-    def _moments(self, theta: NaturalParam) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    def _moments(self, theta: Member) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """The member's mean, covariance = C^-T C^-1, C^-1 and log det(-2M) = log det
-        C C^T, from its factor C, kept on the member keyed by the family, which only
-        an equal family shares; raises outside the domain."""
-        memo = _memo(theta)
-        moments = memo.get((self, "moments"))
-        if moments is None:
-            chol = self._precision_chol(theta)
-            with np.errstate(over="ignore", invalid="ignore"):
-                inv_chol = np.linalg.inv(chol)
-                cov = inv_chol.T @ inv_chol
-                mean = cov @ theta.vector
-            # Every entry of cov meets one of theta's, so an overflow leaves inf or nan in mean.
-            self._guard(bool(np.isfinite(mean).all()))
-            log_det = 2.0 * sum(map(math.log, chol.diagonal().tolist()))
-            moments = memo.setdefault((self, "moments"), (mean, cov, inv_chol, log_det))
-        return moments
+        C C^T, from its factor C, kept on the member once first read; raises where
+        the covariance overflows."""
+        with _MOMENTS_FILL:  # one fill per member, which every reader gets
+            if getattr(theta, "moments", None) is None:
+                chol = theta.factor
+                with np.errstate(over="ignore", invalid="ignore"):
+                    inv_chol = np.linalg.inv(chol)
+                    cov = inv_chol.T @ inv_chol
+                    mean = cov @ theta.vector
+                # Every entry of cov meets one of theta's, so an overflow leaves inf or nan in mean.
+                self._guard(bool(np.isfinite(mean).all()))
+                log_det = 2.0 * sum(map(math.log, chol.diagonal().tolist()))
+                object.__setattr__(theta, "moments", (mean, cov, inv_chol, log_det))
+        return theta.moments
 
     def from_natural(self, theta: NaturalParam) -> MultivariateGaussianParams:
-        self.require_natural(theta)
-        mean, cov, _, _ = self._moments(theta)
+        mean, cov, _, _ = self._moments(self.member(theta))
         return MultivariateGaussianParams(mu=mean, cov=cov)
 
     def _in_domain(self, theta: NaturalParam) -> bool:
-        return self._factor(theta) is not None
+        chol = self._factor(theta)
+        if type(theta) is Member and not hasattr(theta, "family"):  # a member being made keeps it
+            object.__setattr__(theta, "factor", chol)
+        return chol is not None
 
     # F and grad F read the member's moments; a finite result is their domain check.
     def log_normalizer(self, theta: NaturalParam) -> float:
+        theta = self.member(theta)
         _, _, inv_chol, log_det = self._moments(theta)
         with np.errstate(over="ignore", invalid="ignore"):
             y = inv_chol @ theta.vector
@@ -1126,7 +1129,7 @@ class MultivariateGaussianFamily(Family):
         return value
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        mean, cov, _, _ = self._moments(theta)
+        mean, cov, _, _ = self._moments(self.member(theta))
         return NaturalParam(mean, cov + np.outer(mean, mean))
 
     def _entropy(self, theta: NaturalParam) -> float:
@@ -1145,7 +1148,7 @@ class MultivariateGaussianFamily(Family):
         # the mixture's is weighted I + G; in G's eigenbasis U, the mean step is z = U^T C^-1 w
         # for w = v_a - v_b + 2 (M_a - M_b) mu_b, since mu_a - mu_b = C^-T C^-1 w.
         # w reads b's mean, which loses digits to b's conditioning: b's factor spreads less.
-        diags = [self._factor(t).diagonal().tolist() for t in (theta, theta2)]
+        diags = [t.factor.diagonal().tolist() for t in (theta, theta2)]
         swap = max(diags[1]) / min(diags[1]) > max(diags[0]) / min(diags[0])
         a, b = (theta2, theta) if swap else (theta, theta2)
         inv_a, (mean_b, _, inv_b, _) = self._moments(a)[2], self._moments(b)
@@ -1154,13 +1157,13 @@ class MultivariateGaussianFamily(Family):
         z = basis.T @ (inv_a @ (a.vector - b.vector + dm @ mean_b))
         g, lam, z = g.tolist(), (1.0 + g).tolist(), z.tolist()
         if g[0] <= -0.5:  # lam to eps of itself, not of the largest: 1 / u^T (I + G)^-1 u
-            y = inv_b @ self._factor(a) @ basis
+            y = inv_b @ a.factor @ basis
             rq = (1.0 / (y * y).sum(axis=0)).tolist()
             lam = [l if x > -0.5 else q for x, l, q in zip(g, lam, rq)]
             g = [x if x > -0.5 else l - 1.0 for x, l in zip(g, lam)]
         return _whitened_gaps(self, alpha, zip(g, lam, map(math.log, lam), z), swap)
 
-    def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
+    def grad_inverse(self, eta: NaturalParam) -> Member:
         if eta.matrix is None or eta.vector.size != self.dim:
             raise ValueError(f"{self.name}: expectation parameter has the wrong shape")
         cov = eta.matrix - np.outer(eta.vector, eta.vector)
@@ -1193,7 +1196,7 @@ class MultivariateGaussianFamily(Family):
         return linear + quad - self.log_normalizer(theta)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
-        self._check_sample_args(theta, n)
+        theta = self._check_sample_args(theta, n)
         p = self.from_natural(theta)
         z = np.random.default_rng(seed).standard_normal((n, self.dim))
         return p.mu + z @ np.linalg.cholesky(p.cov).T
@@ -1215,13 +1218,13 @@ class CenteredLaplacianFamily(Family):
         "support": "x real",
     }
 
-    def to_natural(self, params: LaplacianParams) -> NaturalParam:
+    def to_natural(self, params: LaplacianParams) -> Member:
         if not isinstance(params, LaplacianParams):
             params = LaplacianParams(**_params_as_dict(params))
-        return NaturalParam([-1.0 / params.scale])
+        return self.member(NaturalParam([-1.0 / params.scale]))
 
     def from_natural(self, theta: NaturalParam) -> LaplacianParams:
-        self.require_natural(theta)
+        self.member(theta)
         return LaplacianParams(scale=-1.0 / float(theta.vector[0]))
 
     def _in_domain(self, theta: NaturalParam) -> bool:
@@ -1229,20 +1232,20 @@ class CenteredLaplacianFamily(Family):
         return math.isfinite(t) and t < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return math.log(2.0) - math.log(-float(theta.vector[0]))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        self._guard(self._in_domain(theta))
+        self.member(theta)
         return NaturalParam([-1.0 / float(theta.vector[0])])
 
-    def grad_inverse(self, eta: NaturalParam) -> NaturalParam:
+    def grad_inverse(self, eta: NaturalParam) -> Member:
         e = float(np.atleast_1d(eta.vector)[0])
         if not (math.isfinite(e) and e > 0):
             raise ExpectationDomainError(
                 f"{self.name}: mean absolute value must be > 0, got {e}"
             )
-        return NaturalParam([-1.0 / e])
+        return self.member(NaturalParam([-1.0 / e]))
 
     def _entropy(self, theta: NaturalParam) -> float:
         return 1.0 + math.log(2.0) - math.log(-float(theta.vector[0]))
@@ -1262,7 +1265,7 @@ class CenteredLaplacianFamily(Family):
         return t * np.abs(np.asarray(xs, dtype=float)) - self.log_normalizer(theta)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
-        self._check_sample_args(theta, n)
+        theta = self._check_sample_args(theta, n)
         return np.random.default_rng(seed).laplace(0.0, -1.0 / float(theta.vector[0]), n)
 
 

@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError, ScaledParameterError
-from .families import Family, NaturalParam
+from .families import Family, Member, NaturalParam
 
 __all__ = [
     "CLOSED_FORM",
@@ -82,57 +82,50 @@ def _phi(x: float) -> float:
     return math.expm1(x) / x if x else 1.0
 
 
-# The public closed forms check each member they are given once, these private forms
-# the alpha-scaled member, and the family's _jensen_gaps the mixture, if it forms one.
+# The public closed forms check each member they are given once (fam.member), these private
+# forms the alpha-scaled member, and the family's _jensen_gaps the mixture, if it forms one.
 
 
-def _renyi_entropy(fam: Family, theta: NaturalParam, alpha: float) -> float:
+def _renyi_entropy(fam: Family, theta: Member, alpha: float) -> float:
     scaled = theta.scaled(alpha)
-    fam.require_natural(scaled, "alpha-scaled parameter", ScaledParameterError)
+    fam._guard(fam.in_natural_domain(scaled), "alpha-scaled parameter", ScaledParameterError)
     entropy, gap = fam._renyi_gap(theta, scaled, alpha)
     return entropy + _over(gap, 1.0 - alpha)
 
 
-def _renyi_divergence(
-    fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
-) -> float:
+def _renyi_divergence(fam: Family, theta: Member, theta2: Member, alpha: float) -> float:
     gap, gap2 = fam._jensen_gaps(theta, theta2, alpha)
     return gap2 + _over(alpha * gap, 1.0 - alpha)
 
 
-def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> None:
-    fam.require_natural(theta)
-    fam.require_natural(theta2, "second natural parameter")
+def _members(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> tuple[Member, Member]:
+    return fam.member(theta), fam.member(theta2, "second natural parameter")
 
 
 def i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> float:
     """Integral of p^alpha over the support, in closed form."""
     alpha = _check_alpha(alpha)
-    fam.require_natural(theta)
-    return math.exp((1.0 - alpha) * _renyi_entropy(fam, theta, alpha))
+    return math.exp((1.0 - alpha) * _renyi_entropy(fam, fam.member(theta), alpha))
 
 
 def renyi_entropy(fam: Family, theta: NaturalParam, alpha: float) -> MeasureResult:
     alpha = _check_alpha(alpha)
-    fam.require_natural(theta)
-    return MeasureResult(_renyi_entropy(fam, theta, alpha), CLOSED_FORM, alpha)
+    return MeasureResult(_renyi_entropy(fam, fam.member(theta), alpha), CLOSED_FORM, alpha)
 
 
 def tsallis_entropy(fam: Family, theta: NaturalParam, alpha: float) -> MeasureResult:
     alpha = _check_alpha(alpha)
-    fam.require_natural(theta)
-    h = _renyi_entropy(fam, theta, alpha)
+    h = _renyi_entropy(fam, fam.member(theta), alpha)
     return MeasureResult(h * _phi((1.0 - alpha) * h), CLOSED_FORM, alpha)
 
 
 def shannon_entropy(fam: Family, theta: NaturalParam) -> float:
-    fam.require_natural(theta)
-    return fam._entropy(theta)
+    return fam._entropy(fam.member(theta))
 
 
 def shannon_cross_entropy(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
     """Cross entropy of the theta member against the theta' model."""
-    _check_pair(fam, theta, theta2)
+    theta, theta2 = _members(fam, theta, theta2)
     return fam._entropy(theta) + fam._gap(theta2, theta)
 
 
@@ -145,20 +138,18 @@ def skew_jensen(fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: f
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha}")
-    _check_pair(fam, theta, theta2)
-    gap, gap2 = fam._jensen_gaps(theta, theta2, alpha)
+    gap, gap2 = fam._jensen_gaps(*_members(fam, theta, theta2), alpha)
     return alpha * gap + (1.0 - alpha) * gap2
 
 
 def bregman(fam: Family, theta_q: NaturalParam, theta_p: NaturalParam) -> float:
     """Bregman gap F(q) - F(p) - <q - p, grad F(p)>; zero iff q = p."""
-    _check_pair(fam, theta_q, theta_p)
-    return fam._gap(theta_q, theta_p)
+    return fam._gap(*_members(fam, theta_q, theta_p))
 
 
 def kl_divergence(fam: Family, theta: NaturalParam, theta2: NaturalParam) -> float:
     """Relative entropy of theta against theta2: the Bregman gap with swapped arguments."""
-    _check_pair(fam, theta, theta2)
+    theta, theta2 = _members(fam, theta, theta2)
     return fam._gap(theta2, theta)
 
 
@@ -166,16 +157,15 @@ def renyi_divergence(
     fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> MeasureResult:
     alpha = _check_alpha(alpha)
-    _check_pair(fam, theta, theta2)
-    return MeasureResult(_renyi_divergence(fam, theta, theta2, alpha), CLOSED_FORM, alpha)
+    d = _renyi_divergence(fam, *_members(fam, theta, theta2), alpha)
+    return MeasureResult(d, CLOSED_FORM, alpha)
 
 
 def tsallis_divergence(
     fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> MeasureResult:
     alpha = _check_alpha(alpha)
-    _check_pair(fam, theta, theta2)
-    d = _renyi_divergence(fam, theta, theta2, alpha)
+    d = _renyi_divergence(fam, *_members(fam, theta, theta2), alpha)
     return MeasureResult(d * _phi((alpha - 1.0) * d), CLOSED_FORM, alpha)
 
 

@@ -402,16 +402,14 @@ def _check_alpha(alpha: float | None, *, positive: bool = True) -> float:
 def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None):
     if theta2 is None:
         raise ValueError("the measure needs a second parameter")
-    fam.require_natural(theta)
-    fam.require_natural(theta2, "second natural parameter")
-    return theta, theta2
+    return fam.member(theta), fam.member(theta2, "second natural parameter")
 
 
 def oracle_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> OracleEstimate:
     """Direct integral/sum of p^alpha over the support; at alpha = 1 it is the
     mass of p itself, which should be 1."""
     alpha = _check_alpha(alpha)
-    fam.require_natural(theta)
+    theta = fam.member(theta)
     # Without a carrier, p^alpha is proportional to the alpha-scaled member's
     # density; a Poisson p^alpha still peaks at the rate of p.
     integrand = _Integrand((theta,), (alpha,))
@@ -421,7 +419,7 @@ def oracle_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> Oracl
 def _i_alpha_cross(
     fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> OracleEstimate:
-    _check_pair(fam, theta, theta2)
+    theta, theta2 = _check_pair(fam, theta, theta2)
     mixed = theta.mix(theta2, alpha)
     if not fam.in_natural_domain(mixed):
         raise ConvergenceError(
@@ -454,7 +452,9 @@ def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> f
     Matrix coordinates are perturbed symmetrically (half the step on each of
     the two mirrored entries), matching the trace pairing.
     """
-    fam.require_natural(theta)
+    if not (math.isfinite(step) and step != 0.0):
+        raise ValueError(f"finite-difference step must be finite and nonzero, got {step}")
+    theta = fam.member(theta)
     grad = fam.grad_log_normalizer(theta).flat()
     base = theta.flat()
     worst = 0.0
@@ -520,7 +520,7 @@ def _hellinger(est: OracleEstimate) -> OracleEstimate:
 _ASSEMBLY = {
     "renyi": lambda fam, p, q, a: _renyi(oracle_i_alpha_self(fam, p, a), 1.0 - a),
     "tsallis": lambda fam, p, q, a: _tsallis(oracle_i_alpha_self(fam, p, a), 1.0 - a),
-    "shannon": lambda fam, p, q, a: fam.require_natural(p) or _log_integral(fam, (-1.0,), (p,)),
+    "shannon": lambda fam, p, q, a: _log_integral(fam, (-1.0,), (fam.member(p),)),
     "cross-entropy": lambda fam, p, q, a: _log_integral(fam, (0.0, -1.0), _check_pair(fam, p, q)),
     "kl": lambda fam, p, q, a: _log_integral(fam, (1.0, -1.0), _check_pair(fam, p, q)),
     "renyi-div": lambda fam, p, q, a: _renyi(oracle_i_alpha_cross(fam, p, q, a), a - 1.0),

@@ -144,6 +144,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_series_window_too_wide_is_convergence_exit_4(self):
+        code, _, err = run_cli(
+            "entropy", "--family", "poisson", "--params", '{"rate":1e15}', "--measure", "shannon",
+        )
+        assert code == 4
+        assert "too wide" in err
+
 
 class TestEstimateCommand:
     @pytest.fixture

@@ -1,12 +1,15 @@
 """Closed-form measures: values, conversions, and error paths."""
 
 import ast
+import copy
 import dataclasses
 import functools
 import inspect
+import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -533,25 +536,71 @@ _MIXTURE_MEASURES = ("renyi-div", "tsallis-div", "bhattacharyya", "hellinger", "
 _WHITENED = ("gaussian", "mvn")
 
 
+def _bare(theta: NaturalParam) -> NaturalParam:
+    """A plain NaturalParam of a member's blocks, which no family has checked."""
+    return NaturalParam(theta.vector, theta.matrix)
+
+
 @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
 @pytest.mark.parametrize("measure", M.MEASURE_NAMES)
 def test_each_member_is_checked_once(tally, name, measure):
     fam = make_family(name)
     theta, theta2 = random_theta_pair(name, np.random.default_rng(8))
     members = _MEMBERS[measure] - (name in _WHITENED and measure in _MIXTURE_MEASURES)
-    choleskys = []
+    derived = members - 1 - M.measure_needs_pair(measure)  # alpha*theta, the mixture
     for alpha in (0.5, 2.0):
-        tally.update(validations=0, choleskys=0)
-        M.evaluate_measure(fam, measure, theta, theta2, alpha)
-        assert tally["validations"] == members
-        choleskys.append(tally["choleskys"])
-    if name == "mvn":
-        # -2M is factored once per distinct member: on the first call at most
-        # once per member, on a repeat at another alpha only for the member
-        # the call builds anew (alpha*theta), if any.
-        built = members - 1 - M.measure_needs_pair(measure)
-        assert choleskys[0] <= members
-        assert choleskys[1] == built
+        # Members from to_natural are checked no more; what the call derives from them
+        # is, and so is each bare copy of them, once.
+        for pair, checks in (((theta, theta2), derived), ((_bare(theta), _bare(theta2)), members)):
+            tally.update(validations=0, choleskys=0)
+            M.evaluate_measure(fam, measure, *pair, alpha)
+            assert tally["validations"] == checks
+            if name == "mvn":
+                # -2M is factored once per check, so at most once per member the call
+                # touches, and for members from to_natural only for alpha*theta, if any.
+                assert tally["choleskys"] == checks
+
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_no_call_writes_to_a_natural_parameter(name):
+    # Whatever a member carries is outside its instance dict, which holds its fields only.
+    fam = make_family(name)
+    theta, theta2 = (fam.to_natural(dict(src)) for src in VERIFY_PAIRS[name])
+    for p, q in ((theta, theta2), (_bare(theta), _bare(theta2))):
+        for m, a in _MEMO_CELLS:
+            second = q if M.measure_needs_pair(m) else None
+            M.evaluate_measure(fam, m, p, second, a)
+            if a in (None, 0.5):
+                O.oracle_measure(fam, m, p, second, a)
+        for t in (p, q):
+            fam.log_normalizer(t)
+            fam.grad_log_normalizer(t)
+            assert sorted(vars(t)) == ["matrix", "vector"]
+
+
+def test_a_member_of_another_family_is_checked_again(tally):
+    # Laplacian and exponential members share their shape and domain, theta < 0.
+    lap, lap2 = (em.LAPLACIAN.to_natural(em.LaplacianParams(scale=s)) for s in (0.5, 2.0))
+    assert em.EXPONENTIAL.member(lap) is not lap
+    assert em.EXPONENTIAL.member(lap).family is em.EXPONENTIAL
+    tally.update(validations=0)
+    kl = M.kl_divergence(em.EXPONENTIAL, lap, lap2)
+    assert tally["validations"] == 2
+    assert kl == M.kl_divergence(em.EXPONENTIAL, _bare(lap), _bare(lap2))
+
+
+def test_a_member_made_another_way_is_checked_again(tally):
+    theta = em.EXPONENTIAL.to_natural(em.ExponentialParams(rate=2.0))
+    tally.update(validations=0)
+    assert em.EXPONENTIAL.member(theta) is theta and tally["validations"] == 0
+    for made in (dataclasses.replace(theta), copy.copy(theta), copy.deepcopy(theta)):
+        tally.update(validations=0)
+        assert M.shannon_entropy(em.EXPONENTIAL, made) == M.shannon_entropy(em.EXPONENTIAL, theta)
+        assert tally["validations"] == 1
+        assert em.EXPONENTIAL.member(made) is not made
+    outside = dataclasses.replace(theta, vector=[1.0])
+    assert type(outside) is F.Member
+    _raises_exactly(NaturalDomainError, M.shannon_entropy, em.EXPONENTIAL, outside)
 
 
 @pytest.mark.parametrize("name", _WHITENED)
@@ -625,8 +674,9 @@ class _DoubledFactor(F.MultivariateGaussianFamily):
     """Not an exponential family: mvn with its precision factor doubled, so
     its F differs from mvn's on every member."""
 
-    def _precision_chol(self, theta):
-        return 2.0 * super()._precision_chol(theta)
+    def _factor(self, theta):
+        chol = super()._factor(theta)
+        return None if chol is None else 2.0 * chol
 
 
 class TestMemberMemo:
@@ -649,7 +699,7 @@ class TestMemberMemo:
         a, b = F.MultivariateGaussianFamily(2), F.MultivariateGaussianFamily(2)
         assert a == b and a is not b
         value, grad = a.log_normalizer(theta), a.grad_log_normalizer(theta).flat()
-        assert b.log_normalizer(theta) == value
+        assert b.log_normalizer(theta) == value and b.member(theta) is theta
         assert np.array_equal(b.grad_log_normalizer(theta).flat(), grad)
         # A family of another class is never served what mvn computed, nor mvn what it did.
         doubled = _DoubledFactor(2)
@@ -742,8 +792,14 @@ def _mp_series(theta: float, log_rho: float, power: float, weighted: bool) -> fl
 
 
 class TestPoissonSeries:
-    @pytest.mark.parametrize("rate", _SERIES_RATES)
-    @pytest.mark.parametrize("alpha", _SERIES_ALPHAS)
+    # rate^alpha reaches 1e26 on the alpha = 5 rows.
+    @pytest.mark.parametrize(
+        "alpha, rate",
+        [
+            *itertools.product(_SERIES_ALPHAS, _SERIES_RATES),
+            *((5.0, rate) for rate in (9999.0, 3e4, 1e5, 2e5)),
+        ],
+    )
     def test_log_carrier_moment_matches_mpmath(self, rate, alpha):
         theta = em.POISSON.to_natural(em.PoissonParams(rate=rate))
         t = float(theta.vector[0])
@@ -758,6 +814,19 @@ class TestPoissonSeries:
         want = -_mp_series(t, t, 1.0, True)
         got = em.POISSON.carrier_expectation(theta)
         assert abs(got - want) <= (1e-14 + 4e-16 * rate) * abs(want), (got, want)
+
+    @pytest.mark.parametrize("measure, alpha", [("shannon", None), ("renyi", 0.5)])
+    def test_a_window_too_wide_to_hold_raises_before_it_is_made(self, measure, alpha):
+        # At rate 1e15 the window spans ~6e8 counts, ~5 GB as floats.
+        theta = em.POISSON.to_natural(em.PoissonParams(rate=1e15))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError, match="too wide"):
+                M.evaluate_measure(em.POISSON, measure, theta, None, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_window_is_order_sqrt_rate(self, monkeypatch):
         counts = []

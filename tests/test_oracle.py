@@ -141,6 +141,12 @@ class TestGradCheck:
         with pytest.raises(NaturalDomainError):
             O.oracle_grad_check(em.EXPONENTIAL, NaturalParam([-1e-7]), 1e-5)
 
+    @pytest.mark.parametrize("step", [0.0, math.nan, math.inf, -math.inf])
+    def test_zero_or_non_finite_step_is_a_value_error(self, step):
+        with pytest.raises(ValueError) as info:
+            O.oracle_grad_check(em.EXPONENTIAL, NaturalParam([-2.0]), step)
+        assert info.type is ValueError
+
 
 class TestOneEntryPoint:
     """`oracle_measure` is the oracle's one entry point per measure, beside the two
@@ -289,13 +295,17 @@ class TestIndependentOfF:
                 monkeypatch.setattr(cls, name, forbidden)
         # The mvn closed forms read a member's precision factor and its moments.
         # The oracle's domain checks go through the factor, which keeps answering
-        # in or out but now hands out a wrong one; the rest may not be read at all.
+        # in or out but now hands out a wrong one, and the members it is given
+        # carry that one; their moments may not be read at all.
         mvn = em.families.MultivariateGaussianFamily
-        monkeypatch.setattr(mvn, "_precision_chol", forbidden)
         monkeypatch.setattr(mvn, "_moments", forbidden)
         monkeypatch.setattr(mvn, "_factor", _doubled_factor)
+
+        def remade(fam, t):
+            return t if t is None else fam.member(NaturalParam(t.vector, t.matrix))
+
         for fam, measure, p, second, alpha, closed in cells:
-            est = O.oracle_measure(fam, measure, p, second, alpha, CFG)
+            est = O.oracle_measure(fam, measure, remade(fam, p), remade(fam, second), alpha, CFG)
             assert _agrees(closed, est), (fam.name, measure, alpha, closed, est)
 
 
@@ -530,7 +540,7 @@ class TestWrongLogNormalizer:
 
         def wrong(self, theta):
             # F's log-det term, -log det(-2M) / 2, made 1% too large in magnitude.
-            log_det = 2.0 * float(np.sum(np.log(np.diag(self._precision_chol(theta)))))
+            log_det = self._moments(self.member(theta))[3]
             return right(self, theta) - 0.005 * log_det
 
         monkeypatch.setattr(mvn, "log_normalizer", wrong)
