@@ -32,7 +32,7 @@ from .errors import (
     ScaledParameterError,
     SupportError,
 )
-from .estimation import Estimate, MeasureRequest, SampleSet, mle, plugin_measure
+from .estimation import Estimate, SampleSet, mle, plugin_measure
 from .families import (
     BERNOULLI,
     EXPONENTIAL,
@@ -84,7 +84,6 @@ __all__ = [
     "oracle_measure",
     "SampleSet",
     "Estimate",
-    "MeasureRequest",
     "mle",
     "plugin_measure",
     "DomainError",

@@ -13,8 +13,8 @@ shortest decimal that round-trips binary64, so identical invocations
 produce byte-identical reports.
 
 Exit codes: 0 success, 1 verification failed, 2 usage error, 3 domain error
-(out-of-domain parameters, bad observations, degenerate samples), 4 oracle
-non-convergence.
+(out-of-domain parameters, bad observations, degenerate samples), 4 a count
+series or the oracle did not converge.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .measures import (
     measure_needs_alpha,
     measure_needs_pair,
 )
-from .estimation import MeasureRequest, SampleSet, mle, plugin_measure
+from .estimation import SampleSet, mle, plugin_measure
 from .oracle import oracle_measure
 
 ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
@@ -353,23 +353,20 @@ def _run_estimate(parser, args) -> dict:
     if args.dim is None and fam.support.kind == "real-vector":
         parser.error("--dim is required for the mvn family")
 
-    sample_p = _sample_set(fam, args.data)
-    sample_q = None if args.data2 is None else _sample_set(fam, args.data2)
-
-    est_p = mle(sample_p)
-    estimates = {"data": _estimate_block(fam, est_p)}
-    if sample_q is not None:
-        estimates["data2"] = _estimate_block(fam, mle(sample_q))
+    # Both files are read and checked before either is fitted.
+    samples = [_sample_set(fam, path) for path in (args.data, args.data2) if path is not None]
+    fits = [mle(sample) for sample in samples]
+    estimates = {key: _estimate_block(fam, fit) for key, fit in zip(("data", "data2"), fits)}
 
     results = []
     if args.measure is not None:
-        if measure_needs_pair(args.measure) and sample_q is None:
+        if measure_needs_pair(args.measure) and args.data2 is None:
             parser.error(f"--measure {args.measure} requires --data2")
         if measure_needs_alpha(args.measure) and not args.alpha:
             parser.error(f"--measure {args.measure} requires at least one --alpha")
         alphas = args.alpha if measure_needs_alpha(args.measure) else [None]
         for alpha in alphas:
-            res = plugin_measure(MeasureRequest(args.measure, alpha), sample_p, sample_q)
+            res = plugin_measure(args.measure, *fits, alpha=alpha)
             results.append(_result_row(args.measure, alpha, res))
 
     request = {

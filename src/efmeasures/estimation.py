@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, ExpectationDomainError
-from .families import Family, NaturalParam
+from .families import Family, Member, NaturalParam
 from .measures import MeasureResult, evaluate_measure, measure_needs_pair
 
-__all__ = ["SampleSet", "Estimate", "MeasureRequest", "mle", "plugin_measure"]
+__all__ = ["SampleSet", "Estimate", "mle", "plugin_measure"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +55,7 @@ class SampleSet:
 class Estimate:
     """A fitted natural parameter and the moment it was inverted from."""
 
-    theta: NaturalParam
+    theta: Member
     n: int
     mean_sufficient_stat: NaturalParam
 
@@ -64,7 +64,7 @@ def _compensated_column_means(stats: np.ndarray) -> np.ndarray:
     # math.fsum is exact up to the final rounding; at 1e5+ observations a
     # naive accumulation would eat into the acceptance bands.
     n = stats.shape[0]
-    return np.asarray([math.fsum(stats[:, j]) / n for j in range(stats.shape[1])])
+    return np.asarray([math.fsum(col) / n for col in stats.T.tolist()])
 
 
 def mle(sample: SampleSet) -> Estimate:
@@ -86,29 +86,17 @@ def mle(sample: SampleSet) -> Estimate:
     return Estimate(theta=theta, n=len(sample), mean_sufficient_stat=mean)
 
 
-@dataclass(frozen=True)
-class MeasureRequest:
-    """Which measure to evaluate, and at which order when applicable."""
-
-    measure: str
-    alpha: float | None = None
-
-
 def plugin_measure(
-    request: MeasureRequest,
-    sample_p: SampleSet,
-    sample_q: SampleSet | None = None,
+    measure: str,
+    estimate_p: Estimate,
+    estimate_q: Estimate | None = None,
+    alpha: float | None = None,
 ) -> MeasureResult:
-    """Evaluate a measure at the MLE(s) of one or two sample sets."""
-    theta = mle(sample_p).theta
+    """Evaluate a measure at one or two fits from ``mle``, in the fits' family."""
+    fam = estimate_p.theta.family
     theta2 = None
-    if measure_needs_pair(request.measure):
-        if sample_q is None:
-            raise ValueError(f"measure {request.measure!r} needs two sample sets")
-        if sample_q.family != sample_p.family:
-            raise ValueError(
-                f"sample sets come from different families: "
-                f"{sample_p.family.name} vs {sample_q.family.name}"
-            )
-        theta2 = mle(sample_q).theta
-    return evaluate_measure(sample_p.family, request.measure, theta, theta2, request.alpha)
+    if estimate_q is not None and measure_needs_pair(measure):
+        theta2 = estimate_q.theta
+        if theta2.family != fam:
+            raise ValueError(f"fits of different families: {fam.name} vs {theta2.family.name}")
+    return evaluate_measure(fam, measure, estimate_p.theta, theta2, alpha)

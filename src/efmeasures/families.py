@@ -1003,9 +1003,9 @@ class GaussianFamily(Family):
         return 0.5 * (1.0 + math.log(math.pi) - math.log(-float(theta.vector[1])))
 
     def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
-        # alpha theta has theta's mean and variance / alpha: B = h(alpha - 1) / 2,
-        # which a far mean cannot reach.
-        return self._entropy(theta), 0.5 * _h(alpha - 1.0)
+        # alpha theta has theta's mean and variance / alpha: B = (alpha - 1 - log alpha) / 2,
+        # which a far mean cannot reach; log alpha keeps its digits at small alpha.
+        return self._entropy(theta), 0.5 * _rate_gap(-alpha, -1.0)
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
@@ -1138,7 +1138,7 @@ class MultivariateGaussianFamily(Family):
     def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
         # alpha theta has theta's mean and covariance / alpha, so every e_i of
         # B(alpha theta : theta) below is alpha - 1, and the mean term is 0.
-        return self._entropy(theta), 0.5 * self.dim * _h(alpha - 1.0)
+        return self._entropy(theta), 0.5 * self.dim * _rate_gap(-alpha, -1.0)
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0

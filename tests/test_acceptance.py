@@ -22,7 +22,7 @@ import numpy as np
 import efmeasures as em
 from efmeasures import measures as M
 from efmeasures import oracle as O
-from efmeasures.estimation import MeasureRequest, SampleSet, plugin_measure
+from efmeasures.estimation import SampleSet, mle, plugin_measure
 from efmeasures.errors import DegenerateSampleError
 
 from conftest import (
@@ -297,14 +297,12 @@ def test_criterion_7_plugin_estimation():
         true_kl = M.kl_divergence(fam, theta, theta2)
         sample_p = SampleSet(fam, fam.sample(theta, n, seed=1010))
         sample_q = SampleSet(fam, fam.sample(theta2, n, seed=5050))
-        got = plugin_measure(MeasureRequest("kl"), sample_p, sample_q).value
+        got = plugin_measure("kl", mle(sample_p), mle(sample_q)).value
         _check(failures, abs(got - true_kl) <= band,
                f"{name} plug-in KL {got} vs {true_kl} (band {band})")
 
     try:
-        plugin_measure(
-            MeasureRequest("shannon"), SampleSet(em.BERNOULLI, [1, 1, 1, 1, 1])
-        )
+        plugin_measure("shannon", mle(SampleSet(em.BERNOULLI, [1, 1, 1, 1, 1])))
         failures.append("all-ones Bernoulli sample did not raise")
     except DegenerateSampleError:
         pass

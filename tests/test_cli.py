@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import efmeasures as em
-from efmeasures import cli
+from efmeasures import cli, estimation
 from efmeasures.errors import DomainError
 
 from conftest import run_cli
@@ -220,6 +220,39 @@ class TestEstimateCommand:
         mu = json.loads(out)["estimates"]["data"]["params"]["mu"]
         assert mu[0] == pytest.approx(1.0, abs=0.1)
         assert mu[1] == pytest.approx(-1.0, abs=0.1)
+
+    @pytest.fixture
+    def gaussian_pair(self, tmp_path):
+        fam = em.GAUSSIAN
+        paths = []
+        for seed, (mu, var) in enumerate([(0.0, 1.0), (0.5, 2.0)]):
+            theta = fam.to_natural(em.GaussianParams(mu=mu, var=var))
+            paths.append(tmp_path / f"obs{seed}.csv")
+            np.savetxt(paths[-1], fam.sample(theta, 500, seed=seed), delimiter=",")
+        return ["--family", "gaussian", "--data", str(paths[0]), "--data2", str(paths[1])]
+
+    def _estimate(self, capsys, args):
+        assert cli.run(["estimate", *args, "--measure", "renyi-div", "--alpha", "0.5",
+                        "--alpha", "2"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_each_file_is_fitted_once(self, gaussian_pair, capsys, monkeypatch):
+        calls = []
+        for module in (cli, estimation):
+            monkeypatch.setattr(module, "mle", lambda s, fit=module.mle: calls.append(s) or fit(s))
+        self._estimate(capsys, gaussian_pair)
+        assert len(calls) == 2
+
+    def test_plugin_value_is_the_closed_form_at_the_printed_fits(self, gaussian_pair, capsys):
+        report = self._estimate(capsys, gaussian_pair)
+        fam = em.GAUSSIAN
+        theta, theta2 = (
+            em.NaturalParam(report["estimates"][name]["natural"]["vector"])
+            for name in ("data", "data2")
+        )
+        for row in report["results"]:
+            want = em.evaluate_measure(fam, "renyi-div", theta, theta2, row["alpha"])
+            assert row["value"] == want.value
 
 
 class TestFamilyAliases:

@@ -237,6 +237,26 @@ class TestMeasuredDefects:
         assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
+@pytest.mark.parametrize("alpha", [1e-8, 1e-12, 1e-17, 1e-300])
+@pytest.mark.parametrize("name", ["gaussian", "mvn"])
+def test_small_orders_keep_the_digits_of_log_alpha(name, alpha):
+    """alpha theta has the variance / alpha, so the Renyi gap is (alpha - 1 - log alpha) / 2
+    per axis. Rounding alpha - 1 before the log lost log alpha's digits: 2.5e-10 relative
+    at alpha = 1e-8, and a math domain error from alpha = 1e-17 on."""
+    if name == "mvn":
+        fam, theta = _mvn_pair_shifted(0.0)
+    else:
+        fam = em.GAUSSIAN
+        theta = fam.to_natural(em.GaussianParams(mu=0.0, var=1.0))
+    renyi = reference(name, "renyi", theta, None, alpha)
+    got = _evaluate(fam, "renyi", theta, None, alpha)
+    assert _rel_error(got, renyi) <= 5e-16, (got, renyi)
+    # Tsallis is expm1((1 - alpha) renyi) / (1 - alpha): exp scales renyi's rounding by renyi.
+    want = reference(name, "tsallis", theta, None, alpha)
+    got = _evaluate(fam, "tsallis", theta, None, alpha)
+    assert _rel_error(got, want) <= 1e-15 * renyi, (got, want)
+
+
 # --------------------------------------------------------------------------
 # A seeded grid of moderate members: every measure near rounding.
 # --------------------------------------------------------------------------
