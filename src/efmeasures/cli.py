@@ -13,8 +13,8 @@ shortest decimal that round-trips binary64, so identical invocations
 produce byte-identical reports.
 
 Exit codes: 0 success, 1 verification failed, 2 usage error, 3 domain error
-(out-of-domain parameters, bad observations, degenerate samples), 4 a count
-series or the oracle did not converge.
+(out-of-domain parameters, bad observations, degenerate samples) or a value
+beyond the float range, 4 a count series or the oracle did not converge.
 """
 
 from __future__ import annotations
@@ -462,8 +462,9 @@ def run(argv=None) -> int:
         else:
             report = _run_families()
             ok = True
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, OverflowError) as exc:
+        beyond = " (a value beyond the float range)" if isinstance(exc, OverflowError) else ""
+        print(f"error: {exc}{beyond}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

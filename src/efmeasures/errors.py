@@ -2,8 +2,8 @@
 
 ``DomainError`` subclasses mark mathematically invalid inputs (bad
 parameters, out-of-support observations, degenerate samples);
-``ConvergenceError`` marks a failed numerical verification. The CLI maps
-``DomainError`` to exit code 3 and ``ConvergenceError`` to exit code 4.
+``ConvergenceError`` marks a failed numerical verification. The CLI exits 3 on a
+``DomainError`` or ``OverflowError`` (a value beyond the float range), 4 on ``ConvergenceError``.
 """
 
 
@@ -20,7 +20,7 @@ class NaturalDomainError(DomainError):
 
 
 class ScaledParameterError(NaturalDomainError):
-    """alpha * theta leaves the natural space; the closed form is undefined."""
+    """alpha * theta leaves the natural space: Bernoulli's Renyi gap, the carrier moment."""
 
 
 class MixedParameterError(NaturalDomainError):

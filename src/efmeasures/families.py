@@ -26,7 +26,8 @@ Implemented decompositions:
     laplacian(scale)     -1/scale           log 2 - log(-th)                |x|        0
 
 Natural domains are open sets; boundary values raise instead of clamping,
-because F or its gradient diverges there.
+because F or its gradient diverges there. A Poisson theta must also keep its
+rate exp(theta) a finite float: theta <= log DBL_MAX ~ 709.78.
 
 The closed forms in ``measures`` read private primitives of each family: its
 Shannon entropy H, its Bregman gap B(theta : theta') = F(theta) - F(theta') -
@@ -103,6 +104,8 @@ _SERIES_TAIL = 2.0**-60
 _SERIES_MAX_COUNTS = 2**22
 
 _MIXED = "mixed parameter alpha*theta + (1-alpha)*theta' at alpha={:g}"
+
+_MAX_LOG_RATE = math.log(np.finfo(float).max)  # the largest Poisson theta of finite rate
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -445,7 +448,7 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     density times a log-concave weight is), so each tail is at most
     ``|t_edge| r / (1 - r)`` for the ratio r of the edge term to its neighbour.
     Returns (pairwise sum, sum of magnitudes, tail bound, number of terms); a
-    non-finite term raises OverflowError. ``terms`` may return rows of terms,
+    non-finite term raises ConvergenceError. ``terms`` may return rows of terms,
     one per sum over the window; then the first three are lists, one entry a row.
     """
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
@@ -461,7 +464,7 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
         rows = ts.reshape(-1, ks.size)
         totals = rows.sum(axis=1).tolist()
         if not all(map(math.isfinite, totals)):
-            raise OverflowError("a count series term is not finite")
+            raise ConvergenceError("a count series term is not finite")
         mags = np.abs(rows)
         edges = mags[:, [0, 1, -2, -1]].tolist()
         tails = [_tail(e3, e2) + (_tail(e0, e1) if lo > 0 else 0.0) for e0, e1, e2, e3 in edges]
@@ -520,20 +523,15 @@ class Family(ABC):
         self.check_shape(theta)
         return self._in_domain(theta)
 
-    def member(
-        self,
-        theta: NaturalParam,
-        label: str = "natural parameter",
-        exc: type[NaturalDomainError] = NaturalDomainError,
-    ) -> Member:
-        """``theta`` checked once: itself if it is a member of an equal family, else
-        a member of its blocks; raises ``exc`` naming ``label`` outside the domain."""
+    def member(self, theta: NaturalParam, label: str = "natural parameter") -> Member:
+        """``theta`` checked once: itself if it is a member of an equal family, else a member
+        of its blocks; raises NaturalDomainError naming ``label`` outside the domain."""
         family = getattr(theta, "family", None)
         if family is self or family == self:
             return theta
         out = object.__new__(Member)
         out.__dict__.update(vector=theta.vector, matrix=theta.matrix)  # frozen already
-        self._guard(self.in_natural_domain(out), label, exc)
+        self._guard(self.in_natural_domain(out), label)
         object.__setattr__(out, "family", self)
         return out
 
@@ -577,8 +575,8 @@ class Family(ABC):
         return 0.0
 
     # -- carrier moments (identically trivial unless k(x) != 0) ---------
-    # Both check theta, and the moment alpha*theta; the closed forms read the
-    # primitives below instead.
+    # Both check theta and the alpha-scaled member alpha*theta the moment is taken
+    # under; the closed forms read the primitives below instead.
 
     def carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
         """Expectation of exp((alpha-1) k(x)) under the alpha-scaled member."""
@@ -619,10 +617,13 @@ class Family(ABC):
         self._guard(self.in_natural_domain(mixed), _MIXED.format(alpha), MixedParameterError)
         return self._gap(theta, mixed), self._gap(theta2, mixed)
 
-    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
-        """H and G = log(integral of p^alpha) - (1 - alpha) H >= 0, so that the
-        Renyi entropy is H + G / (1 - alpha); G = B(alpha theta : theta) here."""
-        return self._entropy(theta), self._gap(scaled, theta)
+    _renyi_weight: ClassVar[float] = 1.0  # c below: 1 for a rate, 1/2 per Gaussian axis
+
+    def _renyi_gap(self, theta: Member, alpha: float):
+        """H and G = log(integral of p^alpha) - (1 - alpha) H >= 0, so that the Renyi
+        entropy is H + G / (1 - alpha). G = B(alpha theta : theta) = c (alpha - 1 - log alpha)
+        whatever theta, so alpha theta is never formed; log alpha keeps its digits."""
+        return self._entropy(theta), self._renyi_weight * _rate_gap(-alpha, -1.0)
 
     # -- coordinate packing helpers -------------------------------------
 
@@ -761,7 +762,7 @@ class PoissonFamily(Family):
     support: ClassVar[Support] = Support("nonneg-int")
     source_keys: ClassVar[tuple[str, ...]] = ("rate",)
     decomposition: ClassVar[dict[str, str]] = {
-        "natural": "theta = log(rate), any real",
+        "natural": "theta = log(rate), exp(theta) a finite float",
         "log_normalizer": "F(theta) = exp(theta)",
         "sufficient_stat": "t(x) = x",
         "carrier": "k(x) = -log x!",
@@ -778,7 +779,7 @@ class PoissonFamily(Family):
         return PoissonParams(rate=math.exp(float(theta.vector[0])))
 
     def _in_domain(self, theta: NaturalParam) -> bool:
-        return math.isfinite(float(theta.vector[0]))
+        return -math.inf < float(theta.vector[0]) <= _MAX_LOG_RATE
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
@@ -816,7 +817,7 @@ class PoissonFamily(Family):
         # (k!)^(alpha - 1), so the log moment is log sum p^alpha = G + (1 - alpha) H, from
         # the entropies' series, plus alpha rate - rate^alpha: nothing of size rate^alpha is summed.
         t = float(theta.vector[0])
-        h, gap = self._renyi_gap(theta, theta, alpha)
+        h, gap = self._renyi_gap(theta, alpha)
         rate_terms = math.exp(t) * ((alpha - 1.0) - math.expm1((alpha - 1.0) * t))
         return gap + (1.0 - alpha) * h + rate_terms
 
@@ -842,9 +843,9 @@ class PoissonFamily(Family):
         return math.exp(ta) - math.exp(tb) * (1.0 + d)
 
     def _entropy(self, theta: NaturalParam) -> float:
-        return self._renyi_gap(theta, theta, 1.0)[0]
+        return self._renyi_gap(theta, 1.0)[0]
 
-    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
+    def _renyi_gap(self, theta: Member, alpha: float):
         # One series over the log-masses l sums H = -E[l], y = E[expm1((alpha - 1) l)]
         # (terms of one sign; e^(alpha l) - p where expm1 is large), so that
         # log sum p^alpha = log1p(y) keeps its digits near alpha = 1, and, for
@@ -927,6 +928,12 @@ class BernoulliFamily(Family):
             return pb * _h(qa * math.expm1(d)) + qb * _h(pa * math.expm1(-d))
         return pb * (_softplus(-ta) - _softplus(-tb)) + qb * (_softplus(ta) - _softplus(tb))
 
+    def _renyi_gap(self, theta: Member, alpha: float):
+        # B(alpha theta : theta) depends on theta here: the one family that forms alpha theta.
+        scaled = theta.scaled(alpha)
+        self._guard(self.in_natural_domain(scaled), "alpha-scaled parameter", ScaledParameterError)
+        return self._entropy(theta), self._gap(scaled, theta)
+
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         x, integral = _counts(xs)
         return integral & ((x == 0.0) | (x == 1.0))
@@ -952,6 +959,7 @@ class GaussianFamily(Family):
     vector_dim: ClassVar[int] = 2
     support: ClassVar[Support] = Support("real")
     source_keys: ClassVar[tuple[str, ...]] = ("mu", "var")
+    _renyi_weight: ClassVar[float] = 0.5
     decomposition: ClassVar[dict[str, str]] = {
         "natural": "theta = (mu/var, -1/(2 var)), theta2 < 0",
         "log_normalizer": "F(theta) = -theta1^2/(4 theta2) + log(pi / -theta2)/2",
@@ -1001,11 +1009,6 @@ class GaussianFamily(Family):
     def _entropy(self, theta: NaturalParam) -> float:
         # log(2 pi e var) / 2 with var = -1 / (2 theta2).
         return 0.5 * (1.0 + math.log(math.pi) - math.log(-float(theta.vector[1])))
-
-    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
-        # alpha theta has theta's mean and variance / alpha: B = (alpha - 1 - log alpha) / 2,
-        # which a far mean cannot reach; log alpha keeps its digits at small alpha.
-        return self._entropy(theta), 0.5 * _rate_gap(-alpha, -1.0)
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
@@ -1071,6 +1074,10 @@ class MultivariateGaussianFamily(Family):
     def support(self) -> Support:  # type: ignore[override]
         return Support("real-vector", self.dim)
 
+    @property
+    def _renyi_weight(self) -> float:  # type: ignore[override]
+        return 0.5 * self.dim
+
     def _factor(self, theta: NaturalParam) -> np.ndarray | None:
         """Cholesky factor of -2M (the precision matrix); None outside the domain
         (a non-finite coordinate, or -2M not positive-definite)."""
@@ -1134,11 +1141,6 @@ class MultivariateGaussianFamily(Family):
 
     def _entropy(self, theta: NaturalParam) -> float:
         return 0.5 * (self.dim * (1.0 + _LOG_2PI) - self._moments(theta)[3])
-
-    def _renyi_gap(self, theta: NaturalParam, scaled: NaturalParam, alpha: float):
-        # alpha theta has theta's mean and covariance / alpha, so every e_i of
-        # B(alpha theta : theta) below is alpha - 1, and the mean term is 0.
-        return self._entropy(theta), 0.5 * self.dim * _rate_gap(-alpha, -1.0)
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0

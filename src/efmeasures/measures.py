@@ -24,7 +24,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import DomainError, ScaledParameterError
+from .errors import DomainError
 from .families import Family, Member, NaturalParam
 
 __all__ = [
@@ -82,14 +82,11 @@ def _phi(x: float) -> float:
     return math.expm1(x) / x if x else 1.0
 
 
-# The public closed forms check each member they are given once (fam.member), these private
-# forms the alpha-scaled member, and the family's _jensen_gaps the mixture, if it forms one.
+# The public forms check each member they are given once (fam.member), the family what it derives.
 
 
 def _renyi_entropy(fam: Family, theta: Member, alpha: float) -> float:
-    scaled = theta.scaled(alpha)
-    fam._guard(fam.in_natural_domain(scaled), "alpha-scaled parameter", ScaledParameterError)
-    entropy, gap = fam._renyi_gap(theta, scaled, alpha)
+    entropy, gap = fam._renyi_gap(theta, alpha)
     return entropy + _over(gap, 1.0 - alpha)
 
 

@@ -151,6 +151,40 @@ class TestExitCodes:
         assert code == 4
         assert "too wide" in err
 
+    @pytest.mark.parametrize("measure", ["renyi-div", "jensen"])
+    def test_poisson_mixture_of_infinite_rate_is_domain_exit_3(self, measure):
+        # The mixture's rate e^(1e10 log 10 + (1 - 1e10) log 3) is no float: outside the domain.
+        code, out, err = run_cli(
+            "divergence", "--family", "poisson", "--params", '{"rate":10}',
+            "--params2", '{"rate":3}', "--measure", measure, "--alpha", "1e10",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: poisson: mixed parameter") and err.count("\n") == 1
+
+    def test_non_finite_series_term_is_convergence_exit_4(self):
+        code, out, err = run_cli(
+            "entropy", "--family", "poisson", "--params", '{"rate":1e8}',
+            "--measure", "renyi", "--alpha", "1e10",
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: a count series term is not finite\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("divergence", "--family", "gaussian", "--params", '{"mu":0,"var":1}',
+             "--params2", '{"mu":100,"var":1}', "--measure", "tsallis-div", "--alpha", "2"),
+            ("entropy", "--family", "exponential", "--params", '{"rate":1e300}',
+             "--measure", "tsallis", "--alpha", "20"),
+        ],
+        ids=["tsallis-div", "tsallis"],
+    )
+    def test_value_beyond_the_float_range_is_one_error_line_exit_3(self, args):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "beyond the float range" in err
+
 
 class TestEstimateCommand:
     @pytest.fixture

@@ -145,6 +145,22 @@ class TestNaturalDomain:
         with pytest.raises(NaturalDomainError):
             em.GAUSSIAN.grad_log_normalizer(NaturalParam([1.0, 0.0]))
 
+    def test_poisson_domain_is_a_finite_rate(self):
+        # The rate exp(theta) must be a finite float: theta <= log DBL_MAX. Past it, F,
+        # shannon and kl raised a bare OverflowError from the rate instead of the domain error.
+        largest = math.log(np.finfo(float).max)
+        assert em.POISSON.log_normalizer(NaturalParam([largest])) <= np.finfo(float).max
+        inside = em.POISSON.to_natural(em.PoissonParams(rate=3.0))
+        for t in (np.nextafter(largest, math.inf), 800.0, 1e307):
+            theta = NaturalParam([t])
+            assert not em.POISSON.in_natural_domain(theta)
+            for fn in (em.POISSON.log_normalizer, em.POISSON.grad_log_normalizer,
+                       lambda th: em.measures.shannon_entropy(em.POISSON, th),
+                       lambda th: em.measures.kl_divergence(em.POISSON, th, inside),
+                       lambda th: em.measures.kl_divergence(em.POISSON, inside, th)):
+                with pytest.raises(NaturalDomainError):
+                    fn(theta)
+
     def test_mvn_overflow_is_a_domain_error_not_a_warning(self):
         # -2M is positive-definite, but the mean and F overflow: the domain error,
         # with no numpy overflow warning first (an error under this suite's filter).
@@ -233,7 +249,7 @@ class TestPrimitivesMatchF:
         fam = make_family(name)
         for theta in (random_theta_pair(name, np.random.default_rng(32 + k))[0] for k in range(4)):
             scaled = theta.scaled(alpha)
-            h, gap = fam._renyi_gap(theta, scaled, alpha)
+            h, gap = fam._renyi_gap(theta, alpha)
             log_power = fam.log_normalizer(scaled) - alpha * fam.log_normalizer(theta)
             log_power += fam.log_carrier_moment(theta, alpha)
             assert h == fam._entropy(theta)

@@ -257,6 +257,33 @@ def test_small_orders_keep_the_digits_of_log_alpha(name, alpha):
     assert _rel_error(got, want) <= 1e-15 * renyi, (got, want)
 
 
+# Renyi entropies where alpha theta leaves the float range, or underflows to the domain's
+# boundary 0. G = B(alpha theta : theta) = c (alpha - 1 - log alpha) whatever theta, so
+# alpha theta is never formed; each raised ScaledParameterError when it was.
+_UNSCALED = [
+    ("exponential-rate-1e307-alpha-20", em.ExponentialParams(rate=1e307), 20.0),
+    ("laplacian-scale-1e-307-alpha-20", em.LaplacianParams(scale=1e-307), 20.0),
+    ("gaussian-var-1e-300-alpha-1e10", em.GaussianParams(mu=0.0, var=1e-300), 1e10),
+    (
+        "mvn-var-1e-300-alpha-1e10",
+        em.MultivariateGaussianParams(mu=[0.0, 0.0], cov=1e-300 * np.eye(2)),
+        1e10,
+    ),
+    ("exponential-rate-1e-30-alpha-1e-300", em.ExponentialParams(rate=1e-30), 1e-300),
+]
+
+
+@pytest.mark.parametrize("row", _UNSCALED, ids=[r[0] for r in _UNSCALED])
+def test_renyi_entropy_never_forms_alpha_theta(row):
+    cell, src, alpha = row
+    name = cell.split("-")[0]
+    fam = make_family(name)
+    theta = fam.to_natural(src)
+    want = reference(name, "renyi", theta, None, alpha)
+    got = _evaluate(fam, "renyi", theta, None, alpha)
+    assert _rel_error(got, want) <= 1e-14, (got, want)
+
+
 # --------------------------------------------------------------------------
 # A seeded grid of moderate members: every measure near rounding.
 # --------------------------------------------------------------------------
