@@ -33,9 +33,10 @@ The closed forms in ``measures`` read private primitives of each family: its
 Shannon entropy H, its Bregman gap B(theta : theta') = F(theta) - F(theta') -
 <theta - theta', grad F(theta')> on the step theta - theta' (Nielsen & Garcia,
 arXiv:0911.4863, tabulate F, grad F and F*), so no two large F are subtracted,
-and the gaps B(theta : m), B(theta' : m) to a mixture m. The Gaussian families
-never form m: where one member's precision is I, the other's and m's are diagonal.
-Their B is the first of these gaps at m = theta' (alpha = 0), so one form serves both.
+and the gaps B(theta : m), B(theta' : m) to a mixture m. No closed form builds m as a
+NaturalParam: a one-coordinate family forms m as one float, rounded as NaturalParam.mix
+rounds it, and the Gaussian families never form it: where one member's precision is I,
+the other's and m's are diagonal. Their B is the first of these gaps at m = theta'.
 
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
@@ -105,7 +106,8 @@ _SERIES_MAX_COUNTS = 2**22
 
 _MIXED = "mixed parameter alpha*theta + (1-alpha)*theta' at alpha={:g}"
 
-_MAX_LOG_RATE = math.log(np.finfo(float).max)  # the largest Poisson theta of finite rate
+_DBL_MAX = float(np.finfo(float).max)
+_MAX_LOG_RATE = math.log(_DBL_MAX)  # the largest Poisson theta of finite rate
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -454,8 +456,11 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
     spread = 9.0 / math.sqrt(min(alpha, 1.0))
     for widen in (1.0, 2.0, 4.0, 8.0):
+        half = widen * (spread * math.sqrt(high) + 20.0)
+        if half >= _SERIES_MAX_COUNTS:  # from a peak of ~1e35 on, high + half rounds to high
+            raise ConvergenceError(f"a count series window of over {half:.3g} counts is too wide")
         lo = max(0, math.floor(low - widen * (spread * math.sqrt(low) + 20.0)))
-        hi = math.ceil(high + widen * (spread * math.sqrt(high) + 20.0)) + 1
+        hi = math.ceil(high + half) + 1
         if hi - lo >= _SERIES_MAX_COUNTS:
             raise ConvergenceError(f"a count series window of {hi - lo:.3g} counts is too wide")
         ks = np.arange(lo, hi)
@@ -607,15 +612,23 @@ class Family(ABC):
     def _entropy(self, theta: NaturalParam) -> float:
         """Shannon entropy H(theta) = F - <theta, grad F> - E[k(x)], in nats."""
 
-    @abstractmethod
+    # A family of one coordinate t states its open domain, _inside(t), and its gap,
+    # _gap_at(ta, tb), on floats; the Gaussian families override the three methods below.
+    def _in_domain(self, theta: NaturalParam) -> bool:
+        return self._inside(theta.vector.item())
+
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         """Bregman gap B(theta : base) >= 0, from the step theta - base."""
+        return self._gap_at(theta.vector.item(), base.vector.item())
 
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
-        """B(theta : m), B(theta' : m) at m = alpha theta + (1 - alpha) theta', if m is inside."""
-        mixed = theta.mix(theta2, alpha)
-        self._guard(self.in_natural_domain(mixed), _MIXED.format(alpha), MixedParameterError)
-        return self._gap(theta, mixed), self._gap(theta2, mixed)
+        """B(theta : m), B(theta' : m) at m = alpha theta + (1 - alpha) theta', if m is inside.
+        No closed form builds m as a NaturalParam: here m is the float NaturalParam.mix rounds."""
+        ta, tb = theta.vector.item(), theta2.vector.item()
+        m = alpha * ta + (1.0 - alpha) * tb
+        if not self._inside(m):  # the message is formatted only to raise it
+            self._guard(False, _MIXED.format(alpha), MixedParameterError)
+        return self._gap_at(ta, m), self._gap_at(tb, m)
 
     _renyi_weight: ClassVar[float] = 1.0  # c below: 1 for a rate, 1/2 per Gaussian axis
 
@@ -644,9 +657,6 @@ class Family(ABC):
 
     @abstractmethod
     def from_natural(self, theta: NaturalParam): ...
-
-    @abstractmethod
-    def _in_domain(self, theta: NaturalParam) -> bool: ...
 
     @abstractmethod
     def log_normalizer(self, theta: NaturalParam) -> float: ...
@@ -712,9 +722,8 @@ class ExponentialDistFamily(Family):
         self.member(theta)
         return ExponentialParams(rate=-float(theta.vector[0]))
 
-    def _in_domain(self, theta: NaturalParam) -> bool:
-        t = float(theta.vector[0])
-        return math.isfinite(t) and t < 0
+    def _inside(self, t: float) -> bool:
+        return -math.inf < t < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
@@ -733,9 +742,7 @@ class ExponentialDistFamily(Family):
     def _entropy(self, theta: NaturalParam) -> float:
         return 1.0 - math.log(-float(theta.vector[0]))
 
-    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
-        # B(a : b) = q - 1 - log q with q = rate_a / rate_b.
-        return _rate_gap(float(theta.vector[0]), float(base.vector[0]))
+    _gap_at = staticmethod(_rate_gap)  # B(a : b) = q - 1 - log q with q = rate_a / rate_b
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         x = _flat_values(xs)
@@ -778,8 +785,8 @@ class PoissonFamily(Family):
         self.member(theta)
         return PoissonParams(rate=math.exp(float(theta.vector[0])))
 
-    def _in_domain(self, theta: NaturalParam) -> bool:
-        return -math.inf < float(theta.vector[0]) <= _MAX_LOG_RATE
+    def _inside(self, t: float) -> bool:
+        return -math.inf < t <= _MAX_LOG_RATE
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
@@ -833,10 +840,9 @@ class PoissonFamily(Family):
         total, _, _, _ = count_series(terms, [rate])
         return -total
 
-    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+    def _gap_at(self, ta: float, tb: float) -> float:
         # B(a : b) = rate_b (e^d - 1 - d) with d = theta_a - theta_b; away from
         # d = 0 as rate_a - rate_b (1 + d), where no e^d can overflow alone.
-        ta, tb = float(theta.vector[0]), float(base.vector[0])
         d = ta - tb
         if abs(d) < 1.0:
             return math.exp(tb) * _h(math.expm1(d))
@@ -849,7 +855,8 @@ class PoissonFamily(Family):
         # One series over the log-masses l sums H = -E[l], y = E[expm1((alpha - 1) l)]
         # (terms of one sign; e^(alpha l) - p where expm1 is large), so that
         # log sum p^alpha = log1p(y) keeps its digits near alpha = 1, and, for
-        # where y is near -1, sum p^alpha itself shifted by its largest term.
+        # where y is near -1, sum p^alpha itself shifted by its largest term. A mass of 0
+        # whose log overflowed to -inf (k theta at theta = -1e307) adds 0 to H, not 0 * inf.
         t = float(theta.vector[0])
         rate = math.exp(t)
         shift = alpha * (int(rate) * t - rate - math.lgamma(int(rate) + 1.0))
@@ -858,9 +865,10 @@ class PoissonFamily(Family):
             log_p = ks * t - rate - _log_factorials(ks)
             p, x, power = np.exp(log_p), (alpha - 1.0) * log_p, np.exp(alpha * log_p - shift)
             y = np.where(x < 1.0, p * np.expm1(x), power * math.exp(shift) - p)
-            return -p * log_p, y, power
+            return p * np.fmax(log_p, -_DBL_MAX), y, power
 
-        (h, y, power), _, _, _ = count_series(terms, [rate], alpha)
+        (mean_log_p, y, power), _, _, _ = count_series(terms, [rate], alpha)
+        h = 0.0 - mean_log_p  # the sum of the -p l bit for bit: terms of one sign, and +0.0 at 0
         log_power = math.log1p(y) if y > -0.5 else shift + math.log(power)
         return h, log_power + (alpha - 1.0) * h
 
@@ -894,8 +902,8 @@ class BernoulliFamily(Family):
         self.member(theta)
         return BernoulliParams(p=_sigmoid(float(theta.vector[0])))
 
-    def _in_domain(self, theta: NaturalParam) -> bool:
-        return math.isfinite(float(theta.vector[0]))
+    def _inside(self, t: float) -> bool:
+        return math.isfinite(t)
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
@@ -917,11 +925,10 @@ class BernoulliFamily(Family):
         t = abs(float(theta.vector[0]))
         return math.log1p(math.exp(-t)) + t * _sigmoid(-t)
 
-    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
+    def _gap_at(self, ta: float, tb: float) -> float:
         # B(a : b) is the KL divergence of b from a, sum_x P_b(x) h(P_a(x) / P_b(x) - 1),
         # where the ratios less 1 are q_a expm1(d) and p_a expm1(-d) for d = theta_a - theta_b.
         # Away from d = 0, sum_x P_b(x) log(P_b(x) / P_a(x)) from the log-masses -softplus(-+theta).
-        ta, tb = float(theta.vector[0]), float(base.vector[0])
         d = ta - tb
         pa, qa, pb, qb = _sigmoid(ta), _sigmoid(-ta), _sigmoid(tb), _sigmoid(-tb)
         if abs(d) < 1.0:
@@ -930,9 +937,10 @@ class BernoulliFamily(Family):
 
     def _renyi_gap(self, theta: Member, alpha: float):
         # B(alpha theta : theta) depends on theta here: the one family that forms alpha theta.
-        scaled = theta.scaled(alpha)
-        self._guard(self.in_natural_domain(scaled), "alpha-scaled parameter", ScaledParameterError)
-        return self._entropy(theta), self._gap(scaled, theta)
+        t = theta.vector.item()
+        scaled = alpha * t  # as NaturalParam.scaled rounds it
+        self._guard(self._inside(scaled), "alpha-scaled parameter", ScaledParameterError)
+        return self._entropy(theta), self._gap_at(scaled, t)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         x, integral = _counts(xs)
@@ -1229,9 +1237,8 @@ class CenteredLaplacianFamily(Family):
         self.member(theta)
         return LaplacianParams(scale=-1.0 / float(theta.vector[0]))
 
-    def _in_domain(self, theta: NaturalParam) -> bool:
-        t = float(theta.vector[0])
-        return math.isfinite(t) and t < 0
+    def _inside(self, t: float) -> bool:
+        return -math.inf < t < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
@@ -1252,9 +1259,7 @@ class CenteredLaplacianFamily(Family):
     def _entropy(self, theta: NaturalParam) -> float:
         return 1.0 + math.log(2.0) - math.log(-float(theta.vector[0]))
 
-    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
-        # F differs from the exponential's by the constant log 2, so B is the same.
-        return _rate_gap(float(theta.vector[0]), float(base.vector[0]))
+    _gap_at = staticmethod(_rate_gap)  # F is the exponential's plus log 2: the same B
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(_flat_values(xs))

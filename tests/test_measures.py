@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efmeasures as em
 from efmeasures import families as F
@@ -532,21 +534,42 @@ _MEMBERS = {
     "renyi-div": 3, "tsallis-div": 3, "bhattacharyya": 3, "hellinger": 3, "jensen": 3,
 }
 
+# The families of one natural coordinate, which check a mixture or alpha*theta as a float.
+_ONE_COORDINATE = ("exponential", "poisson", "bernoulli", "laplacian")
+
 
 @pytest.fixture
 def tally(monkeypatch):
-    counts = {"validations": 0, "choleskys": 0}
+    """Counts each domain check: in_natural_domain calls, and the float checks (_inside)
+    made outside one, of a one-coordinate mixture or alpha*theta, also under "floats"."""
+    counts = {"validations": 0, "floats": 0, "choleskys": 0}
     check, cholesky = F.Family.in_natural_domain, F.np.linalg.cholesky
+    depth = [0]
 
     def counted_check(self, theta):
         counts["validations"] += 1
-        return check(self, theta)
+        depth[0] += 1
+        try:
+            return check(self, theta)
+        finally:
+            depth[0] -= 1
+
+    def counted_inside(inside):
+        def counted(self, t):
+            if not depth[0]:
+                counts["validations"] += 1
+                counts["floats"] += 1
+            return inside(self, t)
+        return counted
 
     def counted_cholesky(a):
         counts["choleskys"] += 1
         return cholesky(a)
 
     monkeypatch.setattr(F.Family, "in_natural_domain", counted_check)
+    for name in _ONE_COORDINATE:
+        cls = type(make_family(name))
+        monkeypatch.setattr(cls, "_inside", counted_inside(cls._inside))
     monkeypatch.setattr(F.np.linalg, "cholesky", counted_cholesky)
     return counts
 
@@ -572,11 +595,13 @@ def test_each_member_is_checked_once(tally, name, measure):
     derived = members - 1 - M.measure_needs_pair(measure)  # alpha*theta, the mixture
     for alpha in (0.5, 2.0):
         # Members from to_natural are checked no more; what the call derives from them
-        # is, and so is each bare copy of them, once.
+        # is, and so is each bare copy of them, once. A one-coordinate family checks
+        # what it derives as a float, so no mixture or alpha*theta NaturalParam is made.
         for pair, checks in (((theta, theta2), derived), ((_bare(theta), _bare(theta2)), members)):
-            tally.update(validations=0, choleskys=0)
+            tally.update(validations=0, floats=0, choleskys=0)
             M.evaluate_measure(fam, measure, *pair, alpha)
             assert tally["validations"] == checks
+            assert tally["floats"] == derived
             if name == "mvn":
                 # -2M is factored once per check, so at most once per member the call
                 # touches, and never for members from to_natural.
@@ -657,6 +682,64 @@ def test_gaussian_mixture_domain_agrees_with_the_mixture_member(name):
                     assert not inside, alpha
                 else:
                     assert inside, alpha
+
+
+@pytest.mark.parametrize("name", _ONE_COORDINATE)
+def test_one_coordinate_measures_never_form_a_mixture_or_scaled_member(monkeypatch, name):
+    fam = make_family(name)
+    theta, theta2 = (fam.to_natural(dict(src)) for src in VERIFY_PAIRS[name])
+
+    def formed(*args):
+        raise AssertionError("a mixture or alpha-scaled member was formed")
+
+    monkeypatch.setattr(NaturalParam, "mix", formed)
+    monkeypatch.setattr(NaturalParam, "scaled", formed)
+    for measure, alpha in _MEMO_CELLS:
+        second = theta2 if M.measure_needs_pair(measure) else None
+        assert math.isfinite(M.evaluate_measure(fam, measure, theta, second, alpha).value)
+
+
+# The open domains of the one-coordinate families: rates and scales 1e+-300 (log-uniform),
+# Poisson theta up to log DBL_MAX and Bernoulli |theta| up to 1e300.
+_COORDINATES = {
+    "exponential": st.floats(-300, 300).map(lambda e: -(10.0**e)),
+    "laplacian": st.floats(-300, 300).map(lambda e: -1.0 / 10.0**e),
+    "poisson": st.one_of(st.floats(-800.0, F._MAX_LOG_RATE), st.floats(-1e300, F._MAX_LOG_RATE)),
+    "bernoulli": st.one_of(
+        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(-300, 300)),
+        st.floats(-1e300, 1e300),
+    ),
+}
+_FLOAT_ORDERS = (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.0 + 1e-7, 2.0, 20.0, 1e10, 1e15, -3.0, -1e5)
+
+
+def _hexes(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("name", _ONE_COORDINATE)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_float_mixture_is_the_mixture_member_bit_for_bit(name, data):
+    # The float mixture rounds as NaturalParam.mix rounds it, and raises exactly where the
+    # mixture member would leave the domain; Bernoulli's alpha*theta likewise as scaled.
+    fam = make_family(name)
+    ta, tb = (data.draw(_COORDINATES[name]) for _ in range(2))
+    alpha = data.draw(st.sampled_from(_FLOAT_ORDERS))
+    theta, theta2 = fam.member(NaturalParam([ta])), fam.member(NaturalParam([tb]))
+    mixed = theta.mix(theta2, alpha)
+    if fam.in_natural_domain(mixed):
+        want = (fam._gap(theta, mixed), fam._gap(theta2, mixed))
+        assert _hexes(fam._jensen_gaps(theta, theta2, alpha)) == _hexes(want)
+    else:
+        _raises_exactly(MixedParameterError, fam._jensen_gaps, theta, theta2, alpha)
+    if name == "bernoulli":
+        scaled = theta.scaled(alpha)
+        if fam.in_natural_domain(scaled):
+            want = (fam._entropy(theta), fam._gap(scaled, theta))
+            assert _hexes(fam._renyi_gap(theta, alpha)) == _hexes(want)
+        else:
+            _raises_exactly(ScaledParameterError, fam._renyi_gap, theta, alpha)
 
 
 # --------------------------------------------------------------------------
@@ -849,6 +932,24 @@ class TestPoissonSeries:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    @pytest.mark.parametrize("rate", [1e35, 1e100, 1e300])
+    @pytest.mark.parametrize("measure", ["shannon", "renyi", "tsallis", "cross-entropy"])
+    def test_a_window_past_a_peak_of_1e35_is_too_wide_too(self, rate, measure):
+        # There the half-width is under half an ulp of the rate: the window rounded to one
+        # count, whose Python-int counts past int64 made the terms raise a bare TypeError.
+        theta = _poisson_theta(rate)
+        with pytest.raises(ConvergenceError, match="too wide"):
+            M.evaluate_measure(em.POISSON, measure, theta, _poisson_theta(1.0), 0.5)
+
+    @pytest.mark.parametrize("theta", [-1e307, -np.finfo(float).max])
+    def test_far_negative_theta_has_entropies_of_zero(self, theta):
+        # Every mass past k = 0 is 0 and p_0 = 1. k theta overflows to -inf in the window,
+        # and a mass of 0 adds 0 to H, not 0 * inf = nan (which raised ConvergenceError).
+        member = NaturalParam([theta])
+        assert M.shannon_entropy(em.POISSON, member) == 0.0
+        for measure, alpha in itertools.product(("renyi", "tsallis"), (0.5, 2.0)):
+            assert M.evaluate_measure(em.POISSON, measure, member, None, alpha).value == 0.0
 
     def test_window_is_order_sqrt_rate(self, monkeypatch):
         counts = []
