@@ -41,7 +41,9 @@ the other's and m's are diagonal. Their B is the first of these gaps at m = thet
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
 An mvn ``Member`` carries its precision factor from its check and its moments
-from their first read, outside its fields; every reader gets the first fill.
+from their first read, outside its fields; every reader gets the first fill. It also
+keeps the whitened axes of the last pair it whitened, built outside that fill's lock and
+stored whole: a racing recompute gives the same bits.
 The count series share one read-only table of log k! (at most 2^17 entries): a fill
 assigns a new, complete array and a call reads it once, so every reader slices a whole one.
 """
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar
@@ -216,9 +219,10 @@ class NaturalParam:
 class Member(NaturalParam):
     """A natural parameter that ``Family.member`` checked inside ``family``'s domain;
     one made another way (its constructor, ``dataclasses.replace``, a copy) has no
-    ``family`` and is checked again. An mvn member also carries ``factor`` and ``moments``."""
+    ``family`` and is checked again. An mvn member also carries ``factor``, ``moments`` and
+    ``pair``: the whitened axes of the last pair it whitened, and that partner, held weakly."""
 
-    __slots__ = ("family", "factor", "moments")
+    __slots__ = ("family", "factor", "moments", "pair")
 
     def __reduce__(self):
         return NaturalParam._derived, (self.vector.tolist(), self.matrix)
@@ -1154,13 +1158,23 @@ class MultivariateGaussianFamily(Family):
         return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
 
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
-        # Whitened by a's factor C, b's precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, and
-        # the mixture's is weighted I + G; in G's eigenbasis U, the mean step is z = U^T C^-1 w
-        # for w = v_a - v_b + 2 (M_a - M_b) mu_b, since mu_a - mu_b = C^-T C^-1 w.
-        # w reads b's mean, which loses digits to b's conditioning: b's factor spreads less.
+        # The step w reads b's mean, which loses digits to b's conditioning: b's factor spreads
+        # less. Picked from both factors, a is one member in (p, q) and (q, p) unless they tie.
         diags = [t.factor.diagonal().tolist() for t in (theta, theta2)]
         swap = max(diags[1]) / min(diags[1]) > max(diags[0]) / min(diags[0])
         a, b = (theta2, theta) if swap else (theta, theta2)
+        pair = getattr(a, "pair", None)  # one read: a racing fill replaces it, whole
+        if pair is None or pair[0]() is not b:  # b held weakly: no new object at its address
+            pair = (weakref.ref(b), self._whiten(a, b))
+            object.__setattr__(a, "pair", pair)  # outside _MOMENTS_FILL: _whiten reads _moments
+        g, lam, z = pair[1]  # log lam as the loop reaches each axis: none past a break
+        return _whitened_gaps(self, alpha, zip(g, lam, map(math.log, lam), z), swap)
+
+    def _whiten(self, a: Member, b: Member):
+        """(g, lam = 1 + g, z) of the pair, for every order. Whitened by a's factor C, b's
+        precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, and the mixture's is weighted I + G;
+        in G's eigenbasis U, the mean step is z = U^T C^-1 w for w = v_a - v_b + 2 (M_a -
+        M_b) mu_b, since mu_a - mu_b = C^-T C^-1 w."""
         inv_a, (mean_b, _, inv_b, _) = self._moments(a)[2], self._moments(b)
         dm = 2.0 * (a.matrix - b.matrix)
         g, basis = np.linalg.eigh(inv_a @ dm @ inv_a.T)
@@ -1171,7 +1185,7 @@ class MultivariateGaussianFamily(Family):
             rq = (1.0 / (y * y).sum(axis=0)).tolist()
             lam = [l if x > -0.5 else q for x, l, q in zip(g, lam, rq)]
             g = [x if x > -0.5 else l - 1.0 for x, l in zip(g, lam)]
-        return _whitened_gaps(self, alpha, zip(g, lam, map(math.log, lam), z), swap)
+        return g, lam, z
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
         if eta.matrix is None or eta.vector.size != self.dim:

@@ -240,7 +240,7 @@ MEASURES: tuple[Measure, ...] = (
     Measure("hellinger", True, False, _plain(hellinger_distance)),
     Measure(
         "jensen", True, True,
-        lambda fam, p, q, a: MeasureResult(skew_jensen(fam, p, q, a), CLOSED_FORM, a),
+        lambda fam, p, q, a: MeasureResult(skew_jensen(fam, p, q, a), CLOSED_FORM, float(a)),
     ),
     Measure("bregman", True, False, _plain(bregman)),
 )

@@ -4,12 +4,14 @@ import ast
 import copy
 import dataclasses
 import functools
+import gc
 import inspect
 import itertools
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -391,6 +393,12 @@ class TestAlphaValidation:
         with pytest.raises(ValueError):
             M.evaluate_measure(em.GAUSSIAN, "renyi", std_gauss)  # missing alpha
 
+    @pytest.mark.parametrize("measure", [m for m in M.MEASURE_NAMES if M.measure_needs_alpha(m)])
+    @pytest.mark.parametrize("alpha", [2, np.float64(0.5), 0.5])
+    def test_alpha_used_is_a_plain_float(self, std_gauss, measure, alpha):
+        res = M.evaluate_measure(em.GAUSSIAN, measure, std_gauss, _gauss_theta(0.5, 1.2), alpha)
+        assert type(res.alpha_used) is float and res.alpha_used == alpha
+
 
 class TestMeasureTable:
     def test_names_and_flags_are_pinned(self):
@@ -763,15 +771,31 @@ def _fresh_mvn_pair(dim: int, seed: int):
     return fam, fam.to_natural(p), fam.to_natural(q)
 
 
-def _bits(fam, theta, theta2) -> list:
-    """Every memo cell's value, and F and grad F of both members, as exact bit patterns."""
-    out = [
+def _cells(fam, theta, theta2) -> list[str]:
+    """Every memo cell's value on (theta, theta2), as exact bit patterns."""
+    return [
         M.evaluate_measure(fam, m, theta, theta2 if M.measure_needs_pair(m) else None, a).value.hex()
         for m, a in _MEMO_CELLS
     ]
+
+
+def _bits(fam, theta, theta2) -> list:
+    """Every memo cell's value in both orders, and F and grad F of both members, as
+    exact bit patterns."""
+    out = _cells(fam, theta, theta2) + _cells(fam, theta2, theta)
     for t in (theta, theta2):
         out += [fam.log_normalizer(t).hex(), fam.grad_log_normalizer(t).flat().tobytes()]
     return out
+
+
+def _by_spread(*members) -> list:
+    """The members from the largest spread of their factor's diagonal: the one that whitens."""
+
+    def spread(t):
+        diag = t.factor.diagonal().tolist()
+        return max(diag) / min(diag)
+
+    return sorted(members, key=spread, reverse=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -798,6 +822,36 @@ class TestMemberMemo:
             warm = M.evaluate_measure(fam, m, p, q if second else None, a).value
             assert warm.hex() == cold.hex() == want, (m, a)
         assert _bits(fam, p, q) == first
+        # A third member r, and p the one of the largest factor spread, which whitens every
+        # pair it is in (at d = 1, where spreads tie, the first member does): p meets each
+        # partner in turn in both orders, then q again. Its kept pair is replaced each time,
+        # never served to another partner.
+        def fresh():
+            _, fresh_p, fresh_q = _fresh_mvn_pair(dim, 90 + dim)
+            return _by_spread(fresh_p, fresh_q, _fresh_mvn_pair(dim, 190 + dim)[1])
+
+        p, q, r = used = _by_spread(p, q, _fresh_mvn_pair(dim, 190 + dim)[1])
+        for i, j in ((0, 1), (0, 2), (1, 0), (2, 0), (0, 1)):
+            cold = fresh()
+            assert _cells(fam, used[i], used[j]) == _cells(fam, cold[i], cold[j]), (i, j)
+        # p keeps q weakly: q goes with its last reference, and p still works.
+        partner = weakref.ref(q)
+        del q, used
+        gc.collect()
+        assert partner() is None
+        assert _cells(fam, p, r) == _cells(fam, *fresh()[::2])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_pair_is_whitened_once(self, monkeypatch, dim):
+        # Every order and measure of a pair reads one eigendecomposition, in either order.
+        fam, p, q = _fresh_mvn_pair(dim, 40 + dim)
+        calls, eigh = [], F.np.linalg.eigh
+        monkeypatch.setattr(F.np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        for theta, theta2 in ((p, q), (q, p)):
+            for m, a in _MEMO_CELLS:
+                if M.measure_needs_pair(m):
+                    M.evaluate_measure(fam, m, theta, theta2, a)
+        assert len(calls) == 1
 
     def test_equal_families_share_a_member_and_others_do_not(self):
         _, theta, _ = _fresh_mvn_pair(2, 7)
