@@ -14,7 +14,7 @@ Quick start::
 
     fam = get_family("gaussian")
     theta = fam.to_natural(GaussianParams(mu=0.0, var=1.0))
-    measures.renyi_entropy(fam, theta, alpha=2.0).value
+    measures.evaluate_measure(fam, "renyi", theta, alpha=2.0).value
 
 The ``efmeasures`` console script exposes the same operations, plus a
 closed-form-versus-oracle verification grid, as a CLI.

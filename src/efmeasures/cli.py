@@ -45,12 +45,13 @@ from .oracle import oracle_measure
 
 ENTROPY_MEASURES = tuple(m.name for m in MEASURES if not m.needs_pair)
 DIVERGENCE_MEASURES = tuple(m.name for m in MEASURES if m.needs_pair)
+_ORDERS = {m.name: m.order for m in MEASURES}
 
 VERIFY_ALPHAS = (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 2.0)
 
 # The (measure, alpha) cells `verify` runs for each family, in table order.
 VERIFY_CELLS = tuple(
-    (m.name, alpha) for m in MEASURES for alpha in (VERIFY_ALPHAS if m.needs_alpha else (None,))
+    (m.name, alpha) for m in MEASURES for alpha in (VERIFY_ALPHAS if m.order else (None,))
 )
 
 # Built-in parameter pairs for `verify`, chosen so that every grid alpha
@@ -149,10 +150,12 @@ def _family_of(parser, family_name: str, obj: dict, flag: str) -> Family:
     return fam
 
 
-def _check_alphas(parser, alphas) -> None:
+def _check_alphas(parser, alphas, measure: str | None) -> None:
+    """Each --alpha must lie in the measure's order domain; positive reals where it takes none."""
+    kind = _ORDERS.get(measure) or "positive"
     for a in alphas or ():
-        if not (math.isfinite(a) and a > 0):
-            parser.error(f"--alpha: values must be positive reals, got {a}")
+        if not (math.isfinite(a) and (a > 0 or kind == "finite")):
+            parser.error(f"--alpha: values must be {kind} reals, got {a}")
 
 
 def _parse_csv(source) -> np.ndarray:
@@ -293,7 +296,7 @@ def _run_measures(parser, args, *, pair: bool) -> dict:
             f"--measure: {args.measure!r} is not valid for this subcommand; "
             f"choose from {', '.join(valid)}"
         )
-    _check_alphas(parser, args.alpha)
+    _check_alphas(parser, args.alpha, args.measure)
     needs_alpha = measure_needs_alpha(args.measure)
     if needs_alpha and not args.alpha:
         parser.error(f"--measure {args.measure} requires at least one --alpha")
@@ -345,7 +348,7 @@ def _estimate_block(fam: Family, est) -> dict:
 def _run_estimate(parser, args) -> dict:
     if args.measure is not None and args.measure not in MEASURE_NAMES:
         parser.error(f"--measure: unknown measure {args.measure!r}")
-    _check_alphas(parser, args.alpha)
+    _check_alphas(parser, args.alpha, args.measure)
     try:
         fam = get_family(args.family, dim=1 if args.dim is None else args.dim)
     except ValueError as exc:

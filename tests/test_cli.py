@@ -373,6 +373,66 @@ def _csv_module_reader(fam, path):
     return np.asarray([row if width > 1 else row[0] for row in rows])
 
 
+class TestOrderDomains:
+    """Each --alpha is checked against the measure's order domain: any finite order for
+    jensen, as the library and the oracle take; positive ones for the other measures
+    that take an order, and wherever the measure takes none."""
+
+    PAIR = ["--family", "gaussian", "--params", '{"mu":0,"var":1}',
+            "--params2", '{"mu":1,"var":1}']
+
+    _run = TestFamilyAliases._run
+
+    def test_jensen_takes_negative_orders(self, capsys):
+        code, out, _ = self._run(
+            capsys, "divergence", *self.PAIR, "--measure", "jensen", "--alpha", "-1", "--alpha", "-3"
+        )
+        assert code == 0
+        # alpha (1 - alpha) (mu - mu')^2 / 2 for equal unit variances.
+        values = [row["value"] for row in json.loads(out)["results"]]
+        assert values == [pytest.approx(-1.0, rel=1e-15), pytest.approx(-6.0, rel=1e-15)]
+
+    def test_estimate_takes_negative_jensen_orders(self, capsys, tmp_path):
+        fam = em.GAUSSIAN
+        paths = []
+        for seed, mu in enumerate((0.0, 1.0)):
+            theta = fam.to_natural(em.GaussianParams(mu=mu, var=1.0))
+            paths.append(str(tmp_path / f"obs{seed}.csv"))
+            np.savetxt(paths[-1], fam.sample(theta, 200, seed=seed), delimiter=",")
+        code, out, _ = self._run(
+            capsys, "estimate", "--family", "gaussian", "--data", paths[0], "--data2", paths[1],
+            "--measure", "jensen", "--alpha", "-1",
+        )
+        assert code == 0
+        report = json.loads(out)
+        theta, theta2 = (
+            em.NaturalParam(report["estimates"][name]["natural"]["vector"])
+            for name in ("data", "data2")
+        )
+        want = em.evaluate_measure(fam, "jensen", theta, theta2, -1.0).value
+        assert [row["value"] for row in report["results"]] == [want]
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_jensen_rejects_non_finite_orders(self, capsys, alpha):
+        code, out, err = self._run(
+            capsys, "divergence", *self.PAIR, "--measure", "jensen", "--alpha", alpha
+        )
+        assert (code, out) == (2, "")
+        assert f"--alpha: values must be finite reals, got {float(alpha)}" in err
+
+    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command, measure",
+        [("entropy", "renyi"), ("entropy", "tsallis"), ("entropy", "shannon"),
+         ("divergence", "renyi-div"), ("divergence", "tsallis-div"), ("divergence", "kl")],
+    )
+    def test_other_measures_take_positive_orders(self, capsys, command, measure, alpha):
+        args = self.PAIR if command == "divergence" else self.PAIR[:4]
+        code, out, err = self._run(capsys, command, *args, "--measure", measure, "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert f"--alpha: values must be positive reals, got {float(alpha)}" in err
+
+
 class TestObservationReader:
     """The numpy reader returns what the csv module reads, and names bad lines."""
 
@@ -510,7 +570,7 @@ class TestVerifyCommand:
         table = {m.name: m for m in em.measures.MEASURES}
         assert {r["measure"] for r in rows} == set(table)
         for row in rows:
-            assert (row["alpha"] is not None) == table[row["measure"]].needs_alpha
+            assert (row["alpha"] is not None) == (table[row["measure"]].order is not None)
         assert [r["measure"] for r in rows] == sorted(
             (r["measure"] for r in rows), key=em.measures.MEASURE_NAMES.index
         )

@@ -264,6 +264,21 @@ class TestJensenOrders:
         with pytest.raises(DomainError):
             O.oracle_measure(em.EXPONENTIAL, measure, p, second, alpha)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, None])
+    @pytest.mark.parametrize("measure", M.MEASURE_NAMES)
+    def test_both_paths_reject_an_order_alike(self, measure, alpha):
+        # Every row, whether it takes an order or not: both paths take the order, or
+        # both raise the same class with the same message.
+        p, q = _exp_theta(1.0), _exp_theta(1.5)
+        outcomes = []
+        for evaluate in (M.evaluate_measure, O.oracle_measure):
+            try:
+                evaluate(em.EXPONENTIAL, measure, p, q, alpha)
+                outcomes.append(None)
+            except (ValueError, DomainError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
 
 def _doubled_factor(self, theta):
     """The factor of -4M (twice the precision) for a member inside the domain, None outside."""

@@ -233,7 +233,7 @@ class TestMeasuredDefects:
         # value at the origin: the far mean must not leak into it.
         fam, theta = _mvn_pair_shifted(shift)
         want = reference("mvn", "renyi", _mvn_pair_shifted(0.0)[1], None, 0.5)
-        got = M.renyi_entropy(fam, theta, 0.5).value
+        got = M.evaluate_measure(fam, "renyi", theta, alpha=0.5).value
         assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
