@@ -43,7 +43,11 @@ inputs (samplers take an explicit seed), so concurrent use is unrestricted.
 An mvn ``Member`` carries its precision factor from its check and its moments
 from their first read, outside its fields; every reader gets the first fill. It also
 keeps the whitened axes of the last pair it whitened, built outside that fill's lock and
-stored whole: a racing recompute gives the same bits.
+stored whole: a racing recompute gives the same bits. A Poisson ``Member`` keeps, in the
+same ``moments`` slot, the log-masses, masses and ``p log p`` terms of its entropies' count
+series over the widest window built (none past 2^12 counts) and the (H, G) of its last 16
+orders, stored whole in the same way; every order sums a slice of them, bit for bit what a
+fresh member sums.
 The count series share one read-only table of log k! (at most 2^17 entries): a fill
 assigns a new, complete array and a call reads it once, so every reader slices a whole one.
 """
@@ -220,7 +224,9 @@ class Member(NaturalParam):
     """A natural parameter that ``Family.member`` checked inside ``family``'s domain;
     one made another way (its constructor, ``dataclasses.replace``, a copy) has no
     ``family`` and is checked again. An mvn member also carries ``factor``, ``moments`` and
-    ``pair``: the whitened axes of the last pair it whitened, and that partner, held weakly."""
+    ``pair``: the whitened axes of the last pair it whitened, and that partner, held weakly.
+    A Poisson member's ``moments`` holds (first count, log-masses, masses, p log p) over its
+    widest window of at most 2^12 counts, and a map of at most 16 orders to their (H, G)."""
 
     __slots__ = ("family", "factor", "moments", "pair")
 
@@ -415,6 +421,12 @@ class LaplacianParams:
 
 _MOMENTS_FILL = threading.Lock()
 
+# What a Poisson member keeps for its entropies: log-masses over at most this many
+# counts (96 KiB in all), and the (H, G) of at most this many orders.
+_POISSON_KEPT_COUNTS = 2**12
+_POISSON_KEPT_ORDERS = 16
+_NOTHING_KEPT = (0, np.empty(0), np.empty(0), np.empty(0), {})
+
 _LOG_FACTORIAL_CAP = 2**17  # entries: 1 MiB, the windows up to rate ~1.2e5
 _log_factorial_table = np.empty(0)  # lgamma(k + 1) at k, grown by doubling from 64; never written
 
@@ -443,6 +455,19 @@ def _tail(edge: float, inner: float) -> float:
     return edge * edge / (inner - edge) if edge < inner else math.inf
 
 
+def _counts_past(edge: float, inner: float, total: float) -> float:
+    """How many counts past an edge term the window must reach for the tail beyond,
+    at most ``edge r^n / (1 - r)`` with r = edge / inner, to be below 2^-60 of ``total``;
+    inf where the terms do not decay there."""
+    if edge == 0.0:
+        return 0
+    r = edge / inner
+    need = _SERIES_TAIL * total * (1.0 - r) / edge
+    if not (r < 1.0 and need > 0.0):
+        return math.inf
+    return 0 if need >= 1.0 else math.ceil(math.log(need) / math.log(r))
+
+
 def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float, int]:
     """Sum ``terms(ks)`` over the counts k = 0, 1, 2, ... from a window around ``peaks``.
 
@@ -453,18 +478,31 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     Their magnitudes must be log-concave in k outside the window (a count
     density times a log-concave weight is), so each tail is at most
     ``|t_edge| r / (1 - r)`` for the ratio r of the edge term to its neighbour.
+    After four windows, a fifth reaches as far as that bound asks (a small order
+    at a small peak decays through (k!)^-alpha, slower than a Poisson spread).
     Returns (pairwise sum, sum of magnitudes, tail bound, number of terms); a
     non-finite term raises ConvergenceError. ``terms`` may return rows of terms,
     one per sum over the window; then the first three are lists, one entry a row.
     """
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
     spread = 9.0 / math.sqrt(min(alpha, 1.0))
-    for widen in (1.0, 2.0, 4.0, 8.0):
-        half = widen * (spread * math.sqrt(high) + 20.0)
-        if half >= _SERIES_MAX_COUNTS:  # from a peak of ~1e35 on, high + half rounds to high
-            raise ConvergenceError(f"a count series window of over {half:.3g} counts is too wide")
-        lo = max(0, math.floor(low - widen * (spread * math.sqrt(low) + 20.0)))
-        hi = math.ceil(high + half) + 1
+    for widen in (1.0, 2.0, 4.0, 8.0, None):
+        if widen is None:  # the tails' own bound sizes the last window, if one can hold it
+            ups, downs = zip(*(
+                (_counts_past(e3, e2, a), _counts_past(e0, e1, a) if lo > 0 else 0)
+                for (e0, e1, e2, e3), a in zip(edges, abs_totals)
+            ))
+            lo, hi = max(0, lo - max(downs)), hi + max(ups)
+            if not hi - lo < _SERIES_MAX_COUNTS:
+                break
+        else:
+            half = widen * (spread * math.sqrt(high) + 20.0)
+            if half >= _SERIES_MAX_COUNTS:  # from a peak of ~1e35 on, high + half rounds to high
+                raise ConvergenceError(
+                    f"a count series window of over {half:.3g} counts is too wide"
+                )
+            lo = max(0, math.floor(low - widen * (spread * math.sqrt(low) + 20.0)))
+            hi = math.ceil(high + half) + 1
         if hi - lo >= _SERIES_MAX_COUNTS:
             raise ConvergenceError(f"a count series window of {hi - lo:.3g} counts is too wide")
         ks = np.arange(lo, hi)
@@ -861,20 +899,48 @@ class PoissonFamily(Family):
         # log sum p^alpha = log1p(y) keeps its digits near alpha = 1, and, for
         # where y is near -1, sum p^alpha itself shifted by its largest term. A mass of 0
         # whose log overflowed to -inf (k theta at theta = -1e307) adds 0 to H, not 0 * inf.
+        # The member keeps (first count, l, p, p l) over the widest window built, and the
+        # (H, G) of its last orders: each window is a slice of the kept arrays, so every
+        # order sums the terms of a fresh member, bit for bit.
+        kept = getattr(theta, "moments", None) or _NOTHING_KEPT  # one read: a fill replaces it
+        if alpha in kept[4]:
+            return kept[4][alpha]
         t = float(theta.vector[0])
         rate = math.exp(t)
         shift = alpha * (int(rate) * t - rate - math.lgamma(int(rate) + 1.0))
 
         def terms(ks: np.ndarray):
-            log_p = ks * t - rate - _log_factorials(ks)
-            p, x, power = np.exp(log_p), (alpha - 1.0) * log_p, np.exp(alpha * log_p - shift)
+            nonlocal kept
+            first, log_p, p, p_log_p, orders = kept
+            start = int(ks[0]) - first
+            if not 0 <= start <= log_p.size - ks.size:  # widen to the union of both windows
+                counts = ks
+                if log_p.size and ks.size <= _POISSON_KEPT_COUNTS:
+                    lo, hi = min(int(ks[0]), first), max(int(ks[-1]) + 1, first + log_p.size)
+                    counts = np.arange(lo, hi)
+                log_p = counts * t - rate - _log_factorials(counts)
+                p, p_log_p, start = np.exp(log_p), None, int(ks[0] - counts[0])
+                if counts.size <= _POISSON_KEPT_COUNTS:
+                    p_log_p = p * np.fmax(log_p, -_DBL_MAX)
+                    kept = (int(counts[0]), log_p, p, p_log_p, orders)
+            window = slice(start, start + ks.size)
+            log_p, p = log_p[window], p[window]
+            x, power = (alpha - 1.0) * log_p, np.exp(alpha * log_p - shift)
             y = np.where(x < 1.0, p * np.expm1(x), power * math.exp(shift) - p)
-            return p * np.fmax(log_p, -_DBL_MAX), y, power
+            if p_log_p is None:  # a window past the cap: made last, as no member keeps it
+                return p * np.fmax(log_p, -_DBL_MAX), y, power
+            return p_log_p[window], y, power
 
         (mean_log_p, y, power), _, _, _ = count_series(terms, [rate], alpha)
         h = 0.0 - mean_log_p  # the sum of the -p l bit for bit: terms of one sign, and +0.0 at 0
         log_power = math.log1p(y) if y > -0.5 else shift + math.log(power)
-        return h, log_power + (alpha - 1.0) * h
+        result = h, log_power + (alpha - 1.0) * h
+        if isinstance(theta, Member):  # outside any lock: racing threads compute the same bits
+            orders = {**kept[4], alpha: result}
+            if len(orders) > _POISSON_KEPT_ORDERS:
+                del orders[next(iter(orders))]  # the oldest
+            object.__setattr__(theta, "moments", (*kept[:4], orders))
+        return result
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         theta = self._check_sample_args(theta, n)

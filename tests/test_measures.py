@@ -8,6 +8,7 @@ import gc
 import inspect
 import itertools
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -1162,6 +1163,181 @@ class TestPoissonSeries:
         try:
             with ThreadPoolExecutor(4) as pool:
                 results = list(pool.map(fill, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 4
+
+    def test_a_slow_tail_is_summed_over_the_window_its_bound_asks(self):
+        # Terms e^(-k/100) decay too slowly for the four windows around a peak of 1; the
+        # edge ratio r = e^(-1/100) sizes a fifth, and the sum is 1 / (1 - r).
+        windows = []
+
+        def terms(ks):
+            windows.append(ks.size)
+            return np.exp(-0.01 * ks)
+
+        total, _, tail, n = F.count_series(terms, [1.0])
+        assert len(windows) == 5 and n == windows[-1]
+        assert total == pytest.approx(-1.0 / math.expm1(-0.01), rel=1e-15)
+        assert tail <= 2.0**-60 * total
+
+    def test_a_fifth_window_past_the_cap_raises_before_it_is_made(self):
+        # At r = e^(-1e-9) the tail bound asks for ~4e10 counts: no fifth call of terms.
+        windows = []
+
+        def terms(ks):
+            windows.append(ks.size)
+            return np.exp(-1e-9 * ks)
+
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            F.count_series(terms, [1.0])
+        assert len(windows) == 4
+
+
+# --------------------------------------------------------------------------
+# A Poisson member keeps its window's log-masses and each order's (H, G).
+# --------------------------------------------------------------------------
+
+_SWEEP_ORDERS = (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.0 + 1e-7, 2.0)
+# The 14 entropy cells of a closed-form sweep on one Poisson member, in the sweep's order.
+_POISSON_ENTROPY_CELLS = (
+    *(("renyi", a) for a in _SWEEP_ORDERS),
+    *(("tsallis", a) for a in _SWEEP_ORDERS),
+    ("shannon", None),
+    ("cross-entropy", None),
+)
+
+
+def _entropy_bits(theta, cells, partner):
+    """Each cell's value on theta, as its hex; partner is the cross entropy's second member."""
+    return [
+        M.evaluate_measure(em.POISSON, m, theta, partner if m == "cross-entropy" else None, a)
+        .value.hex()
+        for m, a in cells
+    ]
+
+
+class TestPoissonRecord:
+    _RATES = (0.1, 1.0, 10.0, 1e3, 1e4)
+
+    @staticmethod
+    def _builds(monkeypatch):
+        """The runs of counts every _log_factorials call reads, as (first, count)."""
+        seen, table = [], F._log_factorials
+        monkeypatch.setattr(
+            F, "_log_factorials", lambda ks: seen.append((int(ks[0]), ks.size)) or table(ks)
+        )
+        return seen
+
+    @pytest.mark.parametrize("rate", _RATES)
+    def test_one_window_build_per_widening_in_sweep_order(self, monkeypatch, rate):
+        builds = self._builds(monkeypatch)
+        M.evaluate_measure(em.POISSON, "renyi", _poisson_theta(rate), alpha=0.5)
+        widest = builds[:]  # alpha = 1/2 asks the widest window, once per widening
+        builds.clear()
+        theta, partner = _poisson_theta(rate), _poisson_theta(1.3 * rate)
+        per_cell = []
+        for cell in _POISSON_ENTROPY_CELLS:
+            before = len(builds)
+            _entropy_bits(theta, [cell], partner)
+            per_cell.append(len(builds) - before)
+        assert builds == widest
+        assert per_cell == [len(widest)] + [0] * 13
+        _entropy_bits(theta, _POISSON_ENTROPY_CELLS, partner)  # all 14 again: all kept
+        assert builds == widest
+
+    @pytest.mark.parametrize("rate", _RATES)
+    def test_a_wider_order_widens_the_kept_window(self, monkeypatch, rate):
+        # Descending orders ask ever wider windows: each build covers the kept one.
+        theta, partner = _poisson_theta(rate), _poisson_theta(1.3 * rate)
+        cells = sorted(_POISSON_ENTROPY_CELLS, key=lambda c: -(c[1] or 1.0))
+        want = [_entropy_bits(_poisson_theta(rate), [cell], partner)[0] for cell in cells]
+        builds = self._builds(monkeypatch)
+        assert _entropy_bits(theta, cells, partner) == want
+        assert 1 <= len(builds) <= len(_SWEEP_ORDERS)
+        for (lo, n), (lo2, n2) in zip(builds, builds[1:]):
+            assert lo2 <= lo and lo + n <= lo2 + n2 and n < n2
+        first, log_p = theta.moments[0], theta.moments[1]
+        assert (first, log_p.size) == builds[-1]
+
+    def test_a_small_order_builds_once_per_widening_too(self, monkeypatch):
+        # At rate 1, alpha = 0.005 takes all five windows; the sweep's orders then read them.
+        theta, partner = _poisson_theta(1.0), _poisson_theta(1.3)
+        cells = [("renyi", 0.005), *_POISSON_ENTROPY_CELLS]
+        want = [_entropy_bits(_poisson_theta(1.0), [cell], partner)[0] for cell in cells]
+        builds = self._builds(monkeypatch)
+        assert _entropy_bits(theta, cells, partner) == want
+        assert len(builds) == 5 and [lo for lo, _ in builds] == [0] * 5
+        assert [n for _, n in builds] == sorted({n for _, n in builds})
+
+    def test_distinct_orders_keep_the_record_at_its_bound(self):
+        theta = _poisson_theta(42.0)
+        orders = [0.5 + k / 1000 for k in range(1000)]
+        got = [M.evaluate_measure(em.POISSON, "renyi", theta, alpha=a).value for a in orders]
+        first, log_p, p, p_log_p, kept = theta.moments
+        assert len(kept) == F._POISSON_KEPT_ORDERS == 16
+        assert list(kept) == orders[-16:]
+        assert log_p.size == p.size == p_log_p.size <= F._POISSON_KEPT_COUNTS == 2**12
+        for a, value in list(zip(orders, got))[::97]:
+            fresh = M.evaluate_measure(em.POISSON, "renyi", _poisson_theta(42.0), alpha=a).value
+            assert value.hex() == fresh.hex(), a
+
+    def test_a_window_past_the_cap_is_not_kept(self):
+        # At rate 1e6 the window spans ~2.5e4 counts: each order sums its own, as a fresh
+        # member does, and only the orders' values are kept.
+        theta = _poisson_theta(1e6)
+        cells = [("renyi", 0.5), ("tsallis", 0.5), ("renyi", 2.0), ("shannon", None)]
+        fresh = [_entropy_bits(_poisson_theta(1e6), [cell], None)[0] for cell in cells]
+        assert _entropy_bits(theta, cells, None) == fresh
+        first, log_p, p, p_log_p, kept = theta.moments
+        assert log_p.size == p.size == p_log_p.size == 0
+        assert list(kept) == [0.5, 2.0, 1.0]
+        assert _entropy_bits(theta, cells, None) == fresh
+
+    def test_a_copied_member_carries_no_record(self):
+        theta = _poisson_theta(10.0)
+        want = _entropy_bits(theta, _POISSON_ENTROPY_CELLS, _poisson_theta(13.0))
+        assert theta.moments[1].size > 0
+        for made in (
+            pickle.loads(pickle.dumps(theta)),
+            dataclasses.replace(theta),
+            copy.copy(theta),
+            copy.deepcopy(theta),
+        ):
+            assert getattr(made, "moments", None) is None
+            assert _entropy_bits(made, _POISSON_ENTROPY_CELLS, _poisson_theta(13.0)) == want
+
+    def test_the_oracle_reads_no_record(self, monkeypatch):
+        theta = _poisson_theta(10.0)
+        _entropy_bits(theta, _POISSON_ENTROPY_CELLS, _poisson_theta(13.0))
+        kept = theta.moments
+        # A record that would give wrong values, were the oracle to read it.
+        object.__setattr__(theta, "moments", (kept[0], kept[1] + 1.0, *kept[2:4], {}))
+        for m, a in (("renyi", 0.5), ("shannon", None)):
+            est = O.oracle_measure(em.POISSON, m, theta, None, a)
+            fresh = O.oracle_measure(em.POISSON, m, _poisson_theta(10.0), None, a)
+            assert est.value == fresh.value
+
+    @pytest.mark.parametrize("rate", _RATES)
+    def test_concurrent_readers_get_a_fresh_members_bits(self, rate):
+        # Four threads race the sweep's entropy cells on one fresh member, each from
+        # another starting cell, so that they widen and publish the record in turn.
+        partner = _poisson_theta(1.3 * rate)
+        cells = [("renyi", 0.005), *_POISSON_ENTROPY_CELLS] if rate <= 1.0 else _POISSON_ENTROPY_CELLS
+        want = {c: _entropy_bits(_poisson_theta(rate), [c], partner)[0] for c in cells}
+        theta = _poisson_theta(rate)
+        start = threading.Barrier(4, timeout=30)
+
+        def read(shift):
+            order = cells[shift:] + cells[:shift]
+            start.wait()  # all four threads find the member bare
+            return dict(zip(order, _entropy_bits(theta, order, partner)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(read, (0, 3, 7, 11)))
         finally:
             sys.setswitchinterval(interval)
         assert results == [want] * 4

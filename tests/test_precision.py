@@ -15,7 +15,7 @@ import pytest
 
 import efmeasures as em
 from efmeasures import measures as M
-from efmeasures.errors import MixedParameterError
+from efmeasures.errors import ConvergenceError, MixedParameterError
 from efmeasures.families import NaturalParam
 
 from conftest import ALL_FAMILY_NAMES, make_family, random_theta_pair
@@ -255,6 +255,48 @@ def test_small_orders_keep_the_digits_of_log_alpha(name, alpha):
     want = reference(name, "tsallis", theta, None, alpha)
     got = _evaluate(fam, "tsallis", theta, None, alpha)
     assert _rel_error(got, want) <= 1e-15 * renyi, (got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _poisson_power_sum(theta: float, alpha: float):
+    """sum_k p_k^alpha at 50 digits, from k = 0 on until the tail, at most t_k r / (1 - r)
+    for the falling ratio r = t_k / t_(k-1) of these log-concave terms, is below 1e-60."""
+    with mpmath.workdps(DPS):
+        rate, a = _source("poisson", NaturalParam([theta])), mpf(alpha)
+        log_rate, log_p = mpmath.log(rate), -rate
+        total, last, k = mpf(0), None, 0
+        while True:
+            term = mpmath.exp(a * log_p)
+            total += term
+            if last is not None and term < last:
+                r = term / last
+                if term * r / (1 - r) < mpf(10) ** -60 * total:
+                    return total
+            last, k = term, k + 1
+            log_p += log_rate - mpmath.log(k)
+
+
+# Small orders at small rates: the terms (k!)^-alpha decay slowly, and the four windows
+# around the rate fell short (ConvergenceError); a fifth, sized from the tail bound, holds them.
+_SMALL_ORDERS = [(1.0, 0.005), (1.0, 0.002), (0.1, 0.005)]
+
+
+@pytest.mark.parametrize("measure", ["renyi", "tsallis"])
+@pytest.mark.parametrize("rate, alpha", _SMALL_ORDERS, ids=[f"{r:g}-{a:g}" for r, a in _SMALL_ORDERS])
+def test_poisson_small_orders_converge(rate, alpha, measure):
+    theta = em.POISSON.to_natural(em.PoissonParams(rate=rate))
+    with mpmath.workdps(DPS):
+        power, a = _poisson_power_sum(float(theta.vector[0]), alpha), mpf(alpha)
+        want = mpmath.log(power) / (1 - a) if measure == "renyi" else (power - 1) / (1 - a)
+    got = _evaluate(em.POISSON, measure, theta, None, alpha)
+    assert _rel_error(got, float(want)) <= 1e-13, (got, float(want))
+
+
+def test_poisson_order_whose_window_passes_the_cap_still_raises():
+    # At rate 1 and alpha = 1e-8 the tail bound asks for ~3e8 counts, past the 2^22 cap.
+    theta = em.POISSON.to_natural(em.PoissonParams(rate=1.0))
+    with pytest.raises(ConvergenceError):
+        _evaluate(em.POISSON, "renyi", theta, None, 1e-8)
 
 
 # Renyi entropies where alpha theta leaves the float range, or underflows to the domain's
