@@ -494,7 +494,10 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
             ))
             lo, hi = max(0, lo - max(downs)), hi + max(ups)
             if not hi - lo < _SERIES_MAX_COUNTS:
-                break
+                raise ConvergenceError(
+                    f"a count series did not converge: its tail bound asks for a window of "
+                    f"{hi - lo:.3g} counts, past the cap of {_SERIES_MAX_COUNTS} (2^22)"
+                )
         else:
             half = widen * (spread * math.sqrt(high) + 20.0)
             if half >= _SERIES_MAX_COUNTS:  # from a peak of ~1e35 on, high + half rounds to high
@@ -520,7 +523,10 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
             if ts.ndim == 1:
                 return totals[0], abs_totals[0], tails[0], ks.size
             return totals, abs_totals, tails, ks.size
-    raise ConvergenceError("a count series did not converge within 8 widenings of its window")
+    raise ConvergenceError(
+        "a count series did not converge within five windows: four of doubling width "
+        "and one sized by its tail bound"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ rules for z ~ N(0, I_d) (Stroud, Approximate Calculation of Multiple
 Integrals, 1971; at d = 1 the 2- and 3-point Gauss-Hermite rules), and the
 1- and 2-point Gauss-Laguerre rules for z ~ Exp(1). The value is the finer
 rule's sum, and its bound the gap between the two rules plus rounding, which
-is at the rounding level.
+is at the rounding level. Rules run node by node on floats, one ``np.exp`` a rule.
 
 Summed terms carry a rounding bound proportional to the magnitudes their
 exponents are computed from, not to the exponents: at a Poisson rate of 900,
@@ -38,9 +38,9 @@ Renyi value divides by |1 - alpha|, keeps a rounding bound of order eps.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -116,21 +116,23 @@ class _Integrand:
     b: tuple[float, ...] | None = None
 
 
-def _terms(logs, mags, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | float]:
-    """An integrand's terms w exp(e) from log-densities at an array of points,
-    a bound on each term's rounding error, and exp(e) and w themselves.
+def _combine(coeffs, logs, mags) -> tuple:
+    """sum_j c_j log p_j and sum_j |c_j| mag_j, mag_j the summed magnitudes of the pieces
+    log p_j is computed from; each is a point's float or an array, added left to right."""
+    total = mag = 0
+    for c, v, u in zip(coeffs, logs, mags):
+        total += c * v
+        mag += abs(c) * u
+    return total, mag
 
-    ``mags`` holds, per log-density, the summed magnitudes of the pieces it
-    was computed from, which its rounding error scales with.
-    """
-    e = sum(c * v for c, v in zip(a, logs))
-    m = 1.0 + sum(abs(c) * v for c, v in zip(a, mags))
-    p = np.exp(e)
+
+def _terms(p, mag, logs, mags, b) -> tuple:
+    """An integrand's terms w exp(e), given p = exp(e) and the magnitudes ``mag``
+    e is combined from; a bound on each term's rounding error; and w itself."""
     if b is None:
-        return p, _ROUNDING_ULPS * _EPS * p * m, p, 1.0
-    w = sum(c * v for c, v in zip(b, logs))
-    mw = sum(abs(c) * v for c, v in zip(b, mags))
-    return w * p, _ROUNDING_ULPS * _EPS * p * (np.abs(w) * m + mw), p, w
+        return p, _ROUNDING_ULPS * _EPS * p * (1.0 + mag), 1.0
+    w, mw = _combine(b, logs, mags)
+    return w * p, _ROUNDING_ULPS * _EPS * p * (abs(w) * (1.0 + mag) + mw), w
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +175,9 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
 
     def terms(ks):
         logs, mags = _log_masses(fam, members, ks)
-        ts, rounding, _, _ = _terms([logs[0], *logs], [np.abs(logs[0]), *mags], coeffs, weights)
+        pieces = [logs[0], *logs], [np.abs(logs[0]), *mags]
+        e, mag = _combine(coeffs, *pieces)
+        ts, rounding, _ = _terms(np.exp(e), mag, *pieces, weights)
         last.update(ks=ks, ts=ts, rounding=rounding, ps=np.exp(logs[0]), mag_p=mags[0])
         return ts
 
@@ -207,7 +211,7 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
 # --------------------------------------------------------------------------
 
 
-def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, list[float]]:
     """A degree-3 rule for E[h(z)], z ~ N(0, I_d): nodes and log weights.
 
     Without the origin: the 2d points +-sqrt(d) e_i, each with weight 1/(2d).
@@ -221,29 +225,29 @@ def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, np.ndarray]:
     if origin:
         nodes = np.concatenate([np.zeros((1, d)), nodes])
         weights = np.concatenate([[2.0 / r2], weights])
-    return nodes, np.log(weights)
+    return nodes, np.log(weights).tolist()
 
 
-# The 2- and 3-point Gauss-Hermite rules for z ~ N(0, 1), nodes as a vector.
-_HERMITE_RULES = [(z[:, 0], log_w) for z, log_w in (_symmetric_rule(1, o) for o in (False, True))]
+# The 2- and 3-point Gauss-Hermite rules for z ~ N(0, 1), nodes as floats.
+_HERMITE_RULES = [(z[:, 0].tolist(), w) for z, w in map(_symmetric_rule, (1, 1), (False, True))]
 
 # The 1- and 2-point Gauss-Laguerre rules for z ~ Exp(1), exact to degree 1 and 3.
 _ROOT2 = math.sqrt(2.0)
 _LAGUERRE_RULES = [
-    (np.array([1.0]), np.array([0.0])),
-    (np.array([2.0 - _ROOT2, 2.0 + _ROOT2]), np.log([(2.0 + _ROOT2) / 4.0, (2.0 - _ROOT2) / 4.0])),
+    ([1.0], [0.0]),
+    ([2.0 - _ROOT2, 2.0 + _ROOT2], np.log([(2.0 + _ROOT2) / 4.0, (2.0 - _ROOT2) / 4.0]).tolist()),
 ]
 
 
 def _two_rules(integrand: _Integrand, rules, log_densities, moves=None) -> OracleEstimate:
-    """E_g[integrand / g] over a coarse and a fine rule for z, with
-    ``log_densities(z)`` the members' and then g's log-densities at the nodes
-    and the summed magnitudes of their pieces: the value is the fine rule's
-    sum, and the bound its gap to the coarse one plus rounding. ``moves(zs)``
-    lists per member the first-order changes of its log-density at the nodes
-    zs under each rounding of its recovered parameters; the bound adds the fine
-    sum's change under each, summed with signs like the value, since they move
-    the members, not the terms."""
+    """E_g[integrand / g] over a coarse and a fine rule for z, with ``log_densities(z)``
+    the members' and then g's log-densities at the nodes and the summed magnitudes of their
+    pieces, as lists of floats: the value is the fine rule's sum, and the bound its gap to the
+    coarse one plus rounding. Each node's terms are evaluated on floats, cheaper than numpy on a
+    few points, with one ``np.exp`` per rule. ``moves(zs)`` lists per member the first-order
+    changes of its log-density at the nodes zs under each rounding of its recovered parameters;
+    the bound adds the fine sum's change under each, summed with signs like the value, since
+    they move the members, not the terms."""
     # The proposal g enters with coefficient -1, and the rule's log weights
     # as one more log-density with coefficient 1.
     a = (*integrand.a, -1.0, 1.0)
@@ -251,16 +255,17 @@ def _two_rules(integrand: _Integrand, rules, log_densities, moves=None) -> Oracl
     sums = []
     for z, log_w in rules:
         logs, mags = log_densities(z)
-        ts, rounding, p, w = _terms([*logs, log_w], [*mags, np.abs(log_w)], a, b)
-        sums.append((math.fsum(ts.tolist()), float(rounding.sum())))
-    (coarse, _), (value, rounding) = sums
+        logs, mags = list(zip(*logs, log_w)), list(zip(*mags, map(abs, log_w)))
+        es, ms = zip(*map(_combine, repeat(a), logs, mags))
+        ps = np.exp(es).tolist()
+        ts, rounding, ws = zip(*map(_terms, ps, ms, logs, mags, repeat(b)))
+        sums.append(math.fsum(ts))
+    coarse, value = sums
+    rounding = float(np.add.reduce(rounding))  # in numpy's order, as over an array
     if moves is not None:
-        # d(w exp(e)) / d log p_j = (a_j w + b_j) exp(e), at the fine rule's nodes
-        # z (few: plain floats cost less than numpy calls).
-        ps = p.tolist()
-        ws = [1.0] * len(ps) if b is None else w.tolist()
+        # d(w exp(e)) / d log p_j = (a_j w + b_j) exp(e), at the fine rule's nodes z.
         bs = integrand.b or [0.0] * len(integrand.a)
-        for a_j, b_j, changes in zip(integrand.a, bs, moves(z.tolist())):
+        for a_j, b_j, changes in zip(integrand.a, bs, moves(z)):
             slopes = [(a_j * wn + b_j) * pn for wn, pn in zip(ws, ps)]
             for d in changes:
                 rounding += abs(math.fsum(map(float.__mul__, slopes, d)))
@@ -274,7 +279,7 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
     zero-mean Laplacian one, whose integrands depend on |x| only. Member j's
     log-density is -u_j - n_j there, with u_j = y_j^2 / 2 or y_j for a y_j
     affine in z."""
-    members = [fam.from_natural(m) for m in (*integrand.members, proposal)]
+    members = list(map(fam.from_natural, (*integrand.members, proposal)))
     g = members[-1]
     gaussian = isinstance(g, GaussianParams)
     if gaussian:
@@ -291,10 +296,18 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
         affine = [(0.0, p.rate / g.rate) for p in members]
         norms = [-math.log(p.rate) for p in members]
 
-    def log_densities(z):
-        ys = [shift + lin * z for shift, lin in affine]
-        us = [0.5 * y * y for y in ys] if gaussian else ys
-        return [-u - n for u, n in zip(us, norms)], [u + abs(n) for u, n in zip(us, norms)]
+    # Loops, not comprehensions: before Python 3.12 each comprehension is a function call.
+    def log_densities(zs):
+        logs, mags = [], []
+        for (shift, lin), n in zip(affine, norms):
+            logs.append([])
+            mags.append([])
+            for z in zs:
+                y = shift + lin * z
+                u = 0.5 * y * y if gaussian else y
+                logs[-1].append(-u - n)
+                mags[-1].append(u + abs(n))
+        return logs, mags
 
     def moves(zs):
         # from_natural's var = -1 / (2 t2) and mu = t1 var carry up to eps var_j and
@@ -343,14 +356,14 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
         logs, mags = [], []
         for y, norm in zip([shift + z @ lin.T for shift, lin, _ in affine] + [z], norms):
             half = 0.5 * np.einsum("ij,ij->i", y, y)
-            logs.append(-half - norm)
-            mags.append(half + abs(norm))
+            logs.append((-half - norm).tolist())
+            mags.append((half + abs(norm)).tolist())
         return logs, mags
 
     def moves(zs):
         # A change dmu_j of member j's mean moves its log-density by y_j^T P_j^T dmu_j:
         # one change per coordinate i, |dmu_ji| up to the rounding bound of mu_ji.
-        return [((shift + np.asarray(zs) @ lin.T) @ dmu).T.tolist() for shift, lin, dmu in affine]
+        return [((shift + zs @ lin.T) @ dmu).T.tolist() for shift, lin, dmu in affine]
 
     rules = [_symmetric_rule(fam.dim, origin) for origin in (False, True)]
     return _two_rules(integrand, rules, log_densities, moves)
@@ -362,18 +375,11 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
 
 
 def _integrate(
-    fam: Family,
-    integrand: _Integrand,
-    *,
-    around,
-    proposal: NaturalParam,
-    alpha: float = 1.0,
+    fam: Family, integrand: _Integrand, *, around, proposal: NaturalParam, alpha: float = 1.0
 ) -> OracleEstimate:
-    """Integrate or sum ``integrand`` over the support.
-
-    A count series centres its window on the modes of the members
-    ``around``, as wide as a p^alpha power needs; the continuous rules run
-    under ``proposal``, the member whose density the integrand is closest to.
+    """Integrate or sum ``integrand`` over the support. A count series centres its
+    window on the modes of the members ``around``, as wide as a p^alpha power needs;
+    the continuous rules run under ``proposal``, the member the integrand is closest to.
     """
     if fam.support.is_discrete:
         return _series(fam, integrand, around, alpha)
@@ -491,27 +497,25 @@ def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> f
 def _renyi(est: OracleEstimate, denom: float) -> OracleEstimate:
     """log(I) / denom for a power integral I, with denom = +-(1 - alpha)."""
     err = est.error_bound / (abs(est.value) * abs(denom))
-    return dataclasses.replace(est, value=math.log(est.value) / denom, error_bound=err)
+    return OracleEstimate(math.log(est.value) / denom, err, est.method, est.evaluations)
 
 
 def _tsallis(est: OracleEstimate, denom: float) -> OracleEstimate:
     """(I - 1) / denom for a power integral I, with denom = +-(1 - alpha)."""
-    return dataclasses.replace(
-        est, value=(est.value - 1.0) / denom, error_bound=est.error_bound / abs(denom)
-    )
+    err = est.error_bound / abs(denom)
+    return OracleEstimate((est.value - 1.0) / denom, err, est.method, est.evaluations)
 
 
 def _jensen(est: OracleEstimate) -> OracleEstimate:
-    return dataclasses.replace(
-        est, value=-math.log(est.value), error_bound=est.error_bound / abs(est.value)
-    )
+    err = est.error_bound / abs(est.value)
+    return OracleEstimate(-math.log(est.value), err, est.method, est.evaluations)
 
 
 def _hellinger(est: OracleEstimate) -> OracleEstimate:
     gap = max(0.0, 1.0 - est.value)
     # d sqrt(1-b)/db = -1/(2 sqrt(1-b)); guard the coincident-member case.
     err = est.error_bound / (2.0 * math.sqrt(max(gap, 1e-12)))
-    return dataclasses.replace(est, value=math.sqrt(gap), error_bound=err)
+    return OracleEstimate(math.sqrt(gap), err, est.method, est.evaluations)
 
 
 # How each measure is assembled from the oracle primitives, keyed and ordered
@@ -537,12 +541,8 @@ _ASSEMBLY = {
 
 
 def oracle_measure(
-    fam: Family,
-    measure: str,
-    theta: NaturalParam,
-    theta2: NaturalParam | None = None,
-    alpha: float | None = None,
-    cfg: OracleConfig = OracleConfig(),
+    fam: Family, measure: str, theta: NaturalParam, theta2: NaturalParam | None = None,
+    alpha: float | None = None, cfg: OracleConfig = OracleConfig(),
 ) -> OracleEstimate:
     """Numerical value of a named measure, assembled from oracle primitives only.
 

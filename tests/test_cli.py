@@ -612,15 +612,20 @@ class TestVerifyCommand:
         _, second, _ = run_cli(*args)
         assert first == second
 
-    def test_seed_does_not_move_cubature_rows(self):
-        # The built-in mvn pair is two-dimensional, so each cell runs the two
-        # symmetric cubature rules (4 + 5 nodes); nothing is sampled.
-        code, out, _ = run_cli("verify", "--family", "mvn", "--output", "csv")
+    @pytest.mark.parametrize("family, nodes", [
+        ("mvn", 9), ("gaussian", 5), ("exponential", 3), ("laplacian", 3)
+    ])
+    def test_seed_does_not_move_cubature_rows(self, family, nodes):
+        # Each cell runs two cubature rules and samples nothing: the built-in mvn pair
+        # is two-dimensional (symmetric rules of 4 + 5 nodes), a Gaussian runs the 2- and
+        # 3-point Gauss-Hermite rules, an exponential or Laplacian the 1- and 2-point
+        # Gauss-Laguerre ones.
+        code, out, _ = run_cli("verify", "--family", family, "--output", "csv")
         assert code == 0
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 31
         assert {(r["oracle_method"], r["oracle_evaluations"], r["pass"]) for r in rows} == {
-            ("cubature", "9", "true")
+            ("cubature", str(nodes), "true")
         }
 
 

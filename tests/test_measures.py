@@ -1193,6 +1193,14 @@ class TestPoissonSeries:
             F.count_series(terms, [1.0])
         assert len(windows) == 4
 
+    def test_a_fifth_window_past_the_cap_names_the_window_and_the_cap(self):
+        # At rate 1 and alpha = 1e-8 the tail bound asks for ~3.3e8 counts, past 2^22.
+        theta = em.POISSON.to_natural(em.PoissonParams(rate=1.0))
+        want = (r"did not converge: its tail bound asks for a window of 3\.26e\+08 counts, "
+                r"past the cap of 4194304 \(2\^22\)")
+        with pytest.raises(ConvergenceError, match=want):
+            M.evaluate_measure(em.POISSON, "renyi", theta, None, 1e-8)
+
 
 # --------------------------------------------------------------------------
 # A Poisson member keeps its window's log-masses and each order's (H, G).

@@ -370,6 +370,27 @@ class TestHonestBounds:
         assert est.method == O.DISCRETE_SUM
         assert abs(est.value - want) <= est.error_bound < closed_form_error, (est, want)
 
+    @pytest.mark.parametrize("name", ["exponential", "laplacian", "gaussian"])
+    def test_cubature_bound_covers_mpmath_on_every_verify_cell(self, name):
+        # `verify`'s pair in both orders and six seeded pairs: 248 cells a family.
+        pytest.importorskip("mpmath")
+        from test_precision import reference
+
+        fam = make_family(name)
+        p, q = (fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS[name])
+        rng = np.random.default_rng(11)
+        pairs = [(p, q), (q, p), *(random_theta_pair(name, rng) for _ in range(6))]
+        uncovered, cells = [], 0
+        for p, q in pairs:
+            for measure, alpha in cli.VERIFY_CELLS:
+                second = q if M.measure_needs_pair(measure) else None
+                est = O.oracle_measure(fam, measure, p, second, alpha)
+                want = reference(name, measure, p, second, alpha)
+                cells += 1
+                if not abs(est.value - want) <= est.error_bound:
+                    uncovered.append((measure, alpha, est, want))
+        assert cells == 248 and not uncovered, uncovered
+
 
 class TestGaussianMembersFarFromOrigin:
     """The oracle recovers each Gaussian member as var = -1 / (2 t2), mu = t1 var,
