@@ -110,6 +110,7 @@ _MATRIX_ASYMMETRY_TOL = 1e-9
 # share of the summed magnitudes, and raises rather than hold a window this wide.
 _SERIES_TAIL = 2.0**-60
 _SERIES_MAX_COUNTS = 2**22
+_EDGES = np.array([0, 1, -2, -1])  # a window's two terms at each edge
 
 _MIXED = "mixed parameter alpha*theta + (1-alpha)*theta' at alpha={:g}"
 
@@ -322,14 +323,15 @@ def _whitened_gaps(fam, alpha: float, axes, swap: bool = False):
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular factor by forward substitution, row by row,
-    scaling by the reciprocal diagonal as LAPACK's triangular solve does."""
-    d = chol.shape[0]
+    """Inverse of a lower-triangular factor, or of each in a stack, by forward substitution,
+    row by row, scaling by the reciprocal diagonal as LAPACK's triangular solve does."""
+    d = chol.shape[-1]
     identity = np.eye(d)
-    inv_diag = 1.0 / np.diag(chol)
-    out = np.zeros((d, d))
+    inv_diag = 1.0 / np.diagonal(chol, 0, -2, -1)
+    out = np.zeros(chol.shape)
     for i in range(d):
-        out[i] = (identity[i] - chol[i, :i] @ out[:i]) * inv_diag[i]
+        solved = (chol[..., i, None, :i] @ out[..., :i, :])[..., 0, :]  # row i times rows < i
+        out[..., i, :] = (identity[i] - solved) * inv_diag[..., i, None]
     return out
 
 
@@ -388,9 +390,7 @@ class MultivariateGaussianParams:
             raise ParameterDomainError("mu must be a finite vector")
         cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape != (mu.size, mu.size):
-            raise ParameterDomainError(
-                f"cov must be {mu.size}x{mu.size}, got shape {cov.shape}"
-            )
+            raise ParameterDomainError(f"cov must be {mu.size}x{mu.size}, got shape {cov.shape}")
         if not np.all(np.isfinite(cov)):
             raise ParameterDomainError("cov must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
@@ -512,13 +512,13 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
         with np.errstate(over="ignore", invalid="ignore"):
             ts = np.asarray(terms(ks), dtype=float)
         rows = ts.reshape(-1, ks.size)
-        totals = rows.sum(axis=1).tolist()
+        totals = np.add.reduce(rows, axis=1).tolist()
         if not all(map(math.isfinite, totals)):
             raise ConvergenceError("a count series term is not finite")
         mags = np.abs(rows)
-        edges = mags[:, [0, 1, -2, -1]].tolist()
+        edges = mags.take(_EDGES, axis=1).tolist()
         tails = [_tail(e3, e2) + (_tail(e0, e1) if lo > 0 else 0.0) for e0, e1, e2, e3 in edges]
-        abs_totals = mags.sum(axis=1).tolist()
+        abs_totals = np.add.reduce(mags, axis=1).tolist()
         if all(t <= _SERIES_TAIL * a for t, a in zip(tails, abs_totals)):
             if ts.ndim == 1:
                 return totals[0], abs_totals[0], tails[0], ks.size
@@ -992,9 +992,7 @@ class BernoulliFamily(Family):
     def grad_inverse(self, eta: NaturalParam) -> Member:
         e = float(np.atleast_1d(eta.vector)[0])
         if not (math.isfinite(e) and 0.0 < e < 1.0):
-            raise ExpectationDomainError(
-                f"{self.name}: mean statistic must lie in (0, 1), got {e}"
-            )
+            raise ExpectationDomainError(f"{self.name}: mean statistic must lie in (0, 1), got {e}")
         return self.member(NaturalParam([math.log(e) - math.log1p(-e)]))
 
     def _entropy(self, theta: NaturalParam) -> float:
@@ -1085,9 +1083,7 @@ class GaussianFamily(Family):
             raise ValueError(f"{self.name}: expected 2 expectation coordinates")
         var = float(e[1] - e[0] * e[0])
         if not (math.isfinite(var) and var > 0):
-            raise ExpectationDomainError(
-                f"{self.name}: implied variance must be > 0, got {var}"
-            )
+            raise ExpectationDomainError(f"{self.name}: implied variance must be > 0, got {var}")
         return self.to_natural(GaussianParams(mu=float(e[0]), var=var))
 
     def _entropy(self, theta: NaturalParam) -> float:
@@ -1239,12 +1235,11 @@ class MultivariateGaussianFamily(Family):
         if pair is None or pair[0]() is not b:  # b held weakly: no new object at its address
             pair = (weakref.ref(b), self._whiten(a, b))
             object.__setattr__(a, "pair", pair)  # outside _MOMENTS_FILL: _whiten reads _moments
-        g, lam, z = pair[1]  # log lam as the loop reaches each axis: none past a break
-        return _whitened_gaps(self, alpha, zip(g, lam, map(math.log, lam), z), swap)
+        return _whitened_gaps(self, alpha, zip(*pair[1]), swap)
 
     def _whiten(self, a: Member, b: Member):
-        """(g, lam = 1 + g, z) of the pair, for every order. Whitened by a's factor C, b's
-        precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, and the mixture's is weighted I + G;
+        """(g, lam = 1 + g, log lam, z) of the pair, for every order. Whitened by a's factor C,
+        b's precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, and the mixture's is weighted I + G;
         in G's eigenbasis U, the mean step is z = U^T C^-1 w for w = v_a - v_b + 2 (M_a -
         M_b) mu_b, since mu_a - mu_b = C^-T C^-1 w."""
         inv_a, (mean_b, _, inv_b, _) = self._moments(a)[2], self._moments(b)
@@ -1254,10 +1249,16 @@ class MultivariateGaussianFamily(Family):
         g, lam, z = g.tolist(), (1.0 + g).tolist(), z.tolist()
         if g[0] <= -0.5:  # lam to eps of itself, not of the largest: 1 / u^T (I + G)^-1 u
             y = inv_b @ a.factor @ basis
-            rq = (1.0 / (y * y).sum(axis=0)).tolist()
+            with np.errstate(over="ignore", divide="ignore"):  # out of range: log lam from log |y|
+                rq = (1.0 / (y * y).sum(axis=0)).tolist()
+                log_rq = (-np.logaddexp.reduce(2.0 * np.log(np.abs(y)), axis=0)).tolist()
             lam = [l if x > -0.5 else q for x, l, q in zip(g, lam, rq)]
             g = [x if x > -0.5 else l - 1.0 for x, l in zip(g, lam)]
-        return g, lam, z
+        # lam is over 1/2 unless refined: its log is math.log's wherever it is a normal float.
+        log_lam = [
+            math.log(l) if 2.0**-1022 <= l < math.inf else log_rq[i] for i, l in enumerate(lam)
+        ]
+        return g, lam, log_lam, z
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
         if eta.matrix is None or eta.vector.size != self.dim:
@@ -1337,9 +1338,7 @@ class CenteredLaplacianFamily(Family):
     def grad_inverse(self, eta: NaturalParam) -> Member:
         e = float(np.atleast_1d(eta.vector)[0])
         if not (math.isfinite(e) and e > 0):
-            raise ExpectationDomainError(
-                f"{self.name}: mean absolute value must be > 0, got {e}"
-            )
+            raise ExpectationDomainError(f"{self.name}: mean absolute value must be > 0, got {e}")
         return self.member(NaturalParam([-1.0 / e]))
 
     def _entropy(self, theta: NaturalParam) -> float:

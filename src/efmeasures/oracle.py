@@ -1,52 +1,51 @@
 """Independent numerical verification of the closed forms.
 
-``oracle_measure`` is the one entry point per measure, public beside the
-power integrals it reads. Each measure is recomputed directly from the
-members' log-densities: exact rules of a few nodes for the continuous
-families, and windowed summation with a certified tail bound for the
-discrete ones. Nothing in this module consults ``measures``.
+``oracle_measure`` is the one entry point per measure, public beside the power integrals it
+reads. Each measure is recomputed directly from the members' log-densities: exact rules of a
+few nodes for the continuous families, and windowed summation with a certified tail bound for
+the discrete ones. Nothing in this module consults ``measures``.
 
-Every log-density is built from source parameters (a rate, a scale, a
-Gaussian mean and variance or precision Cholesky), never from the
-log-normalizer F. Every family log-density subtracts F, so a sum of
-``log_density_batch`` values would reproduce F's differences term by term
-and agree with a wrong F.
+Every log-density is built from source parameters (a rate, a scale, a Gaussian mean and
+variance or precision Cholesky), never from the log-normalizer F. Every family log-density
+subtracts F, so a sum of ``log_density_batch`` values would reproduce F's differences term by
+term and agree with a wrong F.
 
-The continuous integrals are expectations under a proposal member g: the
-alpha-scaled member for power integrals, the alpha-mixture for cross
-integrals and p itself otherwise. Within an exponential family p^a q^(1-a)
-is a constant times another member, so every integrand divided by g is a
-constant or a polynomial of degree at most 2 in the standardized variable:
-z = (x - m) / s for a Gaussian g = N(m, s^2) (or x = m + L z with L = P^-T
-for the factor P P^T of its precision), and z = |x| / scale for an
-exponential or zero-mean Laplacian g, under which z is Exp(1). Two rules
-integrate that exactly: the 2- and 2d + 1-node fully symmetric degree-3
-rules for z ~ N(0, I_d) (Stroud, Approximate Calculation of Multiple
-Integrals, 1971; at d = 1 the 2- and 3-point Gauss-Hermite rules), and the
-1- and 2-point Gauss-Laguerre rules for z ~ Exp(1). The value is the finer
-rule's sum, and its bound the gap between the two rules plus rounding, which
-is at the rounding level. Rules run node by node on floats, one ``np.exp`` a rule.
+The continuous integrals are expectations under a proposal member g: the alpha-scaled member
+for power integrals, the alpha-mixture for cross integrals and p itself otherwise. Within an
+exponential family p^a q^(1-a) is a constant times another member, so every integrand divided
+by g is a constant or a polynomial of degree at most 2 in the standardized variable: z = (x -
+m) / s for a Gaussian g = N(m, s^2) (or x = m + L z with L = P^-T for the factor P P^T of its
+precision), and z = |x| / scale for an exponential or zero-mean Laplacian g, under which z is
+Exp(1). Two rules integrate that exactly: the 2- and 2d + 1-node fully symmetric degree-3
+rules for z ~ N(0, I_d) (Stroud, Approximate Calculation of Multiple Integrals, 1971; at d = 1
+the 2- and 3-point Gauss-Hermite rules), and the 1- and 2-point Gauss-Laguerre rules for z ~
+Exp(1). The value is the finer rule's sum, and its bound the gap between the two rules plus
+rounding, which is at the rounding level. Both rules run node by node on floats, with one
+``np.exp`` a cell; an mvn cell factors its members and proposal as one stack.
 
-Summed terms carry a rounding bound proportional to the magnitudes their
-exponents are computed from, not to the exponents: at a Poisson rate of 900,
-log p(k) is about -4 but is summed from pieces of size ~6000. A series is
-divided by the summed masses of its first member p, computed from the same
-log p(k), so that rounding cancels except through the spread of the
-integrand over p around the value: a power integral near alpha = 1, whose
-Renyi value divides by |1 - alpha|, keeps a rounding bound of order eps.
+Summed terms carry a rounding bound proportional to the magnitudes their exponents are
+computed from, not to the exponents: at a Poisson rate of 900, log p(k) is about -4 but is
+summed from pieces of size ~6000. A series is divided by the summed masses of its first member
+p, computed from the same log p(k), so that rounding cancels except through the spread of the
+integrand over p around the value: a power integral near alpha = 1, whose Renyi value divides
+by |1 - alpha|, keeps a rounding bound of order eps. A binary support's two points are summed
+on floats, and a count window's terms as stacked rows, a few array operations a window. A
+measure assembled from an integral adds the rounding of the operations that finish it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NaturalDomainError
 from .families import Family, GaussianParams, LaplacianParams
-from .families import NaturalParam, _log_factorials, _lower_inverse, _tail, count_series
+from .families import NaturalParam, _EDGES, _log_factorials, _lower_inverse, _tail, count_series
 
 __all__ = [
     "OracleConfig",
@@ -73,14 +72,10 @@ _ROUNDING_ULPS = 4.0
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """The last argument of ``oracle_measure``, accepted and read by nothing:
-    every oracle backend is an exact rule or a certified sum, with nothing to
-    tune or sample. No other oracle function takes it.
-
-    It and ``mc_samples`` and ``seed``, validated, remain only because the
-    benchmark harness (``bench/workloads.py``, ``bench/probe.py``) still
-    builds it and passes it to ``oracle_measure``, and go once it stops.
-    """
+    """The last argument of ``oracle_measure``, accepted and read by nothing: every oracle
+    backend is an exact rule or a certified sum, with nothing to tune or sample. It and its
+    validated ``mc_samples`` and ``seed`` remain only because the benchmark harness
+    (``bench/workloads.py``, ``bench/probe.py``) still passes it, and go once it stops."""
 
     mc_samples: int = 1_000_000
     seed: int = 0
@@ -106,8 +101,7 @@ class OracleEstimate:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class _Integrand:
+class _Integrand(NamedTuple):
     """w(x) exp(e(x)), with e = sum_j a_j log p_j(x) and w = sum_j b_j log p_j(x)
     over ``members`` (w = 1 when ``b`` is None)."""
 
@@ -117,8 +111,8 @@ class _Integrand:
 
 
 def _combine(coeffs, logs, mags) -> tuple:
-    """sum_j c_j log p_j and sum_j |c_j| mag_j, mag_j the summed magnitudes of the pieces
-    log p_j is computed from; each is a point's float or an array, added left to right."""
+    """sum_j c_j log p_j and sum_j |c_j| mag_j at one point, mag_j the summed magnitudes of the
+    pieces log p_j is computed from, added left to right."""
     total = mag = 0
     for c, v, u in zip(coeffs, logs, mags):
         total += c * v
@@ -126,13 +120,13 @@ def _combine(coeffs, logs, mags) -> tuple:
     return total, mag
 
 
-def _terms(p, mag, logs, mags, b) -> tuple:
-    """An integrand's terms w exp(e), given p = exp(e) and the magnitudes ``mag``
-    e is combined from; a bound on each term's rounding error; and w itself."""
-    if b is None:
-        return p, _ROUNDING_ULPS * _EPS * p * (1.0 + mag), 1.0
-    w, mw = _combine(b, logs, mags)
-    return w * p, _ROUNDING_ULPS * _EPS * p * (abs(w) * (1.0 + mag) + mw), w
+def _terms(p, mag, w=1.0, mw=None) -> tuple:
+    """An integrand's terms w exp(e) and a bound on each one's rounding error, given
+    p = exp(e) and w, and the magnitudes ``mag`` and ``mw`` they are combined from
+    (w = 1 when ``mw`` is None)."""
+    if mw is None:
+        return p, _ROUNDING_ULPS * _EPS * p * (1.0 + mag)
+    return w * p, _ROUNDING_ULPS * _EPS * p * (abs(w) * (1.0 + mag) + mw)
 
 
 # --------------------------------------------------------------------------
@@ -140,70 +134,92 @@ def _terms(p, mag, logs, mags, b) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def _log_masses(fam: Family, members, ks: np.ndarray):
-    """Each member's log-masses at the counts ks, and the summed magnitudes of
-    the pieces each is computed from."""
-    thetas = [float(m.vector[0]) for m in members]
-    if fam.support.kind == "binary":
-        # x theta - log(1 + e^theta) = -log(1 + e^((1 - 2x) theta)), which cannot overflow.
-        logs = [-np.logaddexp(0.0, (1.0 - 2.0 * ks) * t) for t in thetas]
-        return logs, [np.abs(v) for v in logs]
-    # log p(k) = k log(rate) - rate - log k!, from the source rate; theta is log(rate).
-    lf = _log_factorials(ks)
-    rates = [fam.from_natural(m).rate for m in members]
-    logs = [ks * t - r - lf for t, r in zip(thetas, rates)]
-    return logs, [ks * abs(t) + r + lf for t, r in zip(thetas, rates)]
-
-
 def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleEstimate:
-    """Add the terms over the support: both points of a binary one, or a window
-    of counts around the rates of ``around``, as wide as a p^alpha power needs.
+    """Add the terms over the support: both points of a binary one, or a window of counts
+    around the rates of ``around``, as wide as a p^alpha power needs.
 
-    The terms t_k = exp(log p_k + r_k) are built on the first member's log-mass
-    log p_k, with r_k the rest of the exponent, and their sum is divided by the
-    sum of the masses p_k = exp(log p_k) over the same counts: p sums to 1 over
-    the support, and rounding log p_k then scales t_k and p_k alike. The
-    integrand p itself is summed as it is, so that its sum still checks the
-    log-masses.
+    The terms t_k = exp(log p_k + r_k) are built on the first member's log-mass log p_k, with
+    r_k the rest of the exponent, and their sum is divided by the sum of the masses p_k =
+    exp(log p_k) over the same counts: p sums to 1 over the support, and rounding log p_k then
+    scales t_k and p_k alike. The integrand p itself is summed as it is, so that its sum still
+    checks the log-masses.
     """
     members, a, b = integrand.members, integrand.a, integrand.b
     # The first member enters once more as the base p, with coefficient 1 and
     # its value as magnitude: the rounding of its pieces is bounded apart.
     coeffs = (1.0, a[0] - 1.0, *a[1:])
     weights = None if b is None else (0.0, *b)
+    thetas = [float(m.vector[0]) for m in members]
+    if fam.support.kind == "binary":
+        return _binary(thetas, coeffs, weights)
+    # log p(k) = k log(rate) - rate - log k!, from the source rate, once a member: the members
+    # are among ``around``, whose modes centre the window. One row a piece, p and then every
+    # member, with the log-masses on the first n rows and the magnitudes they are computed
+    # from on the last n; _combine's coefficients for e and then w add the rows top to bottom.
+    rates = {id(m): fam.from_natural(m).rate for m in around}
+    rows, rate_rows = [thetas[0], *thetas], [rates[id(m)] for m in (members[0], *members)]
+    n = len(rows)
+    cols = np.array([
+        *rows, *map(abs, rows), *rate_rows, *map(float.__neg__, rate_rows), *[1.0] * n, *[-1.0] * n,
+        *coeffs, *map(abs, coeffs), *(weights or ()), *map(abs, weights or ()),
+    ])
+    slopes, offsets, signs = cols[: 6 * n].reshape(3, -1, 1)
+    coef = cols[6 * n :].reshape(-1, 2, n, 1)
     last = {}
 
     def terms(ks):
-        logs, mags = _log_masses(fam, members, ks)
-        pieces = [logs[0], *logs], [np.abs(logs[0]), *mags]
-        e, mag = _combine(coeffs, *pieces)
-        ts, rounding, _ = _terms(np.exp(e), mag, *pieces, weights)
-        last.update(ks=ks, ts=ts, rounding=rounding, ps=np.exp(logs[0]), mag_p=mags[0])
+        x = ks * slopes - offsets  # k theta - rate, then k |theta| + rate
+        x -= signs * _log_factorials(ks)
+        np.abs(x[0], out=x[n])  # p's magnitude is its value's
+        e, mag, *wm = np.add.reduce(coef * x.reshape(2, n, -1), axis=-2).reshape(-1, ks.size)
+        ts, rounding = _terms(np.exp(e), mag, *wm)
+        last.update(ks=ks, ts=ts, rounding=rounding, log_p=x[0], mag_p=x[n + 1])
         return ts
 
-    if fam.support.kind == "binary":
-        terms(np.array([0.0, 1.0]))
-        tail = p_tail = 0.0
-    else:
-        peaks = [fam.from_natural(m).rate for m in around]
-        # count_series sums the last window it evaluated; p is log-concave
-        # past it too.
-        _, _, tail, _ = count_series(terms, peaks, alpha)
-        p0, p1, p2, p3 = last["ps"][[0, 1, -2, -1]].tolist()
-        p_tail = _tail(p3, p2) + (_tail(p0, p1) if last["ks"][0] > 0 else 0.0)
-    ks, ts, ps = last["ks"], last["ts"], last["ps"]
+    # count_series sums the last window it evaluated; p is log-concave past it too.
+    _, _, tail, _ = count_series(terms, rates.values(), alpha)
+    ks, ts, rounding = last["ks"], last["ts"], last["rounding"]
+    ps = np.exp(last["log_p"])
+    p0, p1, p2, p3 = ps.take(_EDGES).tolist()
+    p_tail = _tail(p3, p2) + (_tail(p0, p1) if ks[0] > 0 else 0.0)
     # Each p_k is off by a factor 1 + delta_k, |delta_k| <= slack_k, which t_k shares.
     slack = _ROUNDING_ULPS * _EPS * (1.0 + last["mag_p"])
+    slack_p = float(slack @ ps)
     mass = math.fsum(ps.tolist())
     if b is None and not any(coeffs[1:]):
-        return OracleEstimate(mass, tail + float(slack @ ps), DISCRETE_SUM, ks.size)
+        return OracleEstimate(mass, tail + slack_p, DISCRETE_SUM, ks.size)
     value = math.fsum(ts.tolist()) / mass
     # The shared factors move the value by sum_k (t_k - value p_k)(delta_k - mean delta) / mass.
-    shared = float(np.abs(ts - value * ps) @ (slack + float(slack @ ps) / mass))
-    rounding = (shared + float(last["rounding"].sum())) / mass + 2.0 * _EPS * abs(value)
+    shared = float(np.abs(ts - value * ps) @ (slack + slack_p / mass))
+    rounding = (shared + float(np.add.reduce(rounding))) / mass + 2.0 * _EPS * abs(value)
     # Past the window the terms' tail is missing, and the division counts p's
     # mass there as summed, which moves the value by at most value times it.
     return OracleEstimate(value, tail + abs(value) * p_tail + rounding, DISCRETE_SUM, ks.size)
+
+
+def _binary(thetas, coeffs, weights) -> OracleEstimate:
+    """``_series`` over the two points of a binary support, on floats: cheaper than numpy
+    on two points, and bit for bit as over arrays but for the two-term dot products, which
+    numpy may round as one fused multiply-add. At each point the pieces are p, then every
+    member: x theta - log(1 + e^theta) = -log(1 + e^((1 - 2x) theta)), which cannot overflow."""
+    flat = np.logaddexp(0.0, [s * t for t in thetas for s in (1.0, -1.0)]).tolist()
+    logs = [[-flat[x], *(-v for v in flat[x::2])] for x in (0, 1)]
+    mags = [[abs(v) for v in row] for row in logs]
+    (e0, m0), (e1, m1) = map(_combine, repeat(coeffs), logs, mags)
+    t0, t1, p0, p1 = np.exp([e0, e1, logs[0][0], logs[1][0]]).tolist()
+    wms = map(_combine, repeat(weights), logs, mags) if weights else ()
+    (t0, r0), (t1, r1) = map(_terms, (t0, t1), (m0, m1), *zip(*wms))
+    # As in _series: each p_x is off by a factor 1 + delta_x, |delta_x| <= slack_x.
+    s0, s1 = (_ROUNDING_ULPS * _EPS * (1.0 + row[0]) for row in mags)
+    slack_p = s0 * p0 + s1 * p1
+    mass = math.fsum((p0, p1))
+    if weights is None and not any(coeffs[1:]):
+        return OracleEstimate(mass, slack_p, DISCRETE_SUM, 2)
+    value = math.fsum((t0, t1)) / mass
+    shared = abs(t0 - value * p0) * (s0 + slack_p / mass)
+    shared += abs(t1 - value * p1) * (s1 + slack_p / mass)
+    rounding = (shared + (r0 + r1)) / mass + 2.0 * _EPS * abs(value)
+    return OracleEstimate(value, rounding, DISCRETE_SUM, 2)
 
 
 # --------------------------------------------------------------------------
@@ -211,13 +227,12 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
 # --------------------------------------------------------------------------
 
 
-def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, list[float]]:
+def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, tuple[float, ...]]:
     """A degree-3 rule for E[h(z)], z ~ N(0, I_d): nodes and log weights.
 
-    Without the origin: the 2d points +-sqrt(d) e_i, each with weight 1/(2d).
-    With it: the origin with weight 2/(d+2) and the 2d points +-sqrt(d+2) e_i,
-    each with weight 1/(2(d+2)). At d = 1 these are the 2- and 3-point
-    Gauss-Hermite rules.
+    Without the origin: the 2d points +-sqrt(d) e_i, each with weight 1/(2d). With it: the
+    origin with weight 2/(d+2) and the 2d points +-sqrt(d+2) e_i, each with weight
+    1/(2(d+2)). At d = 1 these are the 2- and 3-point Gauss-Hermite rules.
     """
     r2 = d + 2 if origin else d
     nodes = math.sqrt(r2) * np.concatenate([-np.eye(d), np.eye(d)])
@@ -225,52 +240,60 @@ def _symmetric_rule(d: int, origin: bool) -> tuple[np.ndarray, list[float]]:
     if origin:
         nodes = np.concatenate([np.zeros((1, d)), nodes])
         weights = np.concatenate([[2.0 / r2], weights])
-    return nodes, np.log(weights).tolist()
+    nodes.setflags(write=False)
+    return nodes, tuple(np.log(weights).tolist())
 
 
-# The 2- and 3-point Gauss-Hermite rules for z ~ N(0, 1), nodes as floats.
-_HERMITE_RULES = [(z[:, 0].tolist(), w) for z, w in map(_symmetric_rule, (1, 1), (False, True))]
+@functools.cache
+def _symmetric_rules(d: int) -> tuple:
+    """Both symmetric rules at dimension d, as every pair of rules is given: both rules'
+    nodes, the coarse rule's first, their log weights and the coarse rule's node count.
+    Constants, made once a dimension."""
+    (coarse, coarse_w), (fine, fine_w) = (_symmetric_rule(d, origin) for origin in (False, True))
+    nodes = np.concatenate((coarse, fine))
+    nodes.setflags(write=False)
+    return nodes, (*coarse_w, *fine_w), len(coarse)
 
-# The 1- and 2-point Gauss-Laguerre rules for z ~ Exp(1), exact to degree 1 and 3.
+
+# The 2- and 3-point Gauss-Hermite rules for z ~ N(0, 1), nodes as floats, and the 1- and
+# 2-point Gauss-Laguerre rules for z ~ Exp(1), exact to degree 1 and 3.
+_HERMITE_RULES = (_symmetric_rules(1)[0][:, 0].tolist(), *_symmetric_rules(1)[1:])
 _ROOT2 = math.sqrt(2.0)
-_LAGUERRE_RULES = [
-    ([1.0], [0.0]),
-    ([2.0 - _ROOT2, 2.0 + _ROOT2], np.log([(2.0 + _ROOT2) / 4.0, (2.0 - _ROOT2) / 4.0]).tolist()),
-]
+_LAGUERRE_W = np.log([(2.0 + _ROOT2) / 4.0, (2.0 - _ROOT2) / 4.0]).tolist()
+_LAGUERRE_RULES = ([1.0, 2.0 - _ROOT2, 2.0 + _ROOT2], (0.0, *_LAGUERRE_W), 1)
 
 
 def _two_rules(integrand: _Integrand, rules, log_densities, moves=None) -> OracleEstimate:
-    """E_g[integrand / g] over a coarse and a fine rule for z, with ``log_densities(z)``
-    the members' and then g's log-densities at the nodes and the summed magnitudes of their
-    pieces, as lists of floats: the value is the fine rule's sum, and the bound its gap to the
-    coarse one plus rounding. Each node's terms are evaluated on floats, cheaper than numpy on a
-    few points, with one ``np.exp`` per rule. ``moves(zs)`` lists per member the first-order
-    changes of its log-density at the nodes zs under each rounding of its recovered parameters;
-    the bound adds the fine sum's change under each, summed with signs like the value, since
-    they move the members, not the terms."""
+    """E_g[integrand / g] over a coarse and a fine rule for z, with ``log_densities(zs)``
+    the members' and then g's log-densities at both rules' nodes and the summed magnitudes of
+    their pieces, as lists of floats: the value is the fine rule's sum, and the bound its gap
+    to the coarse one plus rounding. Each node's terms are evaluated on floats, with one
+    ``np.exp`` for all nodes. ``moves(zs)`` lists per member the first-order changes of its
+    log-density at the nodes zs under each rounding of its recovered parameters; the bound adds
+    the fine sum's change under each, summed with signs like the value, since they move the
+    members, not the terms."""
+    zs, log_w, k = rules
     # The proposal g enters with coefficient -1, and the rule's log weights
     # as one more log-density with coefficient 1.
     a = (*integrand.a, -1.0, 1.0)
     b = None if integrand.b is None else (*integrand.b, 0.0, 0.0)
-    sums = []
-    for z, log_w in rules:
-        logs, mags = log_densities(z)
-        logs, mags = list(zip(*logs, log_w)), list(zip(*mags, map(abs, log_w)))
-        es, ms = zip(*map(_combine, repeat(a), logs, mags))
-        ps = np.exp(es).tolist()
-        ts, rounding, ws = zip(*map(_terms, ps, ms, logs, mags, repeat(b)))
-        sums.append(math.fsum(ts))
-    coarse, value = sums
-    rounding = float(np.add.reduce(rounding))  # in numpy's order, as over an array
+    logs, mags = log_densities(zs)
+    logs, mags = list(zip(*logs, log_w)), list(zip(*mags, map(abs, log_w)))
+    es, ms = zip(*map(_combine, repeat(a), logs, mags))
+    ps = np.exp(es).tolist()
+    ws, mws = zip(*map(_combine, repeat(b), logs, mags)) if b else ([1.0] * len(ps), ms)
+    ts, rounding = zip(*map(_terms, ps, ms, ws, mws if b else repeat(None)))
+    coarse, value = math.fsum(ts[:k]), math.fsum(ts[k:])
+    rounding = float(np.add.reduce(rounding[k:]))  # in numpy's order, as over an array
     if moves is not None:
-        # d(w exp(e)) / d log p_j = (a_j w + b_j) exp(e), at the fine rule's nodes z.
+        # d(w exp(e)) / d log p_j = (a_j w + b_j) exp(e), at the fine rule's nodes.
         bs = integrand.b or [0.0] * len(integrand.a)
-        for a_j, b_j, changes in zip(integrand.a, bs, moves(z)):
+        ws, ps = ws[k:], ps[k:]
+        for a_j, b_j, changes in zip(integrand.a, bs, moves(zs[k:])):
             slopes = [(a_j * wn + b_j) * pn for wn, pn in zip(ws, ps)]
             for d in changes:
                 rounding += abs(math.fsum(map(float.__mul__, slopes, d)))
-    nodes = sum(len(z) for z, _ in rules)
-    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, nodes)
+    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, len(zs))
 
 
 def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> OracleEstimate:
@@ -323,50 +346,50 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
     return _two_rules(integrand, rules, log_densities, moves if gaussian else None)
 
 
-def _member(fam: Family, theta: NaturalParam):
-    """Mean, factor P of -2M = P P^T and its inverse, log normalizer (d/2 log 2 pi - log det P)
-    and a rounding bound per mean coordinate of a member, from a factor made here: the closed
-    forms read the factor and moments the family keeps on a member, so the oracle reads neither."""
-    prec_chol = np.linalg.cholesky(-2.0 * theta.matrix)
-    inv_chol = _lower_inverse(prec_chol)
+def _factors(fam: Family, thetas):
+    """Each member's mean, factor P of -2M = P P^T and its inverse, log normalizer (d/2 log 2 pi
+    - log det P) and a rounding bound per mean coordinate, stacked over the members, from one
+    factorization of them all made here: the closed forms read the factor and moments the family
+    keeps on a member, so the oracle reads neither."""
+    prec_chol = np.linalg.cholesky(-2.0 * np.stack([t.matrix for t in thetas]))
+    inv_chol, chol_t = _lower_inverse(prec_chol), np.swapaxes(prec_chol, 1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = inv_chol.T @ inv_chol
-        mu = cov @ theta.vector
+        cov = np.swapaxes(inv_chol, 1, 2) @ inv_chol
+        mu = cov @ np.stack([t.vector for t in thetas])[..., None]
     fam._guard(bool(np.isfinite(mu).all()))  # an overflowed covariance fails as in the closed forms
     # The mean solves -2M mu = v through the factor P, whose backward error is a few
     # eps |P| |P^T| per dimension; it moves mu by |cov| times that times |mu|.
-    scale = np.abs(cov) @ (np.abs(prec_chol) @ (np.abs(prec_chol.T) @ np.abs(mu)))
-    norm = 0.5 * fam.dim * _LOG_2PI - float(np.sum(np.log(np.diag(prec_chol))))
-    return mu, prec_chol, inv_chol, norm, _ROUNDING_ULPS * fam.dim * _EPS * scale
+    scale = np.abs(cov) @ (np.abs(prec_chol) @ (np.abs(chol_t) @ np.abs(mu)))
+    norms = 0.5 * fam.dim * _LOG_2PI - np.log(np.diagonal(prec_chol, 0, 1, 2)).sum(axis=1)
+    return mu[..., 0], chol_t, inv_chol, norms, _ROUNDING_ULPS * fam.dim * _EPS * scale[..., 0]
 
 
 def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
     """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T)
     with L = P^-T from its precision factor, with z over both symmetric rules."""
-    mean, _, inv_g, norm_g, _ = _member(fam, proposal)
+    mus, chol_t, inv_chol, norms, slack = _factors(fam, (*integrand.members, proposal))
     # Member j at x is -|y|^2/2 - norm_j with y = P_j^T (m - mu_j) + (P_j^T L) z;
-    # the proposal itself has y = z.
-    affine, norms = [], []
-    for mu, prec_chol, _, norm, slack in (_member(fam, m) for m in integrand.members):
-        affine.append((prec_chol.T @ (mean - mu), prec_chol.T @ inv_g.T, prec_chol.T * slack))
-        norms.append(norm)
-    norms.append(norm_g)
+    # the proposal itself, last, has y = z.
+    chol_t = chol_t[:-1]
+    shift = (chol_t @ (mus[-1] - mus[:-1])[..., None])[..., 0]
+    lin = np.swapaxes(chol_t @ inv_chol[-1].T, 1, 2)  # (P_j^T L)^T, for z @ lin
+    dmu = chol_t * slack[:-1, None, :]
+    norms, abs_norms = norms[:, None], np.abs(norms)[:, None]
+
+    def members_at(zs):
+        return shift[:, None, :] + zs @ lin
 
     def log_densities(z):
-        logs, mags = [], []
-        for y, norm in zip([shift + z @ lin.T for shift, lin, _ in affine] + [z], norms):
-            half = 0.5 * np.einsum("ij,ij->i", y, y)
-            logs.append((-half - norm).tolist())
-            mags.append((half + abs(norm)).tolist())
-        return logs, mags
+        y = np.concatenate((members_at(z), z[None]))
+        half = 0.5 * np.einsum("...ij,...ij->...i", y, y)
+        return (-half - norms).tolist(), (half + abs_norms).tolist()
 
     def moves(zs):
         # A change dmu_j of member j's mean moves its log-density by y_j^T P_j^T dmu_j:
         # one change per coordinate i, |dmu_ji| up to the rounding bound of mu_ji.
-        return [((shift + zs @ lin.T) @ dmu).T.tolist() for shift, lin, dmu in affine]
+        return np.swapaxes(members_at(zs) @ dmu, 1, 2).tolist()
 
-    rules = [_symmetric_rule(fam.dim, origin) for origin in (False, True)]
-    return _two_rules(integrand, rules, log_densities, moves)
+    return _two_rules(integrand, _symmetric_rules(fam.dim), log_densities, moves)
 
 
 # --------------------------------------------------------------------------
@@ -466,18 +489,11 @@ def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> f
     worst = 0.0
     for i in range(base.size):
         unit = np.zeros(base.size)
-        if i < fam.vector_dim:
+        row, col = divmod(i - fam.vector_dim, fam.matrix_dim or 1)
+        if i < fam.vector_dim or row == col:
             unit[i] = 1.0
-        else:
-            d = fam.matrix_dim
-            flat_index = i - fam.vector_dim
-            row, col = divmod(flat_index, d)
-            if row == col:
-                unit[i] = 1.0
-            else:
-                mirror = fam.vector_dim + col * d + row
-                unit[i] = 0.5
-                unit[mirror] = 0.5
+        else:  # half the step on this entry and half on its mirror
+            unit[i] = unit[fam.vector_dim + col * fam.matrix_dim + row] = 0.5
         plus = fam.compose(base + step * unit)
         minus = fam.compose(base - step * unit)
         if not (fam.in_natural_domain(plus) and fam.in_natural_domain(minus)):
@@ -494,28 +510,31 @@ def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> f
 # --------------------------------------------------------------------------
 
 
+def _finish(est: OracleEstimate, value: float, err: float, roundings: int) -> OracleEstimate:
+    """A measure's value from its integral's estimate: the integral's error carried to it as
+    ``err``, plus eps |value| for each rounding of the operations that finish it."""
+    return OracleEstimate(value, err + roundings * _EPS * abs(value), est.method, est.evaluations)
+
+
 def _renyi(est: OracleEstimate, denom: float) -> OracleEstimate:
     """log(I) / denom for a power integral I, with denom = +-(1 - alpha)."""
     err = est.error_bound / (abs(est.value) * abs(denom))
-    return OracleEstimate(math.log(est.value) / denom, err, est.method, est.evaluations)
+    return _finish(est, math.log(est.value) / denom, err, 2)
 
 
 def _tsallis(est: OracleEstimate, denom: float) -> OracleEstimate:
     """(I - 1) / denom for a power integral I, with denom = +-(1 - alpha)."""
-    err = est.error_bound / abs(denom)
-    return OracleEstimate((est.value - 1.0) / denom, err, est.method, est.evaluations)
+    return _finish(est, (est.value - 1.0) / denom, est.error_bound / abs(denom), 2)
 
 
 def _jensen(est: OracleEstimate) -> OracleEstimate:
-    err = est.error_bound / abs(est.value)
-    return OracleEstimate(-math.log(est.value), err, est.method, est.evaluations)
+    return _finish(est, -math.log(est.value), est.error_bound / abs(est.value), 1)
 
 
 def _hellinger(est: OracleEstimate) -> OracleEstimate:
     gap = max(0.0, 1.0 - est.value)
     # d sqrt(1-b)/db = -1/(2 sqrt(1-b)); guard the coincident-member case.
-    err = est.error_bound / (2.0 * math.sqrt(max(gap, 1e-12)))
-    return OracleEstimate(math.sqrt(gap), err, est.method, est.evaluations)
+    return _finish(est, math.sqrt(gap), est.error_bound / (2.0 * math.sqrt(max(gap, 1e-12))), 2)
 
 
 # How each measure is assembled from the oracle primitives, keyed and ordered

@@ -174,11 +174,12 @@ class TestOneEntryPoint:
         p, q = (fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS["mvn"])
         assert fam.in_natural_domain(p) and fam.in_natural_domain(q)  # keeps their factors
         second = q if M.measure_needs_pair(measure) else None
+        # The oracle factors its members as one stack: count the matrices factored.
         calls = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
         O.oracle_measure(fam, measure, p, second, alpha)
-        assert len(calls) == factors
+        assert sum(len(a) if a.ndim == 3 else 1 for a in calls) == factors
 
     def test_mvn_member_whose_covariance_overflows_is_a_domain_error(self):
         # -2M = diag(1e-310, 1) has a factor, but its covariance overflows.
@@ -324,6 +325,58 @@ class TestIndependentOfF:
             assert _agrees(closed, est), (fam.name, measure, alpha, closed, est)
 
 
+class TestNoOracleState:
+    """The oracle neither keeps state on a member nor reads what the closed forms keep
+    there (an mvn factor, moments and whitened pair; a Poisson window): verify-grid
+    reuses its members, so a memo there would time cache hits."""
+
+    SLOTS = ("factor", "moments", "pair")
+
+    @staticmethod
+    def _cells(q):
+        """Every measure, with q as its second member if it takes one, at alpha = 0.5 if any."""
+        return [
+            (m, q if M.measure_needs_pair(m) else None, 0.5 if M.measure_needs_alpha(m) else None)
+            for m in M.MEASURE_NAMES
+        ]
+
+    @staticmethod
+    def _pair(name):
+        fam = make_family(name)
+        return fam, *(fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS[name])
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_every_measure_leaves_the_member_slots_as_they_were(self, name):
+        fam, p, q = self._pair(name)
+        cells = self._cells(q)
+        for measure, second, alpha in cells:  # fill what the closed forms keep
+            M.evaluate_measure(fam, measure, p, second, alpha)
+        missing = object()
+        for measure, second, alpha in cells:
+            kept = [[getattr(t, s, missing) for s in self.SLOTS] for t in (p, q)]
+            O.oracle_measure(fam, measure, p, second, alpha)
+            now = [[getattr(t, s, missing) for s in self.SLOTS] for t in (p, q)]
+            assert all(a is b for x, y in zip(kept, now) for a, b in zip(x, y)), measure
+
+    @pytest.mark.parametrize("name", ["poisson", "mvn"])
+    def test_every_measure_ignores_the_member_slots(self, name):
+        # p and q carry each other's kept state, swapped in: the oracle's bits do not move.
+        fam, p, q = self._pair(name)
+        _, fresh_p, fresh_q = self._pair(name)
+        for theta, theta2 in ((p, q), (q, p)):
+            for measure, alpha in (("renyi", 0.5), ("shannon", None)):
+                M.evaluate_measure(fam, measure, theta, None, alpha)
+            M.evaluate_measure(fam, "kl", theta, theta2, None)
+        kept = [[getattr(t, s, None) for s in self.SLOTS] for t in (p, q)]
+        for t, slots in zip((q, p), kept):
+            for s, v in zip(self.SLOTS, slots):
+                if v is not None:
+                    object.__setattr__(t, s, v)
+        for (measure, second, alpha), fresh in zip(self._cells(q), self._cells(fresh_q)):
+            est = O.oracle_measure(fam, measure, p, second, alpha)
+            assert est == O.oracle_measure(fam, measure, fresh_p, *fresh[1:]), measure
+
+
 class TestSelfConsistency:
     def test_power_integral_route_extrapolates_to_entropy(self):
         # Renyi entropies assembled from oracle power integrals straddle the
@@ -370,16 +423,14 @@ class TestHonestBounds:
         assert est.method == O.DISCRETE_SUM
         assert abs(est.value - want) <= est.error_bound < closed_form_error, (est, want)
 
-    @pytest.mark.parametrize("name", ["exponential", "laplacian", "gaussian"])
-    def test_cubature_bound_covers_mpmath_on_every_verify_cell(self, name):
-        # `verify`'s pair in both orders and six seeded pairs: 248 cells a family.
+    @staticmethod
+    def _uncovered(name, pairs):
+        """The verify cells of ``pairs`` whose oracle value misses 50-digit mpmath by more
+        than its own error_bound, and the number of cells."""
         pytest.importorskip("mpmath")
         from test_precision import reference
 
         fam = make_family(name)
-        p, q = (fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS[name])
-        rng = np.random.default_rng(11)
-        pairs = [(p, q), (q, p), *(random_theta_pair(name, rng) for _ in range(6))]
         uncovered, cells = [], 0
         for p, q in pairs:
             for measure, alpha in cli.VERIFY_CELLS:
@@ -389,7 +440,36 @@ class TestHonestBounds:
                 cells += 1
                 if not abs(est.value - want) <= est.error_bound:
                     uncovered.append((measure, alpha, est, want))
+        return uncovered, cells
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_oracle_bound_covers_mpmath_on_every_verify_cell(self, name):
+        # `verify`'s pair in both orders and six seeded pairs: 248 cells a family.
+        fam = make_family(name)
+        p, q = (fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS[name])
+        rng = np.random.default_rng(11)
+        pairs = [(p, q), (q, p), *(random_theta_pair(name, rng) for _ in range(6))]
+        uncovered, cells = self._uncovered(name, pairs)
         assert cells == 248 and not uncovered, uncovered
+
+    def test_oracle_bound_covers_mpmath_at_extreme_bernoulli_p(self):
+        # Every ordered pair of p in {1e-12, 1e-6, 0.5, 1 - 1e-6, 1 - 1e-12}: 775 cells.
+        ps = (1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12)
+        members = [em.BERNOULLI.to_natural(em.BernoulliParams(p=x)) for x in ps]
+        uncovered, cells = self._uncovered("bernoulli", [(p, q) for p in members for q in members])
+        assert cells == 775 and not uncovered, uncovered
+
+    @pytest.mark.parametrize("ps", [(1e-12, 1.0 - 1e-12), (1.0 - 1e-12, 1e-12)])
+    def test_assembled_bound_carries_its_last_rounding(self, ps):
+        # The coefficient's bound is ~1e-20 here, and sqrt(1 - BC) rounds once more: the
+        # value is 0.9999990000050304 against 50-digit 0.9999990000050305, one ulp away.
+        pytest.importorskip("mpmath")
+        from test_precision import reference
+
+        p, q = (em.BERNOULLI.to_natural(em.BernoulliParams(p=x)) for x in ps)
+        est = O.oracle_measure(em.BERNOULLI, "hellinger", p, q)
+        want = reference("bernoulli", "hellinger", p, q, None)
+        assert est.value != want and abs(est.value - want) <= est.error_bound < 1e-15, (est, want)
 
 
 class TestGaussianMembersFarFromOrigin:

@@ -412,6 +412,23 @@ def test_graded_pairs_keep_their_digits(row):
                 assert _rel_error(got, want) <= bound, (measure, alpha, got, want)
 
 
+def test_mvn_precisions_a_float_range_apart_keep_their_digits():
+    # Zero means, precisions diag(1e200, 1) and diag(1e-110, 2): whitened by the first, the
+    # second's precision is 1e-310 along one axis, where the refinement's 1 / |y|^2 leaves the
+    # float range and log lam comes from the logs of y's entries. KL the other way round is
+    # ~5e309, beyond the float range, and inf in both. mpmath's matrix inverse needs the
+    # extra digits to see these members as nonsingular.
+    fam = make_family("mvn")
+    p, q = (fam.member(NaturalParam(np.zeros(2), -0.5 * np.diag(d)))
+            for d in ([1e200, 1.0], [1e-110, 2.0]))
+    assert _rel_error(_evaluate(fam, "kl", p, q, None), 356.554115823797108) <= 1e-12
+    for theta, theta2 in ((p, q), (q, p)):
+        for measure, alpha in (("kl", None), ("bhattacharyya", None), ("renyi-div", 0.5)):
+            want = reference("mvn", measure, theta, theta2, alpha, dps=400)
+            got = _evaluate(fam, measure, theta, theta2, alpha)
+            assert got == want or _rel_error(got, want) <= 1e-12, (measure, got, want)
+
+
 # --------------------------------------------------------------------------
 # Members at the ends of the domain: finite wherever the value is.
 # --------------------------------------------------------------------------
