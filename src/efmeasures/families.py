@@ -399,11 +399,13 @@ class MultivariateGaussianParams:
             raise ParameterDomainError(f"cov is not symmetric (max asymmetry {asym:.3e})")
         cov = (cov + cov.T) / 2.0
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ParameterDomainError("cov is not positive-definite") from None
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "cov", _readonly(cov))
+        chol.setflags(write=False)
+        object.__setattr__(self, "_chol", chol)  # the check's factor, which to_natural reads
 
     @property
     def dim(self) -> int:
@@ -1109,7 +1111,8 @@ class GaussianFamily(Family):
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        return np.column_stack([xs, xs * xs])
+        with np.errstate(over="ignore"):  # an x^2 beyond the float range is inf; mle raises
+            return np.column_stack([xs, xs * xs])
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
         t1, t2 = theta.vector.tolist()
@@ -1174,7 +1177,7 @@ class MultivariateGaussianFamily(Family):
         if not isinstance(params, MultivariateGaussianParams):
             d = _params_as_dict(params)
             params = MultivariateGaussianParams(mu=d["mu"], cov=d.get("cov", d.get("sigma")))
-        inv_chol = _lower_inverse(np.linalg.cholesky(params.cov))
+        inv_chol = _lower_inverse(params._chol)
         precision = inv_chol.T @ inv_chol
         return self.member(NaturalParam(precision @ params.mu, -0.5 * precision))
 
@@ -1265,12 +1268,10 @@ class MultivariateGaussianFamily(Family):
             raise ValueError(f"{self.name}: expectation parameter has the wrong shape")
         cov = eta.matrix - np.outer(eta.vector, eta.vector)
         try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ExpectationDomainError(
-                f"{self.name}: implied covariance is not positive-definite"
-            ) from None
-        return self.to_natural(MultivariateGaussianParams(mu=eta.vector, cov=cov))
+            params = MultivariateGaussianParams(eta.vector, cov)  # its check factors cov
+        except ParameterDomainError as exc:
+            raise ExpectationDomainError(f"{self.name}: implied {exc}") from None
+        return self.to_natural(params)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         x = np.asarray(xs, dtype=float)
@@ -1279,9 +1280,12 @@ class MultivariateGaussianFamily(Family):
         return np.isfinite(x).all(axis=1)
 
     def sufficient_stat_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
-        outer = np.einsum("ni,nj->nij", xs, xs)
-        return np.concatenate([xs, outer.reshape(len(xs), -1)], axis=1)
+        cols, d = np.asarray(xs, dtype=float).reshape(-1, self.dim).T, self.dim
+        out = np.empty((d + d * d, cols.shape[1]))  # column by column: x_i, then x_i x_j
+        out[:d] = cols
+        with np.errstate(over="ignore"):  # an x_i x_j beyond the float range is inf; mle raises
+            np.multiply(cols[:, None, :], cols[None, :, :], out=out[d:].reshape(d, d, -1))
+        return out.T
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
         cols = np.asarray(xs, dtype=float).reshape(-1, self.dim).T
@@ -1296,7 +1300,7 @@ class MultivariateGaussianFamily(Family):
         theta = self._check_sample_args(theta, n)
         p = self.from_natural(theta)
         z = np.random.default_rng(seed).standard_normal((n, self.dim))
-        return p.mu + z @ np.linalg.cholesky(p.cov).T
+        return p.mu + z @ p._chol.T
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,22 @@ class TestEstimateCommand:
         assert code == 3
         assert "degenerate" in err
 
+    def test_mean_statistic_is_the_exact_mean(self, tmp_path):
+        # A sequential or pairwise float sum of these rows gives 0.25.
+        path = tmp_path / "cancel.csv"
+        path.write_text("1e16\n1\n-1e16\n1\n")
+        code, out, _ = run_cli("estimate", "--family", "gaussian", "--data", str(path))
+        assert code == 0
+        assert json.loads(out)["estimates"]["data"]["mean_sufficient_stat"][0] == 0.5
+
+    def test_statistic_beyond_the_float_range_is_one_error_line_exit_3(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e200\n-1e200\n3\n")
+        code, out, err = run_cli("estimate", "--family", "gaussian", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "beyond the float range" in err and "Warning" not in err
+
     def test_missing_file_is_domain_error(self):
         code, _, err = run_cli("estimate", "--family", "gaussian", "--data", "/nonexistent.csv")
         assert code == 3

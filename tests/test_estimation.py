@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import efmeasures as em
+from efmeasures import estimation as E
 from efmeasures import measures as M
 from efmeasures.errors import DegenerateSampleError, SupportError
 from efmeasures.estimation import SampleSet, mle, plugin_measure
@@ -98,6 +101,94 @@ class TestMle:
         # error non-increasing in at least 2 of the 3 ordered size pairs
         pairs = ((0, 1), (1, 2), (0, 2))
         assert sum(errors[j] <= errors[i] for i, j in pairs) >= 2
+
+    # Statistics beyond the float range: each gave a RuntimeWarning before an error whose
+    # class depended on the family (DegenerateSampleError, ParameterDomainError, OverflowError).
+    @pytest.mark.parametrize(
+        "name, obs",
+        [
+            ("gaussian", [1e200, -1e200, 3.0]),
+            ("mvn", [[1e200, 1.0], [-1e200, 2.0], [3.0, 4.0]]),
+            ("gaussian", [1e308, 1e308, -1e308]),
+        ],
+        ids=["gaussian-square", "mvn-square", "gaussian-sum"],
+    )
+    def test_statistics_beyond_the_float_range_raise_overflow(self, name, obs):
+        with pytest.raises(OverflowError):
+            mle(SampleSet(make_family(name), obs))
+
+    def test_mvn_fit_factors_each_matrix_once(self, monkeypatch):
+        # The parameter record's check factors the covariance and the member's check
+        # -2M; to_natural and grad_inverse reuse the first. The estimate command's
+        # report adds from_natural's record: 3 in all, from 5.
+        fam = make_family("mvn")
+        sample = SampleSet(fam, np.random.default_rng(4).normal(size=(50, 2)))
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        est = mle(sample)
+        assert len(calls) == 2
+        fam.from_natural(est.theta)
+        assert len(calls) == 3
+
+
+def _fsum_means(stats: np.ndarray) -> np.ndarray:
+    n = stats.shape[0]
+    return np.asarray([math.fsum(c) / n for c in stats.T.tolist()])
+
+
+_SIGNED = st.builds(
+    lambda negative, x: -x if negative else x,
+    st.booleans(),
+    st.floats(min_value=1e-320, max_value=1e300),  # subnormals too
+)
+_VALUES = st.one_of(_SIGNED, st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1022, 2.0**53, 1e300]))
+_ROWS = st.one_of(
+    st.integers(1, 200),
+    st.sampled_from([1, 2, E._SUM_ROWS - 1, E._SUM_ROWS, E._SUM_ROWS + 1]),
+)
+
+
+@st.composite
+def _stat_arrays(draw):
+    """(n, c) arrays drawn from a small pool of values: repeats, and optionally each of
+    the first rows' negation in the last rows (x and -x), in columns of any layout."""
+    n, c = draw(_ROWS), draw(st.integers(1, 12))
+    pool = np.array(draw(st.lists(_VALUES, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stats = pool[rng.integers(0, pool.size, (n, c))]
+    if draw(st.booleans()):
+        half = n // 2
+        stats[n - half :] = -stats[:half]
+    return stats if draw(st.booleans()) else np.asfortranarray(stats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stats=_stat_arrays())
+def test_column_means_are_fsum_bit_for_bit(stats):
+    want = _fsum_means(stats)
+    got = E._exact_column_means(stats)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stats=_stat_arrays(),
+    column=st.integers(0, 11),
+    big=st.lists(st.floats(min_value=1e307, max_value=1.7e308), min_size=1, max_size=4),
+)
+def test_a_column_sum_beyond_the_float_range_raises_overflow(stats, column, big):
+    # One column of values of one sign, at least 18 of them of 1e307 or more: its sum
+    # passes the largest float.
+    stats = np.array(stats)
+    if stats.shape[0] < 18:
+        stats = np.resize(stats, (18, stats.shape[1]))
+    col = column % stats.shape[1]
+    stats[:, col] = np.resize(np.array(big), stats.shape[0])
+    with pytest.raises(OverflowError):
+        _fsum_means(stats)
+    with pytest.raises(OverflowError):
+        E._exact_column_means(stats)
 
 
 class TestPluginMeasures:

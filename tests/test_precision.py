@@ -136,9 +136,22 @@ def _primitives(name: str, s, s2):
     )
 
 
+def _spread_digits(theta, theta2) -> int:
+    """Decimal digits of the mvn members' precision spread, the largest eigenvalue of
+    -2M over the smallest, both members together: mpmath's matrix inverse calls a
+    matrix singular whose pivots spread by more than 10^dps, and a mixture's
+    covariance spreads no more than the members' for orders in [0, 1]."""
+    members = [t for t in (theta, theta2) if t is not None]
+    eigs = np.concatenate([np.linalg.eigvalsh(-2.0 * t.matrix) for t in members])
+    return max(0, math.ceil(math.log10(eigs.max()) - math.log10(eigs.min())))
+
+
 def reference(name: str, measure: str, theta, theta2, alpha, dps: int = DPS) -> float:
     """50-digit value of a measure at the members theta, theta2 (alpha != 1); more
-    digits where 1 - alpha needs them."""
+    digits where 1 - alpha needs them, and for mvn members, as many more as their
+    precision spread takes."""
+    if name == "mvn":
+        dps += _spread_digits(theta, theta2)
     with mpmath.workdps(dps):
         s = _source(name, theta)
         s2 = _source(name, theta2) if theta2 is not None else None
@@ -416,15 +429,15 @@ def test_mvn_precisions_a_float_range_apart_keep_their_digits():
     # Zero means, precisions diag(1e200, 1) and diag(1e-110, 2): whitened by the first, the
     # second's precision is 1e-310 along one axis, where the refinement's 1 / |y|^2 leaves the
     # float range and log lam comes from the logs of y's entries. KL the other way round is
-    # ~5e309, beyond the float range, and inf in both. mpmath's matrix inverse needs the
-    # extra digits to see these members as nonsingular.
+    # ~5e309, beyond the float range, and inf in both. The references take 310 more digits
+    # for the members' precision spread of 1e310.
     fam = make_family("mvn")
     p, q = (fam.member(NaturalParam(np.zeros(2), -0.5 * np.diag(d)))
             for d in ([1e200, 1.0], [1e-110, 2.0]))
     assert _rel_error(_evaluate(fam, "kl", p, q, None), 356.554115823797108) <= 1e-12
     for theta, theta2 in ((p, q), (q, p)):
         for measure, alpha in (("kl", None), ("bhattacharyya", None), ("renyi-div", 0.5)):
-            want = reference("mvn", measure, theta, theta2, alpha, dps=400)
+            want = reference("mvn", measure, theta, theta2, alpha)
             got = _evaluate(fam, measure, theta, theta2, alpha)
             assert got == want or _rel_error(got, want) <= 1e-12, (measure, got, want)
 
