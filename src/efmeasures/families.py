@@ -156,7 +156,11 @@ class NaturalParam:
                 raise ParameterDomainError(
                     f"matrix block is not symmetric (max asymmetry {asym:.3e})"
                 )
-            object.__setattr__(self, "matrix", _readonly((mat + mat.T) / 2.0))
+            # (m + m.T) / 2 as the sum of halves, which cannot overflow past DBL_MAX / 2; a
+            # symmetric m stays as it is, since halving rounds a subnormal.
+            if asym:
+                mat = mat / 2.0 + mat.T / 2.0
+            object.__setattr__(self, "matrix", _readonly(mat))
 
     @property
     def order(self) -> int:
@@ -397,7 +401,8 @@ class MultivariateGaussianParams:
         asym = float(np.max(np.abs(cov - cov.T)))
         if asym > _MATRIX_ASYMMETRY_TOL * scale:
             raise ParameterDomainError(f"cov is not symmetric (max asymmetry {asym:.3e})")
-        cov = (cov + cov.T) / 2.0
+        if asym:  # as NaturalParam symmetrizes its matrix
+            cov = cov / 2.0 + cov.T / 2.0
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -513,14 +518,16 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
         ks = np.arange(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             ts = np.asarray(terms(ks), dtype=float)
-        rows = ts.reshape(-1, ks.size)
-        totals = np.add.reduce(rows, axis=1).tolist()
+        mags = np.abs(ts)
+        if ts.ndim == 1:  # one row: its sums as floats, the bits of a row among rows
+            totals, abs_totals = [float(np.add.reduce(ts))], [float(np.add.reduce(mags))]
+            edges = [mags.take(_EDGES).tolist()]
+        else:
+            totals, abs_totals = (np.add.reduce(x, axis=1).tolist() for x in (ts, mags))
+            edges = mags.take(_EDGES, axis=1).tolist()
         if not all(map(math.isfinite, totals)):
             raise ConvergenceError("a count series term is not finite")
-        mags = np.abs(rows)
-        edges = mags.take(_EDGES, axis=1).tolist()
         tails = [_tail(e3, e2) + (_tail(e0, e1) if lo > 0 else 0.0) for e0, e1, e2, e3 in edges]
-        abs_totals = np.add.reduce(mags, axis=1).tolist()
         if all(t <= _SERIES_TAIL * a for t, a in zip(tails, abs_totals)):
             if ts.ndim == 1:
                 return totals[0], abs_totals[0], tails[0], ks.size

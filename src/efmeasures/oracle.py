@@ -20,17 +20,21 @@ Exp(1). Two rules integrate that exactly: the 2- and 2d + 1-node fully symmetric
 rules for z ~ N(0, I_d) (Stroud, Approximate Calculation of Multiple Integrals, 1971; at d = 1
 the 2- and 3-point Gauss-Hermite rules), and the 1- and 2-point Gauss-Laguerre rules for z ~
 Exp(1). The value is the finer rule's sum, and its bound the gap between the two rules plus
-rounding, which is at the rounding level. Both rules run node by node on floats, with one
-``np.exp`` a cell; an mvn cell factors its members and proposal as one stack.
+rounding, which is at the rounding level. One node loop on floats serves every rule: given
+each member's u_j at the nodes and its normalizer n_j, it forms log p_j = -u_j - n_j, its
+magnitude u_j + |n_j|, and each node's exponent, weight, term and rounding in one pass, with
+one ``np.exp`` a cell. An mvn cell factors its members and proposal as one stack.
 
 Summed terms carry a rounding bound proportional to the magnitudes their exponents are
 computed from, not to the exponents: at a Poisson rate of 900, log p(k) is about -4 but is
 summed from pieces of size ~6000. A series is divided by the summed masses of its first member
 p, computed from the same log p(k), so that rounding cancels except through the spread of the
 integrand over p around the value: a power integral near alpha = 1, whose Renyi value divides
-by |1 - alpha|, keeps a rounding bound of order eps. A binary support's two points are summed
-on floats, and a count window's terms as stacked rows, a few array operations a window. A
-measure assembled from an integral adds the rounding of the operations that finish it.
+by |1 - alpha|, keeps a rounding bound of order eps. A binary support's two points are the
+nodes of a rule of unit weights in the same loop. A count window takes its rates e^theta from
+the members' floats and its terms as stacked rows, a few array operations a window, which
+``count_series`` sums as one row. A measure assembled from an integral adds the rounding of
+the operations that finish it.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NaturalDomainError
+from .errors import ConvergenceError, DomainError, NaturalDomainError, ParameterDomainError
 from .families import Family, GaussianParams, LaplacianParams
-from .families import NaturalParam, _EDGES, _log_factorials, _lower_inverse, _tail, count_series
+from .families import NaturalParam, _log_factorials, _lower_inverse, _tail, count_series
 
 __all__ = [
     "OracleConfig",
@@ -110,23 +114,42 @@ class _Integrand(NamedTuple):
     b: tuple[float, ...] | None = None
 
 
-def _combine(coeffs, logs, mags) -> tuple:
-    """sum_j c_j log p_j and sum_j |c_j| mag_j at one point, mag_j the summed magnitudes of the
-    pieces log p_j is computed from, added left to right."""
-    total = mag = 0
-    for c, v, u in zip(coeffs, logs, mags):
-        total += c * v
-        mag += abs(c) * u
-    return total, mag
+def _node_terms(coeffs, weights, norms, us, log_w, also=()) -> tuple:
+    """An integrand's terms w exp(e) at a rule's nodes, and a bound on each one's rounding.
 
-
-def _terms(p, mag, w=1.0, mw=None) -> tuple:
-    """An integrand's terms w exp(e) and a bound on each one's rounding error, given
-    p = exp(e) and w, and the magnitudes ``mag`` and ``mw`` they are combined from
-    (w = 1 when ``mw`` is None)."""
-    if mw is None:
-        return p, _ROUNDING_ULPS * _EPS * p * (1.0 + mag)
-    return w * p, _ROUNDING_ULPS * _EPS * p * (abs(w) * (1.0 + mag) + mw)
+    Piece j's log-density at node i is log p_j = -u - n_j, with u = ``us[i * len(norms) + j]``
+    and n_j = ``norms[j]``, from pieces of magnitude u + |n_j|. At each node e = sum_j c_j log p_j
+    + ``log_w[i]`` and w = sum_j b_j log p_j (w = 1 where ``weights`` b is None) are added left
+    to right, beside the magnitudes sum_j |c_j| (u + |n_j|) + |log_w[i]| and sum_j |b_j| (u +
+    |n_j|) that bound their rounding. One ``np.exp`` takes every e and then ``also``. Returns the
+    terms, their bounds, w and exp(e) per node, and exp(``also``)."""
+    unit = _ROUNDING_ULPS * _EPS
+    weighted = weights is not None
+    pieces = [(c, abs(c), b, abs(b), n, abs(n))
+              for c, b, n in zip(coeffs, weights or repeat(0.0), norms)]
+    es, ms, ws, mws = [], [], [], []
+    us = iter(us)  # zip takes one u a piece, and stops at the last piece of a node
+    # Loops, not comprehensions: before Python 3.12 each comprehension is a function call.
+    for lw in log_w:
+        e = m = mw = 0.0
+        w = 0.0 if weighted else 1.0
+        for (c, ac, b, ab, n, an), u in zip(pieces, us):
+            log_p, mag = -u - n, u + an
+            e += c * log_p
+            m += ac * mag
+            if weighted:
+                w += b * log_p
+                mw += ab * mag
+        es.append(e + lw)
+        ms.append(m + abs(lw))
+        ws.append(w)
+        mws.append(mw)
+    ps = np.exp([*es, *also]).tolist()
+    ts, rs = [], []
+    for p, m, w, mw in zip(ps, ms, ws, mws):
+        ts.append(w * p)
+        rs.append(unit * p * (abs(w) * (1.0 + m) + mw))
+    return ts, rs, ws, ps[: len(es)], ps[len(es) :]
 
 
 # --------------------------------------------------------------------------
@@ -152,42 +175,51 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
     thetas = [float(m.vector[0]) for m in members]
     if fam.support.kind == "binary":
         return _binary(thetas, coeffs, weights)
-    # log p(k) = k log(rate) - rate - log k!, from the source rate, once a member: the members
-    # are among ``around``, whose modes centre the window. One row a piece, p and then every
-    # member, with the log-masses on the first n rows and the magnitudes they are computed
-    # from on the last n; _combine's coefficients for e and then w add the rows top to bottom.
-    rates = {id(m): fam.from_natural(m).rate for m in around}
+    # log p(k) = k log(rate) - rate - log k!, from the source rate e^theta, once a member: the
+    # members are among ``around``, whose modes centre the window. One row a piece, p and then
+    # every member, with the log-masses on the first n rows and the magnitudes they are computed
+    # from on the last n; the coefficients for e and then w add the rows top to bottom.
+    rates = {id(m): math.exp(float(m.vector[0])) for m in around}
+    if 0.0 in rates.values():  # below the float range, as from_natural finds too
+        raise ParameterDomainError("rate must be > 0, got 0.0")
     rows, rate_rows = [thetas[0], *thetas], [rates[id(m)] for m in (members[0], *members)]
     n = len(rows)
-    cols = np.array([
-        *rows, *map(abs, rows), *rate_rows, *map(float.__neg__, rate_rows), *[1.0] * n, *[-1.0] * n,
-        *coeffs, *map(abs, coeffs), *(weights or ()), *map(abs, weights or ()),
-    ])
-    slopes, offsets, signs = cols[: 6 * n].reshape(3, -1, 1)
-    coef = cols[6 * n :].reshape(-1, 2, n, 1)
+    slopes = np.array([*rows, *map(abs, rows)])[:, None]
+    offsets = np.array([*rate_rows, *map(float.__neg__, rate_rows)])[:, None]
+    coef = np.array([*coeffs, *map(abs, coeffs), *(weights or ()), *map(abs, weights or ())])
+    coef = coef.reshape(-1, 2, n, 1)
+    unit = _ROUNDING_ULPS * _EPS
     last = {}
 
     def terms(ks):
         x = ks * slopes - offsets  # k theta - rate, then k |theta| + rate
-        x -= signs * _log_factorials(ks)
+        log_factorials = _log_factorials(ks)
+        x[:n] -= log_factorials  # from each log-mass, and onto its magnitude
+        x[n:] += log_factorials
         np.abs(x[0], out=x[n])  # p's magnitude is its value's
-        e, mag, *wm = np.add.reduce(coef * x.reshape(2, n, -1), axis=-2).reshape(-1, ks.size)
-        ts, rounding = _terms(np.exp(e), mag, *wm)
-        last.update(ks=ks, ts=ts, rounding=rounding, log_p=x[0], mag_p=x[n + 1])
-        return ts
+        sums = np.add.reduce(coef * x.reshape(2, n, -1), axis=-2)  # (e, mag), then (w, mw)
+        ts = np.exp(sums[0, 0])
+        last["window"] = ks, x, sums, ts
+        return ts if b is None else sums[1, 0] * ts
 
     # count_series sums the last window it evaluated; p is log-concave past it too.
     _, _, tail, _ = count_series(terms, rates.values(), alpha)
-    ks, ts, rounding = last["ks"], last["ts"], last["rounding"]
-    ps = np.exp(last["log_p"])
-    p0, p1, p2, p3 = ps.take(_EDGES).tolist()
-    p_tail = _tail(p3, p2) + (_tail(p0, p1) if ks[0] > 0 else 0.0)
+    ks, x, sums, ts = last["window"]
+    ps = np.exp(x[0])
+    masses = ps.tolist()
+    p_tail = _tail(masses[-1], masses[-2]) + (_tail(masses[0], masses[1]) if ks[0] > 0 else 0.0)
     # Each p_k is off by a factor 1 + delta_k, |delta_k| <= slack_k, which t_k shares.
-    slack = _ROUNDING_ULPS * _EPS * (1.0 + last["mag_p"])
+    slack = unit * (1.0 + x[n + 1])
     slack_p = float(slack @ ps)
-    mass = math.fsum(ps.tolist())
+    mass = math.fsum(masses)
     if b is None and not any(coeffs[1:]):
         return OracleEstimate(mass, tail + slack_p, DISCRETE_SUM, ks.size)
+    # Each term w exp(e) and its rounding bound, as at a cubature node.
+    if b is None:
+        rounding = unit * ts * (1.0 + sums[0, 1])
+    else:
+        rounding = unit * ts * (np.abs(sums[1, 0]) * (1.0 + sums[0, 1]) + sums[1, 1])
+        ts = sums[1, 0] * ts
     value = math.fsum(ts.tolist()) / mass
     # The shared factors move the value by sum_k (t_k - value p_k)(delta_k - mean delta) / mass.
     shared = float(np.abs(ts - value * ps) @ (slack + slack_p / mass))
@@ -198,19 +230,16 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
 
 
 def _binary(thetas, coeffs, weights) -> OracleEstimate:
-    """``_series`` over the two points of a binary support, on floats: cheaper than numpy
-    on two points, and bit for bit as over arrays but for the two-term dot products, which
-    numpy may round as one fused multiply-add. At each point the pieces are p, then every
-    member: x theta - log(1 + e^theta) = -log(1 + e^((1 - 2x) theta)), which cannot overflow."""
+    """``_series`` over the two points of a binary support: the nodes of a rule of unit weights,
+    bit for bit as over arrays but for the two-term dot products, which numpy may round as one
+    fused multiply-add. At each point the pieces are p, then every member, and each log-mass is
+    x theta - log(1 + e^theta) = -log(1 + e^((1 - 2x) theta)), which cannot overflow."""
     flat = np.logaddexp(0.0, [s * t for t in thetas for s in (1.0, -1.0)]).tolist()
-    logs = [[-flat[x], *(-v for v in flat[x::2])] for x in (0, 1)]
-    mags = [[abs(v) for v in row] for row in logs]
-    (e0, m0), (e1, m1) = map(_combine, repeat(coeffs), logs, mags)
-    t0, t1, p0, p1 = np.exp([e0, e1, logs[0][0], logs[1][0]]).tolist()
-    wms = map(_combine, repeat(weights), logs, mags) if weights else ()
-    (t0, r0), (t1, r1) = map(_terms, (t0, t1), (m0, m1), *zip(*wms))
+    us = [flat[0], *flat[::2], flat[1], *flat[1::2]]  # u = -log p at x = 0, then at x = 1
+    out = _node_terms(coeffs, weights, [0.0] * len(coeffs), us, (0.0, 0.0), (-flat[0], -flat[1]))
+    (t0, t1), (r0, r1), _, _, (p0, p1) = out
     # As in _series: each p_x is off by a factor 1 + delta_x, |delta_x| <= slack_x.
-    s0, s1 = (_ROUNDING_ULPS * _EPS * (1.0 + row[0]) for row in mags)
+    s0, s1 = (_ROUNDING_ULPS * _EPS * (1.0 + u) for u in flat[:2])
     slack_p = s0 * p0 + s1 * p1
     mass = math.fsum((p0, p1))
     if weights is None and not any(coeffs[1:]):
@@ -263,37 +292,28 @@ _LAGUERRE_W = np.log([(2.0 + _ROOT2) / 4.0, (2.0 - _ROOT2) / 4.0]).tolist()
 _LAGUERRE_RULES = ([1.0, 2.0 - _ROOT2, 2.0 + _ROOT2], (0.0, *_LAGUERRE_W), 1)
 
 
-def _two_rules(integrand: _Integrand, rules, log_densities, moves=None) -> OracleEstimate:
-    """E_g[integrand / g] over a coarse and a fine rule for z, with ``log_densities(zs)``
-    the members' and then g's log-densities at both rules' nodes and the summed magnitudes of
-    their pieces, as lists of floats: the value is the fine rule's sum, and the bound its gap
-    to the coarse one plus rounding. Each node's terms are evaluated on floats, with one
-    ``np.exp`` for all nodes. ``moves(zs)`` lists per member the first-order changes of its
-    log-density at the nodes zs under each rounding of its recovered parameters; the bound adds
-    the fine sum's change under each, summed with signs like the value, since they move the
-    members, not the terms."""
-    zs, log_w, k = rules
-    # The proposal g enters with coefficient -1, and the rule's log weights
-    # as one more log-density with coefficient 1.
-    a = (*integrand.a, -1.0, 1.0)
-    b = None if integrand.b is None else (*integrand.b, 0.0, 0.0)
-    logs, mags = log_densities(zs)
-    logs, mags = list(zip(*logs, log_w)), list(zip(*mags, map(abs, log_w)))
-    es, ms = zip(*map(_combine, repeat(a), logs, mags))
-    ps = np.exp(es).tolist()
-    ws, mws = zip(*map(_combine, repeat(b), logs, mags)) if b else ([1.0] * len(ps), ms)
-    ts, rounding = zip(*map(_terms, ps, ms, ws, mws if b else repeat(None)))
+def _cubature(integrand: _Integrand, rules, us, norms, moves=None) -> OracleEstimate:
+    """E_g[integrand / g] over a coarse and a fine rule for z, with ``us`` the members' and then
+    g's u node by node, each log-density being -u - n_j with ``norms`` n_j: the value is the
+    fine rule's sum, and the bound its gap to the coarse one plus rounding. ``moves`` lists per
+    member the first-order changes of its log-density at the fine nodes under each rounding of
+    its recovered parameters; the bound adds the fine sum's change under each, summed with signs
+    like the value, since they move the members, not the terms."""
+    _, log_w, k = rules
+    a, b = integrand.a, integrand.b
+    # The proposal g enters with coefficient -1, and the rule's log weights with 1.
+    weights = None if b is None else (*b, 0.0)
+    ts, rs, ws, ps, _ = _node_terms((*a, -1.0), weights, norms, us, log_w)
     coarse, value = math.fsum(ts[:k]), math.fsum(ts[k:])
-    rounding = float(np.add.reduce(rounding[k:]))  # in numpy's order, as over an array
-    if moves is not None:
-        # d(w exp(e)) / d log p_j = (a_j w + b_j) exp(e), at the fine rule's nodes.
-        bs = integrand.b or [0.0] * len(integrand.a)
-        ws, ps = ws[k:], ps[k:]
-        for a_j, b_j, changes in zip(integrand.a, bs, moves(zs[k:])):
-            slopes = [(a_j * wn + b_j) * pn for wn, pn in zip(ws, ps)]
-            for d in changes:
-                rounding += abs(math.fsum(map(float.__mul__, slopes, d)))
-    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, len(zs))
+    # The fine roundings in numpy's order: left to right below 8 terms, pairwise from 8.
+    fine = rs[k:]
+    rounding = float(np.add.reduce(fine) if len(fine) > 7 else functools.reduce(float.__add__, fine))
+    # d(w exp(e)) / d log p_j = (a_j w + b_j) exp(e), at the fine rule's nodes.
+    for a_j, b_j, changes in zip(a, b or repeat(0.0), moves or ()):
+        slopes = [(a_j * w + b_j) * p for w, p in zip(ws[k:], ps[k:])]
+        for d in changes:
+            rounding += abs(math.fsum(map(float.__mul__, slopes, d)))
+    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, len(ts))
 
 
 def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> OracleEstimate:
@@ -304,46 +324,31 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
     affine in z."""
     members = list(map(fam.from_natural, (*integrand.members, proposal)))
     g = members[-1]
-    gaussian = isinstance(g, GaussianParams)
-    if gaussian:
+    if isinstance(g, GaussianParams):
         # y_j = (x - mu_j) / s_j = (m - mu_j) / s_j + (s / s_j) z; n_j = log(s_j sqrt(2 pi)).
         sds = [math.sqrt(p.var) for p in members]
         affine = [((g.mu - p.mu) / sd, sds[-1] / sd) for p, sd in zip(members, sds)]
         norms = [math.log(sd) + 0.5 * _LOG_2PI for sd in sds]
-    elif isinstance(g, LaplacianParams):
+        zs, _, k = _HERMITE_RULES
+        ys = [shift + lin * z for z in zs for shift, lin in affine]  # node by node
+        # from_natural's var = -1 / (2 t2) and mu = t1 var carry up to eps var_j and
+        # 2 eps |mu_j|, which move log p_j by (y_j^2 - 1) / (2 var_j) and y_j / s_j per unit.
+        moves = []
+        for j, (p, sd) in enumerate(zip(members[:-1], sds)):
+            fine = ys[k * len(members) + j :: len(members)]
+            per_mu = 2.0 * _EPS * abs(p.mu) / sd
+            moves.append(([per_mu * y for y in fine], [0.5 * _EPS * (y * y - 1.0) for y in fine]))
+        return _cubature(integrand, _HERMITE_RULES, [0.5 * y * y for y in ys], norms, moves)
+    if isinstance(g, LaplacianParams):
         # y_j = |x| / scale_j = (scale / scale_j) z; n_j = log(2 scale_j).
-        affine = [(0.0, g.scale / p.scale) for p in members]
+        lins = [g.scale / p.scale for p in members]
         norms = [math.log(2.0 * p.scale) for p in members]
     else:
         # y_j = rate_j x = (rate_j / rate) z; n_j = -log(rate_j).
-        affine = [(0.0, p.rate / g.rate) for p in members]
+        lins = [p.rate / g.rate for p in members]
         norms = [-math.log(p.rate) for p in members]
-
-    # Loops, not comprehensions: before Python 3.12 each comprehension is a function call.
-    def log_densities(zs):
-        logs, mags = [], []
-        for (shift, lin), n in zip(affine, norms):
-            logs.append([])
-            mags.append([])
-            for z in zs:
-                y = shift + lin * z
-                u = 0.5 * y * y if gaussian else y
-                logs[-1].append(-u - n)
-                mags[-1].append(u + abs(n))
-        return logs, mags
-
-    def moves(zs):
-        # from_natural's var = -1 / (2 t2) and mu = t1 var carry up to eps var_j and
-        # 2 eps |mu_j|, which move log p_j by (y_j^2 - 1) / (2 var_j) and y_j / s_j per unit.
-        out = []
-        for (shift, lin), p, sd in zip(affine, members[:-1], sds):
-            ys = [shift + lin * z for z in zs]
-            per_mu = 2.0 * _EPS * abs(p.mu) / sd
-            out.append(([per_mu * y for y in ys], [0.5 * _EPS * (y * y - 1.0) for y in ys]))
-        return out
-
-    rules = _HERMITE_RULES if gaussian else _LAGUERRE_RULES
-    return _two_rules(integrand, rules, log_densities, moves if gaussian else None)
+    us = [lin * z for z in _LAGUERRE_RULES[0] for lin in lins]  # node by node
+    return _cubature(integrand, _LAGUERRE_RULES, us, norms)
 
 
 def _factors(fam: Family, thetas):
@@ -368,28 +373,18 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
     """Integrate over R^d through x = m + L z, for the proposal member N(m, L L^T)
     with L = P^-T from its precision factor, with z over both symmetric rules."""
     mus, chol_t, inv_chol, norms, slack = _factors(fam, (*integrand.members, proposal))
+    zs, _, k = rules = _symmetric_rules(fam.dim)
     # Member j at x is -|y|^2/2 - norm_j with y = P_j^T (m - mu_j) + (P_j^T L) z;
     # the proposal itself, last, has y = z.
     chol_t = chol_t[:-1]
     shift = (chol_t @ (mus[-1] - mus[:-1])[..., None])[..., 0]
     lin = np.swapaxes(chol_t @ inv_chol[-1].T, 1, 2)  # (P_j^T L)^T, for z @ lin
-    dmu = chol_t * slack[:-1, None, :]
-    norms, abs_norms = norms[:, None], np.abs(norms)[:, None]
-
-    def members_at(zs):
-        return shift[:, None, :] + zs @ lin
-
-    def log_densities(z):
-        y = np.concatenate((members_at(z), z[None]))
-        half = 0.5 * np.einsum("...ij,...ij->...i", y, y)
-        return (-half - norms).tolist(), (half + abs_norms).tolist()
-
-    def moves(zs):
-        # A change dmu_j of member j's mean moves its log-density by y_j^T P_j^T dmu_j:
-        # one change per coordinate i, |dmu_ji| up to the rounding bound of mu_ji.
-        return np.swapaxes(members_at(zs) @ dmu, 1, 2).tolist()
-
-    return _two_rules(integrand, _symmetric_rules(fam.dim), log_densities, moves)
+    ys = np.concatenate((shift[:, None, :] + zs @ lin, zs[None]))
+    us = (0.5 * np.einsum("...ij,...ij->...i", ys, ys)).T.ravel().tolist()
+    # A change dmu_j of member j's mean moves its log-density by y_j^T P_j^T dmu_j:
+    # one change per coordinate i, |dmu_ji| up to the rounding bound of mu_ji.
+    moves = np.swapaxes(ys[:-1, k:] @ (chol_t * slack[:-1, None, :]), 1, 2).tolist()
+    return _cubature(integrand, rules, us, norms.tolist(), moves)
 
 
 # --------------------------------------------------------------------------
@@ -440,9 +435,10 @@ def oracle_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> Oracl
     alpha = _check_alpha(alpha)
     theta = fam.member(theta)
     # Without a carrier, p^alpha is proportional to the alpha-scaled member's
-    # density; a Poisson p^alpha still peaks at the rate of p.
+    # density; a Poisson p^alpha still peaks at the rate of p, and a series needs no proposal.
     integrand = _Integrand((theta,), (alpha,))
-    return _integrate(fam, integrand, around=[theta], proposal=theta.scaled(alpha), alpha=alpha)
+    proposal = None if fam.support.is_discrete else theta.scaled(alpha)
+    return _integrate(fam, integrand, around=[theta], proposal=proposal, alpha=alpha)
 
 
 def _i_alpha_cross(

@@ -28,6 +28,14 @@ class TestNaturalParam:
         p = NaturalParam([1.0], mat)
         assert np.array_equal(p.matrix, p.matrix.T)
 
+    def test_matrix_entries_past_half_the_float_range_keep_their_values(self):
+        # Halves first: (m + m.T) / 2 overflows to inf there, with a numpy warning. An entry
+        # equal to its mirror stays as it is: halving the subnormal 5e-324 gives 0.
+        for mat in ([[-1.7e308, 1.2e308], [1.2e308, -1.6e308]], [[-1.0, 3e-310], [3e-310, -5e-324]]):
+            assert NaturalParam([0.0, 0.0], mat).matrix.tolist() == mat
+        mat = np.array([[-1.0, 0.3 + 1e-12], [0.3, -2.0]])  # the halves' sum is (m + m.T) / 2
+        assert NaturalParam([0.0, 0.0], mat).matrix.tolist() == ((mat + mat.T) / 2.0).tolist()
+
     def test_genuinely_asymmetric_matrix_rejected(self):
         with pytest.raises(ParameterDomainError):
             NaturalParam([1.0], [[1.0, 0.3], [0.1, 2.0]])
@@ -78,6 +86,15 @@ class TestConversions:
         params = fam.from_natural(theta)
         assert np.allclose(params.mu, 0.0, atol=1e-14)
         assert np.allclose(params.cov, np.eye(2), atol=1e-14)
+
+    def test_mvn_covariance_past_half_the_float_range_keeps_its_entropy(self):
+        # cov + cov.T overflowed there, so a valid member read as outside the domain.
+        # The reference is 50-digit mpmath, (1 + log(2 pi 1e308)) / 2.
+        params = em.MultivariateGaussianParams(mu=[0.0], cov=[[1e308]])
+        assert params.cov.tolist() == [[1e308]]
+        fam = em.get_family("mvn", 1)
+        value = em.evaluate_measure(fam, "shannon", fam.to_natural(params)).value
+        assert abs(value - 356.01704285428770808) <= 1e-14 * 356.0170428542877
 
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_round_trip(self, name):

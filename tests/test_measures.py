@@ -1201,6 +1201,30 @@ class TestPoissonSeries:
         with pytest.raises(ConvergenceError, match=want):
             M.evaluate_measure(em.POISSON, "renyi", theta, None, 1e-8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        peak=st.floats(1e-2, 1e3),
+        alpha=st.floats(0.05, 5.0),
+        signed=st.booleans(),
+    )
+    def test_one_row_is_summed_as_a_row_among_rows(self, peak, alpha, signed):
+        # The oracle hands count_series one row, the closed-form entropies three: the
+        # one-row bookkeeping returns what the rows path returns for that row, bit for bit.
+        # Poisson-type terms p^alpha, or (k - peak) p^alpha, whose signs change at the peak.
+        log_rate = math.log(peak)
+
+        def row(ks):
+            power = np.exp(alpha * (ks * log_rate - peak - F._log_factorials(ks)))
+            return (ks - peak) * power if signed else power
+
+        total, abs_total, tail, n = F.count_series(row, [peak], alpha)
+        totals, abs_totals, tails, n2 = F.count_series(lambda ks: (row(ks), row(ks)), [peak], alpha)
+        assert isinstance(total, float) and isinstance(abs_total, float)
+        assert n == n2 and totals[0] == totals[1]
+        assert [total.hex(), abs_total.hex(), tail.hex()] == [
+            totals[0].hex(), abs_totals[0].hex(), tails[0].hex()
+        ]
+
 
 # --------------------------------------------------------------------------
 # A Poisson member keeps its window's log-masses and each order's (H, G).

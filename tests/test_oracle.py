@@ -512,7 +512,7 @@ class TestGaussianMembersFarFromOrigin:
     def test_member_term_is_negligible_near_the_origin(self, monkeypatch):
         # On `verify`'s built-in pairs (means 0 and 0.5, or (0, 0) and (0.4, -0.3))
         # the term stays at the rounding level, so the check keeps its edge there.
-        two_rules = O._two_rules
+        cubature = O._cubature
         for name in ("gaussian", "mvn"):
             fam = make_family(name)
             p, q = (fam.to_natural(dict(obj)) for obj in cli.VERIFY_PAIRS[name])
@@ -524,9 +524,9 @@ class TestGaussianMembersFarFromOrigin:
                 ]
 
             with_term = bounds()
-            monkeypatch.setattr(O, "_two_rules", lambda i, r, l, moves=None: two_rules(i, r, l))
+            monkeypatch.setattr(O, "_cubature", lambda i, r, us, n, moves=None: cubature(i, r, us, n))
             terms = [b - b0 for b, b0 in zip(with_term, bounds())]
-            monkeypatch.setattr(O, "_two_rules", two_rules)
+            monkeypatch.setattr(O, "_cubature", cubature)
             assert max(terms) > 0.0 and all(0.0 <= t <= 1e-13 for t in terms), name
 
 
