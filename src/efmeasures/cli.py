@@ -13,8 +13,9 @@ shortest decimal that round-trips binary64, so identical invocations
 produce byte-identical reports.
 
 Exit codes: 0 success, 1 verification failed, 2 usage error, 3 domain error
-(out-of-domain parameters, bad observations, degenerate samples) or a value
-beyond the float range, 4 a count series or the oracle did not converge.
+(out-of-domain parameters, bad observations, degenerate samples), a value
+beyond the float range or a reported value that is not a finite number, 4 a
+count series or the oracle did not converge.
 """
 
 from __future__ import annotations
@@ -252,8 +253,10 @@ def _result_row(measure: str, alpha, res: MeasureResult, oracle=None, passed=Non
 
 
 def _render(report: dict, output: str) -> str:
+    """The report as JSON or CSV; ValueError if it holds a NaN or an infinity, which
+    neither carries as a number."""
     if output == "json":
-        return json.dumps(report, indent=2)
+        return json.dumps(report, indent=2, allow_nan=False)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -281,7 +284,10 @@ def _render(report: dict, output: str) -> str:
 def _csv_num(value) -> str:
     if value is None:
         return ""
-    return repr(float(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return repr(value)
 
 
 # --------------------------------------------------------------------------
@@ -472,7 +478,12 @@ def run(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    print(_render(report, getattr(args, "output", "json")))
+    try:
+        text = _render(report, getattr(args, "output", "json"))
+    except ValueError:
+        print("error: a reported value is not a finite number", file=sys.stderr)
+        return 3
+    print(text)
     return 0 if ok else 1
 
 

@@ -118,6 +118,17 @@ _DBL_MAX = float(np.finfo(float).max)
 _MAX_LOG_RATE = math.log(_DBL_MAX)  # the largest Poisson theta of finite rate
 
 
+def _symmetrized(m: np.ndarray, label: str) -> np.ndarray:
+    """(m + m.T) / 2 of a square m that is not symmetric, or ParameterDomainError if its
+    asymmetry exceeds the tolerance. Both come from the halves of m, which cannot overflow
+    past DBL_MAX / 2: (m - m.T) / 2 is checked against half the tolerance."""
+    half = m / 2.0
+    asym = float(np.max(np.abs(half - half.T)))
+    if asym > _MATRIX_ASYMMETRY_TOL / 2.0 * max(1.0, float(np.max(np.abs(m)))):
+        raise ParameterDomainError(f"{label} is not symmetric (max asymmetry {2.0 * asym:.3e})")
+    return half + half.T
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -150,16 +161,9 @@ class NaturalParam:
             mat = np.asarray(self.matrix, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"matrix block must be square, got shape {mat.shape}")
-            scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-            asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-            if asym > _MATRIX_ASYMMETRY_TOL * scale:
-                raise ParameterDomainError(
-                    f"matrix block is not symmetric (max asymmetry {asym:.3e})"
-                )
-            # (m + m.T) / 2 as the sum of halves, which cannot overflow past DBL_MAX / 2; a
-            # symmetric m stays as it is, since halving rounds a subnormal.
-            if asym:
-                mat = mat / 2.0 + mat.T / 2.0
+            # A symmetric m stays as it is, since halving rounds a subnormal.
+            if (mat != mat.T).any():
+                mat = _symmetrized(mat, "matrix block")
             object.__setattr__(self, "matrix", _readonly(mat))
 
     @property
@@ -397,12 +401,8 @@ class MultivariateGaussianParams:
             raise ParameterDomainError(f"cov must be {mu.size}x{mu.size}, got shape {cov.shape}")
         if not np.all(np.isfinite(cov)):
             raise ParameterDomainError("cov must be finite")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        asym = float(np.max(np.abs(cov - cov.T)))
-        if asym > _MATRIX_ASYMMETRY_TOL * scale:
-            raise ParameterDomainError(f"cov is not symmetric (max asymmetry {asym:.3e})")
-        if asym:  # as NaturalParam symmetrizes its matrix
-            cov = cov / 2.0 + cov.T / 2.0
+        if (cov != cov.T).any():  # as NaturalParam symmetrizes its matrix
+            cov = _symmetrized(cov, "cov")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .families import Family, Member, NaturalParam
@@ -44,8 +45,7 @@ __all__ = [
 CLOSED_FORM = "closed-form"
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(NamedTuple):
     """A measure value plus which formula produced it (always the closed form)."""
 
     value: float
@@ -158,4 +158,5 @@ def evaluate_measure(
             raise DomainError(f"alpha must be a {row.order} real, got {alpha}")
     p = fam.member(theta)
     q = fam.member(theta2, "second natural parameter") if row.needs_pair else None
-    return MeasureResult(row.closed_form(fam, p, q, alpha), CLOSED_FORM, alpha)
+    # One tuple of the fields, without the keyword binding of the record's constructor.
+    return tuple.__new__(MeasureResult, (row.closed_form(fam, p, q, alpha), CLOSED_FORM, alpha))

@@ -91,14 +91,15 @@ class OracleConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class OracleEstimate:
+class OracleEstimate(NamedTuple):
     """A numerical value, a defensible error bound, and how it was obtained.
 
     ``evaluations`` counts integrand evaluations: series terms, or the
     nodes of both cubature rules.
     """
 
+    # Made here as tuple.__new__(OracleEstimate, (...)), as _Integrand is: one tuple of the
+    # fields, without the keyword binding of the record's constructor.
     value: float
     error_bound: float
     method: str
@@ -213,7 +214,7 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
     slack_p = float(slack @ ps)
     mass = math.fsum(masses)
     if b is None and not any(coeffs[1:]):
-        return OracleEstimate(mass, tail + slack_p, DISCRETE_SUM, ks.size)
+        return tuple.__new__(OracleEstimate, (mass, tail + slack_p, DISCRETE_SUM, ks.size))
     # Each term w exp(e) and its rounding bound, as at a cubature node.
     if b is None:
         rounding = unit * ts * (1.0 + sums[0, 1])
@@ -226,7 +227,8 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
     rounding = (shared + float(np.add.reduce(rounding))) / mass + 2.0 * _EPS * abs(value)
     # Past the window the terms' tail is missing, and the division counts p's
     # mass there as summed, which moves the value by at most value times it.
-    return OracleEstimate(value, tail + abs(value) * p_tail + rounding, DISCRETE_SUM, ks.size)
+    bound = tail + abs(value) * p_tail + rounding
+    return tuple.__new__(OracleEstimate, (value, bound, DISCRETE_SUM, ks.size))
 
 
 def _binary(thetas, coeffs, weights) -> OracleEstimate:
@@ -243,12 +245,12 @@ def _binary(thetas, coeffs, weights) -> OracleEstimate:
     slack_p = s0 * p0 + s1 * p1
     mass = math.fsum((p0, p1))
     if weights is None and not any(coeffs[1:]):
-        return OracleEstimate(mass, slack_p, DISCRETE_SUM, 2)
+        return tuple.__new__(OracleEstimate, (mass, slack_p, DISCRETE_SUM, 2))
     value = math.fsum((t0, t1)) / mass
     shared = abs(t0 - value * p0) * (s0 + slack_p / mass)
     shared += abs(t1 - value * p1) * (s1 + slack_p / mass)
     rounding = (shared + (r0 + r1)) / mass + 2.0 * _EPS * abs(value)
-    return OracleEstimate(value, rounding, DISCRETE_SUM, 2)
+    return tuple.__new__(OracleEstimate, (value, rounding, DISCRETE_SUM, 2))
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +315,8 @@ def _cubature(integrand: _Integrand, rules, us, norms, moves=None) -> OracleEsti
         slopes = [(a_j * w + b_j) * p for w, p in zip(ws[k:], ps[k:])]
         for d in changes:
             rounding += abs(math.fsum(map(float.__mul__, slopes, d)))
-    return OracleEstimate(value, abs(value - coarse) + rounding, CUBATURE, len(ts))
+    bound = abs(value - coarse) + rounding
+    return tuple.__new__(OracleEstimate, (value, bound, CUBATURE, len(ts)))
 
 
 def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> OracleEstimate:
@@ -322,8 +325,10 @@ def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> O
     zero-mean Laplacian one, whose integrands depend on |x| only. Member j's
     log-density is -u_j - n_j there, with u_j = y_j^2 / 2 or y_j for a y_j
     affine in z."""
-    members = list(map(fam.from_natural, (*integrand.members, proposal)))
-    g = members[-1]
+    members = list(map(fam.from_natural, integrand.members))
+    # The proposal of a log integral is its first member, whose record is reused.
+    g = members[0] if proposal is integrand.members[0] else fam.from_natural(proposal)
+    members.append(g)
     if isinstance(g, GaussianParams):
         # y_j = (x - mu_j) / s_j = (m - mu_j) / s_j + (s / s_j) z; n_j = log(s_j sqrt(2 pi)).
         sds = [math.sqrt(p.var) for p in members]
@@ -436,7 +441,7 @@ def oracle_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> Oracl
     theta = fam.member(theta)
     # Without a carrier, p^alpha is proportional to the alpha-scaled member's
     # density; a Poisson p^alpha still peaks at the rate of p, and a series needs no proposal.
-    integrand = _Integrand((theta,), (alpha,))
+    integrand = tuple.__new__(_Integrand, ((theta,), (alpha,), None))
     proposal = None if fam.support.is_discrete else theta.scaled(alpha)
     return _integrate(fam, integrand, around=[theta], proposal=proposal, alpha=alpha)
 
@@ -453,7 +458,7 @@ def _i_alpha_cross(
         )
     # p^alpha q^(1-alpha) is proportional to the mixture member's density, so
     # that member carries the mass; both members' modes widen a series window.
-    integrand = _Integrand((theta, theta2), (alpha, 1.0 - alpha))
+    integrand = tuple.__new__(_Integrand, ((theta, theta2), (alpha, 1.0 - alpha), None))
     return _integrate(fam, integrand, around=[mixed, theta, theta2], proposal=mixed)
 
 
@@ -467,7 +472,7 @@ def oracle_i_alpha_cross(
 def _log_integral(fam: Family, b: tuple[float, ...], members) -> OracleEstimate:
     """Direct integral/sum of p sum_j b_j log p_j over the checked ``members``,
     p the first: -p log p, -p log q and p log(p/q) for b = (-1), (0, -1), (1, -1)."""
-    integrand = _Integrand(members, (1.0,) + (0.0,) * (len(members) - 1), b)
+    integrand = tuple.__new__(_Integrand, (members, (1.0,) + (0.0,) * (len(members) - 1), b))
     return _integrate(fam, integrand, around=members, proposal=members[0])
 
 
@@ -509,7 +514,8 @@ def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> f
 def _finish(est: OracleEstimate, value: float, err: float, roundings: int) -> OracleEstimate:
     """A measure's value from its integral's estimate: the integral's error carried to it as
     ``err``, plus eps |value| for each rounding of the operations that finish it."""
-    return OracleEstimate(value, err + roundings * _EPS * abs(value), est.method, est.evaluations)
+    bound = err + roundings * _EPS * abs(value)
+    return tuple.__new__(OracleEstimate, (value, bound, est.method, est.evaluations))
 
 
 def _renyi(est: OracleEstimate, denom: float) -> OracleEstimate:

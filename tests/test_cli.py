@@ -185,6 +185,36 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "beyond the float range" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("divergence", "--family", "gaussian",
+             "--params", '{"mu":-1.6212431214147161e-19,"var":3.1335025258725407e-288}',
+             "--params2", '{"mu":-3.3792118708448206e124,"var":4.774168530440229e183}',
+             "--measure", "bhattacharyya"),
+            ("divergence", "--family", "exponential", "--params", '{"rate":4.9e-133}',
+             "--params2", '{"rate":6.4e249}', "--measure", "kl"),
+            ("divergence", "--family", "exponential", "--params", '{"rate":4.9e-133}',
+             "--params2", '{"rate":6.4e249}', "--measure", "kl", "--output", "csv"),
+        ],
+        ids=["nan", "infinity", "infinity-csv"],
+    )
+    def test_non_finite_value_is_one_error_line_exit_3(self, args):
+        # JSON has no NaN or Infinity and a CSV reader takes "nan" for a number: neither
+        # reaches stdout as a success.
+        code, out, err = run_cli(*args)
+        assert (code, out) == (3, "")
+        assert err == "error: a reported value is not a finite number\n"
+
+    def test_asymmetric_covariance_past_half_the_float_range_is_one_error_line_exit_3(self):
+        # cov - cov.T overflows here: numpy printed a RuntimeWarning before the error line.
+        code, out, err = run_cli(
+            "entropy", "--family", "mvn", "--params",
+            '{"mu":[0,0],"sigma":[[1,1e308],[-1e308,1]]}', "--measure", "shannon",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cov is not symmetric") and err.count("\n") == 1
+
 
 class TestEstimateCommand:
     @pytest.fixture

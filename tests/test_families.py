@@ -40,6 +40,11 @@ class TestNaturalParam:
         with pytest.raises(ParameterDomainError):
             NaturalParam([1.0], [[1.0, 0.3], [0.1, 2.0]])
 
+    def test_mirrored_entries_of_opposite_sign_past_half_the_float_range_are_rejected(self):
+        # m - m.T overflows there, with a numpy warning (an error under this suite's filters).
+        with pytest.raises(ParameterDomainError, match="not symmetric"):
+            NaturalParam([0.0, 0.0], [[-1.0, 1e308], [-1e308, -1.0]])
+
     def test_inner_product_symmetric_and_bilinear(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -95,6 +100,11 @@ class TestConversions:
         fam = em.get_family("mvn", 1)
         value = em.evaluate_measure(fam, "shannon", fam.to_natural(params)).value
         assert abs(value - 356.01704285428770808) <= 1e-14 * 356.0170428542877
+
+    def test_mvn_covariance_with_mirrored_entries_of_opposite_sign_is_rejected(self):
+        # cov - cov.T overflowed there, with a numpy warning before the rejection.
+        with pytest.raises(ParameterDomainError, match="cov is not symmetric"):
+            em.MultivariateGaussianParams(mu=[0.0, 0.0], cov=[[1.0, 1e308], [-1e308, 1.0]])
 
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_round_trip(self, name):

@@ -410,6 +410,90 @@ class TestPublicSurface:
         assert missing == []
 
 
+# Each record: a call that makes one, its fields, their defaults and README's repr.
+RECORDS = {
+    "MeasureResult": (
+        lambda: M.evaluate_measure(em.GAUSSIAN, "renyi", _gauss_theta(0.0, 1.0), alpha=2.0),
+        ("value", "branch", "alpha_used"),
+        {"alpha_used": None},
+        "MeasureResult(value=1.2655121234846454, branch='closed-form', alpha_used=2.0)",
+    ),
+    "OracleEstimate": (
+        lambda: O.oracle_measure(em.EXPONENTIAL, "kl", _exp_theta(1.0), _exp_theta(2.0)),
+        ("value", "error_bound", "method", "evaluations"),
+        {},
+        "OracleEstimate(value=0.3068528194400545, error_bound=7.031488923089988e-15, "
+        "method='cubature', evaluations=3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestResultRecords:
+    """MeasureResult and OracleEstimate are named tuples, made by their modules as one tuple of
+    their fields: each such record is a full instance of its public type."""
+
+    def test_fields_and_default(self, name):
+        make, fields, defaults, _ = RECORDS[name]
+        cls = getattr(em, name)
+        assert (cls._fields, cls._field_defaults) == (fields, defaults)
+        res = make()
+        assert type(res) is cls and res == tuple(getattr(res, f) for f in fields)
+        if defaults:
+            assert cls(1.0, M.CLOSED_FORM).alpha_used is None
+
+    def test_fields_cannot_be_assigned(self, name):
+        res = RECORDS[name][0]()
+        for field in res._fields:
+            with pytest.raises(AttributeError):
+                setattr(res, field, 0.0)
+
+    def test_equals_the_record_from_the_public_constructor(self, name):
+        res = RECORDS[name][0]()
+        made = getattr(em, name)(**res._asdict())
+        assert made == res and type(made) is type(res) and hash(made) == hash(res)
+        assert res._replace(value=0.0) != res
+
+    def test_pickle_and_copy_round_trip(self, name):
+        res = RECORDS[name][0]()
+        for again in (pickle.loads(pickle.dumps(res)), copy.copy(res), copy.deepcopy(res)):
+            assert again == res and type(again) is type(res)
+
+    def test_readme_repr(self, name):
+        assert repr(RECORDS[name][0]()) == RECORDS[name][3]
+
+
+def _fits(fam, name):
+    rng = np.random.default_rng(5)
+    return [
+        em.mle(em.SampleSet(fam, fam.sample(fam.to_natural(random_source(name, rng)), 400, seed)))
+        for seed in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize("producer", ["evaluate_measure", "plugin_measure", "oracle_measure"])
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_every_result_is_a_full_record(producer, name):
+    fam = make_family(name)
+    fits = _fits(fam, name)
+    p, q = (fit.theta for fit in fits)
+    for row in M.MEASURES:
+        alpha = 0.5 if row.order else None
+        if producer == "evaluate_measure":
+            res = M.evaluate_measure(fam, row.name, p, q, alpha)
+        elif producer == "plugin_measure":
+            res = em.plugin_measure(row.name, *fits, alpha=alpha)
+        else:
+            res = O.oracle_measure(fam, row.name, p, q, alpha)
+        if producer == "oracle_measure":
+            assert type(res) is O.OracleEstimate
+            assert [type(v) for v in res] == [float, float, str, int]
+        else:
+            assert type(res) is M.MeasureResult
+            assert [type(v) for v in res] == [float, str, type(alpha)]
+            assert res == (res.value, M.CLOSED_FORM, alpha)
+
+
 class TestAlphaValidation:
     def test_rejects_nonpositive_alpha(self, std_gauss):
         for bad in (0.0, -1.0, math.inf, math.nan):
