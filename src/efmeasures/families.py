@@ -348,13 +348,20 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _checked(name: str, x: float, positive: bool = True) -> float:
+    """``x``, refused unless a finite (and positive) float: the refusal of the records below,
+    which a family's _source makes too."""
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        raise ParameterDomainError(f"{name} must be {'> 0' if positive else 'finite'}, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class ExponentialParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ParameterDomainError(f"rate must be > 0, got {self.rate}")
+        _checked("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -362,8 +369,7 @@ class PoissonParams:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ParameterDomainError(f"rate must be > 0, got {self.rate}")
+        _checked("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -381,10 +387,8 @@ class GaussianParams:
     var: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise ParameterDomainError(f"mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.var) and self.var > 0):
-            raise ParameterDomainError(f"var must be > 0, got {self.var}")
+        _checked("mu", self.mu, positive=False)
+        _checked("var", self.var)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,8 +426,7 @@ class LaplacianParams:
     scale: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ParameterDomainError(f"scale must be > 0, got {self.scale}")
+        _checked("scale", self.scale)
 
 
 _MOMENTS_FILL = threading.Lock()
@@ -712,8 +715,11 @@ class Family(ABC):
     @abstractmethod
     def to_natural(self, params) -> Member: ...
 
-    @abstractmethod
-    def from_natural(self, theta: NaturalParam): ...
+    def from_natural(self, theta: NaturalParam):
+        """A member's source record ``_record``, of the floats ``_source(t)`` reads off its
+        coordinates t and refuses as the record does; mvn and Bernoulli override it."""
+        self.member(theta)
+        return self._record(*self._source(theta.vector.tolist()))
 
     @abstractmethod
     def log_normalizer(self, theta: NaturalParam) -> float: ...
@@ -761,6 +767,7 @@ class ExponentialDistFamily(Family):
     name: ClassVar[str] = "exponential"
     vector_dim: ClassVar[int] = 1
     support: ClassVar[Support] = Support("nonneg-real")
+    _record: ClassVar[type] = ExponentialParams
     source_keys: ClassVar[tuple[str, ...]] = ("rate",)
     decomposition: ClassVar[dict[str, str]] = {
         "natural": "theta = -rate, theta < 0",
@@ -775,9 +782,8 @@ class ExponentialDistFamily(Family):
             params = ExponentialParams(**_params_as_dict(params))
         return self.member(NaturalParam([-params.rate]))
 
-    def from_natural(self, theta: NaturalParam) -> ExponentialParams:
-        self.member(theta)
-        return ExponentialParams(rate=-float(theta.vector[0]))
+    def _source(self, t: list[float]) -> tuple[float]:
+        return (_checked("rate", -t[0]),)
 
     def _inside(self, t: float) -> bool:
         return -math.inf < t < 0
@@ -824,6 +830,7 @@ class PoissonFamily(Family):
     name: ClassVar[str] = "poisson"
     vector_dim: ClassVar[int] = 1
     support: ClassVar[Support] = Support("nonneg-int")
+    _record: ClassVar[type] = PoissonParams
     source_keys: ClassVar[tuple[str, ...]] = ("rate",)
     decomposition: ClassVar[dict[str, str]] = {
         "natural": "theta = log(rate), exp(theta) a finite float",
@@ -838,9 +845,8 @@ class PoissonFamily(Family):
             params = PoissonParams(**_params_as_dict(params))
         return self.member(NaturalParam([math.log(params.rate)]))
 
-    def from_natural(self, theta: NaturalParam) -> PoissonParams:
-        self.member(theta)
-        return PoissonParams(rate=math.exp(float(theta.vector[0])))
+    def _source(self, t: list[float]) -> tuple[float]:
+        return (_checked("rate", math.exp(t[0])),)
 
     def _inside(self, t: float) -> bool:
         return -math.inf < t <= _MAX_LOG_RATE
@@ -1049,6 +1055,7 @@ class GaussianFamily(Family):
     name: ClassVar[str] = "gaussian"
     vector_dim: ClassVar[int] = 2
     support: ClassVar[Support] = Support("real")
+    _record: ClassVar[type] = GaussianParams
     source_keys: ClassVar[tuple[str, ...]] = ("mu", "var")
     _renyi_weight: ClassVar[float] = 0.5
     decomposition: ClassVar[dict[str, str]] = {
@@ -1064,14 +1071,14 @@ class GaussianFamily(Family):
             params = GaussianParams(**_params_as_dict(params))
         return self.member(NaturalParam([params.mu / params.var, -0.5 / params.var]))
 
-    def from_natural(self, theta: NaturalParam) -> GaussianParams:
-        self.member(theta)
-        t1, t2 = theta.vector.tolist()
-        var = -0.5 / t2
-        return GaussianParams(mu=t1 * var, var=var)
+    def _source(self, t: list[float]) -> tuple[float, float]:
+        var = _checked("var", -0.5 / t[1])  # first: where var overflows, mu = t1 var is 0 inf
+        return _checked("mu", t[0] * var, positive=False), var
 
     def _in_domain(self, theta: NaturalParam) -> bool:
-        t1, t2 = theta.vector.tolist()
+        return self._inside(*theta.vector.tolist())
+
+    def _inside(self, t1: float, t2: float) -> bool:
         return math.isfinite(t1) and math.isfinite(t2) and t2 < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
@@ -1317,6 +1324,7 @@ class CenteredLaplacianFamily(Family):
     name: ClassVar[str] = "laplacian"
     vector_dim: ClassVar[int] = 1
     support: ClassVar[Support] = Support("real")
+    _record: ClassVar[type] = LaplacianParams
     source_keys: ClassVar[tuple[str, ...]] = ("scale",)
     decomposition: ClassVar[dict[str, str]] = {
         "natural": "theta = -1/scale, theta < 0",
@@ -1331,9 +1339,8 @@ class CenteredLaplacianFamily(Family):
             params = LaplacianParams(**_params_as_dict(params))
         return self.member(NaturalParam([-1.0 / params.scale]))
 
-    def from_natural(self, theta: NaturalParam) -> LaplacianParams:
-        self.member(theta)
-        return LaplacianParams(scale=-1.0 / float(theta.vector[0]))
+    def _source(self, t: list[float]) -> tuple[float]:
+        return (_checked("scale", -1.0 / t[0]),)
 
     def _inside(self, t: float) -> bool:
         return -math.inf < t < 0

@@ -8,7 +8,9 @@ the discrete ones. Nothing in this module consults ``measures``.
 Every log-density is built from source parameters (a rate, a scale, a Gaussian mean and
 variance or precision Cholesky), never from the log-normalizer F. Every family log-density
 subtracts F, so a sum of ``log_density_batch`` values would reproduce F's differences term by
-term and agree with a wrong F.
+term and agree with a wrong F. A member but an mvn one is carried as its floats, from which
+``Family._source`` reads the source parameters without a source record; the alpha-scaled and
+mixed members are formed and checked on them, rounded as NaturalParam.scaled and .mix round.
 
 The continuous integrals are expectations under a proposal member g: the alpha-scaled member
 for power integrals, the alpha-mixture for cross integrals and p itself otherwise. Within an
@@ -47,8 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NaturalDomainError, ParameterDomainError
-from .families import Family, GaussianParams, LaplacianParams
+from .errors import ConvergenceError, DomainError, NaturalDomainError
+from .families import CenteredLaplacianFamily, Family, GaussianFamily
 from .families import NaturalParam, _log_factorials, _lower_inverse, _tail, count_series
 
 __all__ = [
@@ -108,9 +110,9 @@ class OracleEstimate(NamedTuple):
 
 class _Integrand(NamedTuple):
     """w(x) exp(e(x)), with e = sum_j a_j log p_j(x) and w = sum_j b_j log p_j(x)
-    over ``members`` (w = 1 when ``b`` is None)."""
+    over ``members`` (w = 1 when ``b`` is None), each as ``_carried`` gives it."""
 
-    members: tuple[NaturalParam, ...]
+    members: tuple
     a: tuple[float, ...]
     b: tuple[float, ...] | None = None
 
@@ -173,22 +175,20 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
     # its value as magnitude: the rounding of its pieces is bounded apart.
     coeffs = (1.0, a[0] - 1.0, *a[1:])
     weights = None if b is None else (0.0, *b)
-    thetas = [float(m.vector[0]) for m in members]
+    thetas = [t for t, in members]
     if fam.support.kind == "binary":
         return _binary(thetas, coeffs, weights)
     # log p(k) = k log(rate) - rate - log k!, from the source rate e^theta, once a member: the
     # members are among ``around``, whose modes centre the window. One row a piece, p and then
     # every member, with the log-masses on the first n rows and the magnitudes they are computed
     # from on the last n; the coefficients for e and then w add the rows top to bottom.
-    rates = {id(m): math.exp(float(m.vector[0])) for m in around}
-    if 0.0 in rates.values():  # below the float range, as from_natural finds too
-        raise ParameterDomainError("rate must be > 0, got 0.0")
+    rates = {id(m): fam._source(m)[0] for m in around}
     rows, rate_rows = [thetas[0], *thetas], [rates[id(m)] for m in (members[0], *members)]
     n = len(rows)
-    slopes = np.array([*rows, *map(abs, rows)])[:, None]
-    offsets = np.array([*rate_rows, *map(float.__neg__, rate_rows)])[:, None]
-    coef = np.array([*coeffs, *map(abs, coeffs), *(weights or ()), *map(abs, weights or ())])
-    coef = coef.reshape(-1, 2, n, 1)
+    consts = np.array([*rows, *map(abs, rows), *rate_rows, *map(float.__neg__, rate_rows),
+                       *coeffs, *map(abs, coeffs), *(weights or ()), *map(abs, weights or ())])
+    slopes, offsets = consts[: 4 * n].reshape(2, 2 * n, 1)
+    coef = consts[4 * n :].reshape(-1, 2, n, 1)
     unit = _ROUNDING_ULPS * _EPS
     last = {}
 
@@ -200,12 +200,13 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
         np.abs(x[0], out=x[n])  # p's magnitude is its value's
         sums = np.add.reduce(coef * x.reshape(2, n, -1), axis=-2)  # (e, mag), then (w, mw)
         ts = np.exp(sums[0, 0])
-        last["window"] = ks, x, sums, ts
-        return ts if b is None else sums[1, 0] * ts
+        out = ts if b is None else sums[1, 0] * ts
+        last["window"] = ks, x, sums, ts, out
+        return out
 
     # count_series sums the last window it evaluated; p is log-concave past it too.
     _, _, tail, _ = count_series(terms, rates.values(), alpha)
-    ks, x, sums, ts = last["window"]
+    ks, x, sums, ts, weighted = last["window"]
     ps = np.exp(x[0])
     masses = ps.tolist()
     p_tail = _tail(masses[-1], masses[-2]) + (_tail(masses[0], masses[1]) if ks[0] > 0 else 0.0)
@@ -220,7 +221,7 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
         rounding = unit * ts * (1.0 + sums[0, 1])
     else:
         rounding = unit * ts * (np.abs(sums[1, 0]) * (1.0 + sums[0, 1]) + sums[1, 1])
-        ts = sums[1, 0] * ts
+        ts = weighted
     value = math.fsum(ts.tolist()) / mass
     # The shared factors move the value by sum_k (t_k - value p_k)(delta_k - mean delta) / mass.
     shared = float(np.abs(ts - value * ps) @ (slack + slack_p / mass))
@@ -235,8 +236,9 @@ def _binary(thetas, coeffs, weights) -> OracleEstimate:
     """``_series`` over the two points of a binary support: the nodes of a rule of unit weights,
     bit for bit as over arrays but for the two-term dot products, which numpy may round as one
     fused multiply-add. At each point the pieces are p, then every member, and each log-mass is
-    x theta - log(1 + e^theta) = -log(1 + e^((1 - 2x) theta)), which cannot overflow."""
-    flat = np.logaddexp(0.0, [s * t for t in thetas for s in (1.0, -1.0)]).tolist()
+    x theta - log(1 + e^theta) = -log(1 + e^((1 - 2x) theta)), which cannot overflow: u = log(1 +
+    e^v) = max(v, 0) + log(1 + e^-|v|), with np.logaddexp(0, v)'s bits."""
+    flat = [max(v, 0.0) + math.log1p(math.exp(-abs(v))) for t in thetas for v in (t, -t)]
     us = [flat[0], *flat[::2], flat[1], *flat[1::2]]  # u = -log p at x = 0, then at x = 1
     out = _node_terms(coeffs, weights, [0.0] * len(coeffs), us, (0.0, 0.0), (-flat[0], -flat[1]))
     (t0, t1), (r0, r1), _, _, (p0, p1) = out
@@ -319,39 +321,44 @@ def _cubature(integrand: _Integrand, rules, us, norms, moves=None) -> OracleEsti
     return tuple.__new__(OracleEstimate, (value, bound, CUBATURE, len(ts)))
 
 
-def _univariate(fam: Family, integrand: _Integrand, proposal: NaturalParam) -> OracleEstimate:
+def _univariate(fam: Family, integrand: _Integrand, proposal: list[float]) -> OracleEstimate:
     """Integrate over the line in z = (x - m) / s for a Gaussian proposal
     N(m, s^2), and over the half-line in z = |x| / scale for an exponential or
-    zero-mean Laplacian one, whose integrands depend on |x| only. Member j's
-    log-density is -u_j - n_j there, with u_j = y_j^2 / 2 or y_j for a y_j
-    affine in z."""
-    members = list(map(fam.from_natural, integrand.members))
-    # The proposal of a log integral is its first member, whose record is reused.
-    g = members[0] if proposal is integrand.members[0] else fam.from_natural(proposal)
-    members.append(g)
-    if isinstance(g, GaussianParams):
+    zero-mean Laplacian one, whose integrands depend on |x| only. Member j's log-density is
+    -u_j - n_j there, with u_j = y_j^2 / 2 or y_j for a y_j affine in z, from the source
+    parameters ``Family._source`` reads from the member's floats."""
+    members = list(map(fam._source, integrand.members))
+    # The proposal of a log integral is its first member, whose source floats are reused;
+    # a derived one is checked as Family.member checks a member.
+    if proposal is integrand.members[0]:
+        members.append(members[0])
+    else:
+        fam._guard(fam._inside(*proposal))
+        members.append(fam._source(proposal))
+    g = members[-1]
+    if isinstance(fam, GaussianFamily):
         # y_j = (x - mu_j) / s_j = (m - mu_j) / s_j + (s / s_j) z; n_j = log(s_j sqrt(2 pi)).
-        sds = [math.sqrt(p.var) for p in members]
-        affine = [((g.mu - p.mu) / sd, sds[-1] / sd) for p, sd in zip(members, sds)]
+        sds = [math.sqrt(var) for _, var in members]
+        affine = [((g[0] - mu) / sd, sds[-1] / sd) for (mu, _), sd in zip(members, sds)]
         norms = [math.log(sd) + 0.5 * _LOG_2PI for sd in sds]
         zs, _, k = _HERMITE_RULES
         ys = [shift + lin * z for z in zs for shift, lin in affine]  # node by node
-        # from_natural's var = -1 / (2 t2) and mu = t1 var carry up to eps var_j and
+        # _source's var = -1 / (2 t2) and mu = t1 var carry up to eps var_j and
         # 2 eps |mu_j|, which move log p_j by (y_j^2 - 1) / (2 var_j) and y_j / s_j per unit.
         moves = []
-        for j, (p, sd) in enumerate(zip(members[:-1], sds)):
+        for j, ((mu, _), sd) in enumerate(zip(members[:-1], sds)):
             fine = ys[k * len(members) + j :: len(members)]
-            per_mu = 2.0 * _EPS * abs(p.mu) / sd
+            per_mu = 2.0 * _EPS * abs(mu) / sd
             moves.append(([per_mu * y for y in fine], [0.5 * _EPS * (y * y - 1.0) for y in fine]))
         return _cubature(integrand, _HERMITE_RULES, [0.5 * y * y for y in ys], norms, moves)
-    if isinstance(g, LaplacianParams):
+    if isinstance(fam, CenteredLaplacianFamily):
         # y_j = |x| / scale_j = (scale / scale_j) z; n_j = log(2 scale_j).
-        lins = [g.scale / p.scale for p in members]
-        norms = [math.log(2.0 * p.scale) for p in members]
+        lins = [g[0] / scale for scale, in members]
+        norms = [math.log(2.0 * scale) for scale, in members]
     else:
         # y_j = rate_j x = (rate_j / rate) z; n_j = -log(rate_j).
-        lins = [p.rate / g.rate for p in members]
-        norms = [-math.log(p.rate) for p in members]
+        lins = [rate / g[0] for rate, in members]
+        norms = [-math.log(rate) for rate, in members]
     us = [lin * z for z in _LAGUERRE_RULES[0] for lin in lins]  # node by node
     return _cubature(integrand, _LAGUERRE_RULES, us, norms)
 
@@ -398,7 +405,7 @@ def _gaussian(fam: Family, integrand: _Integrand, proposal) -> OracleEstimate:
 
 
 def _integrate(
-    fam: Family, integrand: _Integrand, *, around, proposal: NaturalParam, alpha: float = 1.0
+    fam: Family, integrand: _Integrand, *, around, proposal, alpha: float = 1.0
 ) -> OracleEstimate:
     """Integrate or sum ``integrand`` over the support. A count series centres its
     window on the modes of the members ``around``, as wide as a p^alpha power needs;
@@ -428,21 +435,28 @@ def _check_alpha(alpha: float | None, *, positive: bool = True) -> float:
     return alpha
 
 
+def _carried(fam: Family, theta: NaturalParam, label: str = "natural parameter"):
+    """``theta`` checked once, as the oracle carries a member: an mvn member as it is, whose
+    blocks _gaussian factors, and any other as its coordinates, a list of floats."""
+    theta = fam.member(theta, label)
+    return theta if fam.matrix_dim else theta.vector.tolist()
+
+
 def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None):
     if theta2 is None:
         raise ValueError("the measure needs a second parameter")
-    return fam.member(theta), fam.member(theta2, "second natural parameter")
+    return _carried(fam, theta), _carried(fam, theta2, "second natural parameter")
 
 
 def oracle_i_alpha_self(fam: Family, theta: NaturalParam, alpha: float) -> OracleEstimate:
     """Direct integral/sum of p^alpha over the support; at alpha = 1 it is the
     mass of p itself, which should be 1."""
     alpha = _check_alpha(alpha)
-    theta = fam.member(theta)
-    # Without a carrier, p^alpha is proportional to the alpha-scaled member's
-    # density; a Poisson p^alpha still peaks at the rate of p, and a series needs no proposal.
+    theta = _carried(fam, theta)
+    # Without a carrier, p^alpha is proportional to the alpha-scaled member's density (rounded as
+    # NaturalParam.scaled rounds it); a Poisson p^alpha still peaks at the rate of p.
     integrand = tuple.__new__(_Integrand, ((theta,), (alpha,), None))
-    proposal = None if fam.support.is_discrete else theta.scaled(alpha)
+    proposal = theta.scaled(alpha) if fam.matrix_dim else [alpha * t for t in theta]
     return _integrate(fam, integrand, around=[theta], proposal=proposal, alpha=alpha)
 
 
@@ -450,8 +464,11 @@ def _i_alpha_cross(
     fam: Family, theta: NaturalParam, theta2: NaturalParam, alpha: float
 ) -> OracleEstimate:
     theta, theta2 = _check_pair(fam, theta, theta2)
-    mixed = theta.mix(theta2, alpha)
-    if not fam.in_natural_domain(mixed):
+    if fam.matrix_dim:
+        mixed = theta.mix(theta2, alpha)
+    else:  # as NaturalParam.mix rounds it
+        mixed = [alpha * x + (1.0 - alpha) * y for x, y in zip(theta, theta2)]
+    if not (fam.in_natural_domain(mixed) if fam.matrix_dim else fam._inside(*mixed)):
         raise ConvergenceError(
             "the alpha-mixture parameter leaves the natural domain; "
             "the cross integral diverges"
@@ -545,7 +562,7 @@ def _hellinger(est: OracleEstimate) -> OracleEstimate:
 _ASSEMBLY = {
     "renyi": lambda fam, p, q, a: _renyi(oracle_i_alpha_self(fam, p, a), 1.0 - a),
     "tsallis": lambda fam, p, q, a: _tsallis(oracle_i_alpha_self(fam, p, a), 1.0 - a),
-    "shannon": lambda fam, p, q, a: _log_integral(fam, (-1.0,), (fam.member(p),)),
+    "shannon": lambda fam, p, q, a: _log_integral(fam, (-1.0,), (_carried(fam, p),)),
     "cross-entropy": lambda fam, p, q, a: _log_integral(fam, (0.0, -1.0), _check_pair(fam, p, q)),
     "kl": lambda fam, p, q, a: _log_integral(fam, (1.0, -1.0), _check_pair(fam, p, q)),
     "renyi-div": lambda fam, p, q, a: _renyi(oracle_i_alpha_cross(fam, p, q, a), a - 1.0),

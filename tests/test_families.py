@@ -106,6 +106,15 @@ class TestConversions:
         with pytest.raises(ParameterDomainError, match="cov is not symmetric"):
             em.MultivariateGaussianParams(mu=[0.0, 0.0], cov=[[1.0, 1e308], [-1e308, 1.0]])
 
+    def test_gaussian_variance_past_the_float_range_is_refused_as_a_variance(self):
+        # var = -1 / (2 t2) overflows, and mu = t1 var was 0 inf: the refusal read a NaN mean.
+        theta = NaturalParam([0.0, -1e-310])
+        with pytest.raises(ParameterDomainError, match=r"^var must be > 0, got inf$"):
+            em.GAUSSIAN.from_natural(theta)
+        # The closed form never forms var. The reference is 50-digit mpmath, log(2 pi e var) / 2.
+        value = em.evaluate_measure(em.GAUSSIAN, "shannon", theta).value
+        assert abs(value - 357.97305435700178264) <= 1e-14 * 357.97305435700178264
+
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_round_trip(self, name):
         fam = make_family(name)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import efmeasures as em
 from efmeasures import cli
 from efmeasures import measures as M
 from efmeasures import oracle as O
-from efmeasures.errors import ConvergenceError, DomainError, NaturalDomainError
+from efmeasures.errors import ConvergenceError, DomainError, NaturalDomainError, ParameterDomainError
 from efmeasures.families import NaturalParam
 
 from conftest import ALL_FAMILY_NAMES, _random_cov, make_family, random_source, random_theta_pair
@@ -189,6 +191,65 @@ class TestOneEntryPoint:
             M.evaluate_measure(fam, "shannon", theta)
         with pytest.raises(DomainError):
             O.oracle_measure(fam, "shannon", theta)
+
+
+class TestFloatMembers:
+    """Members of every family but mvn enter the oracle as floats: their source parameters are
+    read without a source record, and the scaled and mixed members are formed and checked as
+    floats, with the refusals a source record and Family.member make."""
+
+    def test_verify_cells_build_no_source_record_and_no_derived_member(self, monkeypatch):
+        cells = [
+            (fam, measure, p, q if M.measure_needs_pair(measure) else None, alpha)
+            for fam, p, q in _verify_pairs() if fam.name != "mvn"
+            for measure, alpha in cli.VERIFY_CELLS
+        ]
+        assert len({fam.name for fam, *_ in cells}) == 5
+        expected = [O.oracle_measure(*cell) for cell in cells]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle built a source record or a derived NaturalParam")
+
+        for cls in {type(fam) for fam, *_ in cells}:
+            monkeypatch.setattr(cls, "from_natural", forbidden)
+        for name in ("mix", "scaled", "_derived"):
+            monkeypatch.setattr(NaturalParam, name, forbidden)
+        for cell, want in zip(cells, expected):
+            est = O.oracle_measure(*cell)
+            assert (est.value, est.error_bound) == (want.value, want.error_bound), cell
+
+    @pytest.mark.parametrize(
+        "name, measure, t, t2, alpha, exc, message",
+        [
+            ("laplacian", "shannon", -5e-324, None, None, ParameterDomainError,
+             "scale must be > 0, got inf"),
+            ("exponential", "renyi", -1e300, None, 1e10, NaturalDomainError,
+             "exponential: natural parameter outside the natural domain"),
+            ("exponential", "renyi-div", -1.0, -3.0, 2.0, ConvergenceError,
+             "the alpha-mixture parameter leaves the natural domain; the cross integral diverges"),
+            ("exponential", "renyi-div", -1.0, -1.5, 1e308, ConvergenceError,
+             "the alpha-mixture parameter leaves the natural domain; the cross integral diverges"),
+            ("gaussian", "shannon", (1e300, -1e-10), None, None, ParameterDomainError,
+             "mu must be finite, got inf"),
+        ],
+    )
+    def test_refusals_keep_their_class_and_message(self, name, measure, t, t2, alpha, exc, message):
+        fam = make_family(name)
+        theta = NaturalParam(t)
+        theta2 = None if t2 is None else NaturalParam(t2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+                O.oracle_measure(fam, measure, theta, theta2, alpha)
+
+    @pytest.mark.parametrize("measure, t, alpha", [
+        ("shannon", (0.0, -1e-310), None),  # the member's variance overflows
+        ("renyi", (0.0, -1.0), 1e-320),  # the alpha-scaled proposal's does
+    ])
+    def test_gaussian_variance_past_the_float_range_is_refused_as_a_variance(self, measure, t, alpha):
+        # mu = t1 var was 0 inf there, and the refusal read a NaN mean.
+        with pytest.raises(ParameterDomainError, match=r"^var must be > 0, got inf$"):
+            O.oracle_measure(em.GAUSSIAN, measure, NaturalParam(t), None, alpha)
 
 
 class TestDeterminismAndConfig:
