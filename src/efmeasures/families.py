@@ -40,10 +40,11 @@ the other's and m's are diagonal. Their B is the first of these gaps at m = thet
 
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
-An mvn ``Member`` carries its precision factor from its check and its moments
-from their first read, outside its fields; every reader gets the first fill. It also
-keeps the whitened axes of the last pair it whitened, built outside that fill's lock and
-stored whole: a racing recompute gives the same bits. A Poisson ``Member`` keeps, in the
+A ``Member`` keeps its coordinates as floats from when it is made, and an mvn one its
+precision factor and that factor's spread from its check and its moments from their first
+read, outside its fields; every reader gets the first fill. It also keeps the whitened axes
+of the last pair it whitened, built outside that fill's lock and stored whole: a racing
+recompute gives the same bits. A Poisson ``Member`` keeps, in the
 same ``moments`` slot, the log-masses, masses and ``p log p`` terms of its entropies' count
 series over the widest window built (none past 2^12 counts) and the (H, G) of its last 16
 orders, stored whole in the same way; every order sums a slice of them, bit for bit what a
@@ -190,7 +191,7 @@ class NaturalParam:
         return out
 
     @classmethod
-    def _derived(cls, vec: list[float], mat: np.ndarray | None) -> "NaturalParam":
+    def _derived(cls, vec, mat: np.ndarray | None) -> "NaturalParam":
         """A member of exactly symmetric blocks: the vector copied, both frozen, nothing checked."""
         out = object.__new__(cls)
         vector = np.array(vec, dtype=float)
@@ -221,6 +222,11 @@ class NaturalParam:
         with np.errstate(over="ignore", invalid="ignore"):
             return NaturalParam._derived(vec, weight * self.matrix + rest * other.matrix)
 
+    @property
+    def _coords(self) -> tuple[float, ...]:
+        """The vector block as floats, what the closed forms read; a Member keeps them."""
+        return tuple(self.vector.tolist())
+
     def flat(self) -> np.ndarray:
         """All coordinates as one vector: vector block, then matrix row-major."""
         if self.matrix is None:
@@ -232,12 +238,17 @@ class NaturalParam:
 class Member(NaturalParam):
     """A natural parameter that ``Family.member`` checked inside ``family``'s domain;
     one made another way (its constructor, ``dataclasses.replace``, a copy) has no
-    ``family`` and is checked again. An mvn member also carries ``factor``, ``moments`` and
-    ``pair``: the whitened axes of the last pair it whitened, and that partner, held weakly.
-    A Poisson member's ``moments`` holds (first count, log-masses, masses, p log p) over its
-    widest window of at most 2^12 counts, and a map of at most 16 orders to their (H, G)."""
+    ``family`` and is checked again. Each keeps its vector block as floats, ``_coords``; an mvn
+    member also ``factor``, its diagonal's ``spread`` max / min, ``moments`` and ``pair``: the
+    whitened axes of the last pair it whitened, and that partner, held weakly. A Poisson
+    member's ``moments`` holds (first count, log-masses, masses, p log p) over its widest
+    window of at most 2^12 counts, and a map of at most 16 orders to their (H, G)."""
 
-    __slots__ = ("family", "factor", "moments", "pair")
+    __slots__ = ("_coords", "family", "factor", "spread", "moments", "pair")
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "_coords", tuple(self.vector.tolist()))
 
     def __reduce__(self):
         return NaturalParam._derived, (self.vector.tolist(), self.matrix)
@@ -337,7 +348,8 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     identity = np.eye(d)
     inv_diag = 1.0 / np.diagonal(chol, 0, -2, -1)
     out = np.zeros(chol.shape)
-    for i in range(d):
+    out[..., 0, 0] = inv_diag[..., 0]
+    for i in range(1, d):
         solved = (chol[..., i, None, :i] @ out[..., :i, :])[..., 0, :]  # row i times rows < i
         out[..., i, :] = (identity[i] - solved) * inv_diag[..., i, None]
     return out
@@ -465,17 +477,17 @@ def _tail(edge: float, inner: float) -> float:
     return edge * edge / (inner - edge) if edge < inner else math.inf
 
 
-def _counts_past(edge: float, inner: float, total: float) -> float:
+def _counts_past(edge: float, inner: float, total: float, drop: float = 0.0) -> float:
     """How many counts past an edge term the window must reach for the tail beyond,
-    at most ``edge r^n / (1 - r)`` with r = edge / inner, to be below 2^-60 of ``total``;
-    inf where the terms do not decay there."""
+    at most ``edge r^n / (1 - r)`` with r = edge / inner e^-drop, to be below 2^-60 of
+    ``total``; inf where the terms do not decay there, 0 where r underflows."""
     if edge == 0.0:
         return 0
-    r = edge / inner
+    r = edge / inner * math.exp(-drop)
     need = _SERIES_TAIL * total * (1.0 - r) / edge
     if not (r < 1.0 and need > 0.0):
         return math.inf
-    return 0 if need >= 1.0 else math.ceil(math.log(need) / math.log(r))
+    return 0 if need >= 1.0 or r == 0.0 else math.ceil(math.log(need) / math.log(r))
 
 
 def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float, int]:
@@ -490,6 +502,9 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     ``|t_edge| r / (1 - r)`` for the ratio r of the edge term to its neighbour.
     After four windows, a fifth reaches as far as that bound asks (a small order
     at a small peak decays through (k!)^-alpha, slower than a Poisson spread).
+    A failing window refuses at once where that bound asks past the 2^22-count cap
+    even at the ratio r ((lo + cap) / edge)^-alpha that terms e^(k theta) (k!)^-alpha
+    reach at the cap, over the magnitudes plus their tail bound.
     Returns (pairwise sum, sum of magnitudes, tail bound, number of terms); a
     non-finite term raises ConvergenceError. ``terms`` may return rows of terms,
     one per sum over the window; then the first three are lists, one entry a row.
@@ -497,17 +512,8 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
     spread = 9.0 / math.sqrt(min(alpha, 1.0))
     for widen in (1.0, 2.0, 4.0, 8.0, None):
-        if widen is None:  # the tails' own bound sizes the last window, if one can hold it
-            ups, downs = zip(*(
-                (_counts_past(e3, e2, a), _counts_past(e0, e1, a) if lo > 0 else 0)
-                for (e0, e1, e2, e3), a in zip(edges, abs_totals)
-            ))
-            lo, hi = max(0, lo - max(downs)), hi + max(ups)
-            if not hi - lo < _SERIES_MAX_COUNTS:
-                raise ConvergenceError(
-                    f"a count series did not converge: its tail bound asks for a window of "
-                    f"{hi - lo:.3g} counts, past the cap of {_SERIES_MAX_COUNTS} (2^22)"
-                )
+        if widen is None:  # the tails' own bound sizes the last window
+            lo, hi = sized
         else:
             half = widen * (spread * math.sqrt(high) + 20.0)
             if half >= _SERIES_MAX_COUNTS:  # from a peak of ~1e35 on, high + half rounds to high
@@ -535,6 +541,20 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
             if ts.ndim == 1:
                 return totals[0], abs_totals[0], tails[0], ks.size
             return totals, abs_totals, tails, ks.size
+        ups, downs = zip(*(
+            (_counts_past(e3, e2, a), _counts_past(e0, e1, a) if lo > 0 else 0)
+            for (e0, e1, e2, e3), a in zip(edges, abs_totals)
+        ))
+        sized = max(0, lo - max(downs)), hi + max(ups)
+        if not sized[1] - sized[0] < _SERIES_MAX_COUNTS:  # refused if no window in the cap can hold
+            drop = alpha * math.log((lo + _SERIES_MAX_COUNTS) / hi)  # log r's drop by the cap
+            least = max(_counts_past(e3, e2, a + t, drop)
+                        for (_, _, e2, e3), a, t in zip(edges, abs_totals, tails))
+            if widen == 8.0 or math.inf > hi + least - lo >= _SERIES_MAX_COUNTS:
+                raise ConvergenceError(
+                    f"a count series did not converge: its tail bound asks for a window of "
+                    f"{sized[1] - sized[0]:.3g} counts, past the cap of {_SERIES_MAX_COUNTS} (2^22)"
+                )
     raise ConvergenceError(
         "a count series did not converge within five windows: four of doubling width "
         "and one sized by its tail bound"
@@ -596,6 +616,7 @@ class Family(ABC):
             return theta
         out = object.__new__(Member)
         out.__dict__.update(vector=theta.vector, matrix=theta.matrix)  # frozen already
+        object.__setattr__(out, "_coords", tuple(theta.vector.tolist()))
         self._guard(self.in_natural_domain(out), label)
         object.__setattr__(out, "family", self)
         return out
@@ -675,16 +696,16 @@ class Family(ABC):
     # A family of one coordinate t states its open domain, _inside(t), and its gap,
     # _gap_at(ta, tb), on floats; the Gaussian families override the three methods below.
     def _in_domain(self, theta: NaturalParam) -> bool:
-        return self._inside(theta.vector.item())
+        return self._inside(theta._coords[0])
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         """Bregman gap B(theta : base) >= 0, from the step theta - base."""
-        return self._gap_at(theta.vector.item(), base.vector.item())
+        return self._gap_at(theta._coords[0], base._coords[0])
 
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         """B(theta : m), B(theta' : m) at m = alpha theta + (1 - alpha) theta', if m is inside.
         No closed form builds m as a NaturalParam: here m is the float NaturalParam.mix rounds."""
-        ta, tb = theta.vector.item(), theta2.vector.item()
+        ta, tb = theta._coords[0], theta2._coords[0]
         m = alpha * ta + (1.0 - alpha) * tb
         if not self._inside(m):  # the message is formatted only to raise it
             self._guard(False, _MIXED.format(alpha), MixedParameterError)
@@ -803,7 +824,7 @@ class ExponentialDistFamily(Family):
         return self.member(NaturalParam([-1.0 / e]))
 
     def _entropy(self, theta: NaturalParam) -> float:
-        return 1.0 - math.log(-float(theta.vector[0]))
+        return 1.0 - math.log(-theta._coords[0])
 
     _gap_at = staticmethod(_rate_gap)  # B(a : b) = q - 1 - log q with q = rate_a / rate_b
 
@@ -926,7 +947,7 @@ class PoissonFamily(Family):
         kept = getattr(theta, "moments", None) or _NOTHING_KEPT  # one read: a fill replaces it
         if alpha in kept[4]:
             return kept[4][alpha]
-        t = float(theta.vector[0])
+        t = theta._coords[0]
         rate = math.exp(t)
         shift = alpha * (int(rate) * t - rate - math.lgamma(int(rate) + 1.0))
 
@@ -1011,22 +1032,25 @@ class BernoulliFamily(Family):
         return self.member(NaturalParam([math.log(e) - math.log1p(-e)]))
 
     def _entropy(self, theta: NaturalParam) -> float:
-        t = abs(float(theta.vector[0]))
-        return math.log1p(math.exp(-t)) + t * _sigmoid(-t)
+        t = abs(theta._coords[0])
+        e = math.exp(-t)
+        return math.log1p(e) + t * (e / (1.0 + e))  # e / (1 + e) is _sigmoid(-t)
 
     def _gap_at(self, ta: float, tb: float) -> float:
         # B(a : b) is the KL divergence of b from a, sum_x P_b(x) h(P_a(x) / P_b(x) - 1),
         # where the ratios less 1 are q_a expm1(d) and p_a expm1(-d) for d = theta_a - theta_b.
         # Away from d = 0, sum_x P_b(x) log(P_b(x) / P_a(x)) from the log-masses -softplus(-+theta).
         d = ta - tb
-        pa, qa, pb, qb = _sigmoid(ta), _sigmoid(-ta), _sigmoid(tb), _sigmoid(-tb)
+        (pa, qa, ea), (pb, qb, eb) = _masses(ta), _masses(tb)
         if abs(d) < 1.0:
             return pb * _h(qa * math.expm1(d)) + qb * _h(pa * math.expm1(-d))
-        return pb * (_softplus(-ta) - _softplus(-tb)) + qb * (_softplus(ta) - _softplus(tb))
+        la, lb = math.log1p(ea), math.log1p(eb)  # softplus(+-t) = max(+-t, 0) + log1p(e^-|t|)
+        return (pb * ((max(-ta, 0.0) + la) - (max(-tb, 0.0) + lb))
+                + qb * ((max(ta, 0.0) + la) - (max(tb, 0.0) + lb)))
 
     def _renyi_gap(self, theta: Member, alpha: float):
         # B(alpha theta : theta) depends on theta here: the one family that forms alpha theta.
-        t = theta.vector.item()
+        t = theta._coords[0]
         scaled = alpha * t  # as NaturalParam.scaled rounds it
         self._guard(self._inside(scaled), "alpha-scaled parameter", ScaledParameterError)
         return self._entropy(theta), self._gap_at(scaled, t)
@@ -1076,7 +1100,7 @@ class GaussianFamily(Family):
         return _checked("mu", t[0] * var, positive=False), var
 
     def _in_domain(self, theta: NaturalParam) -> bool:
-        return self._inside(*theta.vector.tolist())
+        return self._inside(*theta._coords)
 
     def _inside(self, t1: float, t2: float) -> bool:
         return math.isfinite(t1) and math.isfinite(t2) and t2 < 0
@@ -1104,7 +1128,7 @@ class GaussianFamily(Family):
 
     def _entropy(self, theta: NaturalParam) -> float:
         # log(2 pi e var) / 2 with var = -1 / (2 theta2).
-        return 0.5 * (1.0 + math.log(math.pi) - math.log(-float(theta.vector[1])))
+        return 0.5 * (1.0 + math.log(math.pi) - math.log(-theta._coords[1]))
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
@@ -1112,7 +1136,7 @@ class GaussianFamily(Family):
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         # mvn's at d = 1: lam = theta2' / theta2, z = w / sqrt(-2 theta2) for the step
         # w = (mu - mu') / var, from theta's own coordinates or the step: the smaller terms.
-        (t1, t2), (u1, u2) = theta.vector.tolist(), theta2.vector.tolist()
+        (t1, t2), (u1, u2) = theta._coords, theta2._coords
         ratio = u1 / u2  # -2 mu'
         w = t1 - u1 - ratio * (t2 - u2) if t2 / u2 > 0.5 else t1 - ratio * t2
         lam = u2 / t2  # log lam from both logs only where lam under- or overflows
@@ -1192,13 +1216,16 @@ class MultivariateGaussianFamily(Family):
             d = _params_as_dict(params)
             params = MultivariateGaussianParams(mu=d["mu"], cov=d.get("cov", d.get("sigma")))
         inv_chol = _lower_inverse(params._chol)
-        precision = inv_chol.T @ inv_chol
-        return self.member(NaturalParam(precision @ params.mu, -0.5 * precision))
+        precision = inv_chol.T @ inv_chol  # numpy forms A^T A as one triangle, mirrored
+        return self.member(NaturalParam._derived(precision @ params.mu, -0.5 * precision))
 
     def _moments(self, theta: Member) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """The member's mean, covariance = C^-T C^-1, C^-1 and log det(-2M) = log det
         C C^T, from its factor C, kept on the member once first read; raises where
         the covariance overflows."""
+        moments = getattr(theta, "moments", None)
+        if moments is not None:
+            return moments
         with _MOMENTS_FILL:  # one fill per member, which every reader gets
             if getattr(theta, "moments", None) is None:
                 chol = theta.factor
@@ -1220,6 +1247,9 @@ class MultivariateGaussianFamily(Family):
         chol = self._factor(theta)
         if type(theta) is Member and not hasattr(theta, "family"):  # a member being made keeps it
             object.__setattr__(theta, "factor", chol)
+            if chol is not None:
+                diag = chol.diagonal().tolist()
+                object.__setattr__(theta, "spread", max(diag) / min(diag))
         return chol is not None
 
     # F and grad F read the member's moments; a finite result is their domain check.
@@ -1245,18 +1275,17 @@ class MultivariateGaussianFamily(Family):
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         # The step w reads b's mean, which loses digits to b's conditioning: b's factor spreads
         # less. Picked from both factors, a is one member in (p, q) and (q, p) unless they tie.
-        diags = [t.factor.diagonal().tolist() for t in (theta, theta2)]
-        swap = max(diags[1]) / min(diags[1]) > max(diags[0]) / min(diags[0])
+        swap = theta2.spread > theta.spread
         a, b = (theta2, theta) if swap else (theta, theta2)
         pair = getattr(a, "pair", None)  # one read: a racing fill replaces it, whole
         if pair is None or pair[0]() is not b:  # b held weakly: no new object at its address
             pair = (weakref.ref(b), self._whiten(a, b))
             object.__setattr__(a, "pair", pair)  # outside _MOMENTS_FILL: _whiten reads _moments
-        return _whitened_gaps(self, alpha, zip(*pair[1]), swap)
+        return _whitened_gaps(self, alpha, pair[1], swap)
 
     def _whiten(self, a: Member, b: Member):
-        """(g, lam = 1 + g, log lam, z) of the pair, for every order. Whitened by a's factor C,
-        b's precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, and the mixture's is weighted I + G;
+        """(g, lam = 1 + g, log lam, z) per axis of the pair, for every order. Whitened by a's
+        factor C, b's precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, the mixture's weighted I + G;
         in G's eigenbasis U, the mean step is z = U^T C^-1 w for w = v_a - v_b + 2 (M_a -
         M_b) mu_b, since mu_a - mu_b = C^-T C^-1 w."""
         inv_a, (mean_b, _, inv_b, _) = self._moments(a)[2], self._moments(b)
@@ -1275,7 +1304,7 @@ class MultivariateGaussianFamily(Family):
         log_lam = [
             math.log(l) if 2.0**-1022 <= l < math.inf else log_rq[i] for i, l in enumerate(lam)
         ]
-        return g, lam, log_lam, z
+        return list(zip(g, lam, log_lam, z))
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
         if eta.matrix is None or eta.vector.size != self.dim:
@@ -1360,7 +1389,7 @@ class CenteredLaplacianFamily(Family):
         return self.member(NaturalParam([-1.0 / e]))
 
     def _entropy(self, theta: NaturalParam) -> float:
-        return 1.0 + math.log(2.0) - math.log(-float(theta.vector[0]))
+        return 1.0 + math.log(2.0) - math.log(-theta._coords[0])
 
     _gap_at = staticmethod(_rate_gap)  # F is the exponential's plus log 2: the same B
 
@@ -1385,10 +1414,14 @@ def _softplus(t: float) -> float:
 
 
 def _sigmoid(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+    return _masses(t)[0]
+
+
+def _masses(t: float) -> tuple[float, float, float]:
+    """_sigmoid(t), _sigmoid(-t) and e^-|t|, from the one exponential."""
+    e = math.exp(-abs(t))
+    large, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    return (large, small, e) if t >= 0 else (small, large, e)
 
 
 def _params_as_dict(params) -> dict:

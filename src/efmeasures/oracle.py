@@ -69,6 +69,7 @@ CUBATURE = "cubature"
 
 _EPS = float(np.finfo(float).eps)
 _LOG_2PI = math.log(2.0 * math.pi)
+_MAX_EXPONENT = math.log(float(np.finfo(float).max))  # exp of a larger float overflows
 
 # A summed term's rounding error, in units of eps times the magnitudes its
 # exponent and weight are computed from: each piece and each operation on
@@ -124,8 +125,8 @@ def _node_terms(coeffs, weights, norms, us, log_w, also=()) -> tuple:
     and n_j = ``norms[j]``, from pieces of magnitude u + |n_j|. At each node e = sum_j c_j log p_j
     + ``log_w[i]`` and w = sum_j b_j log p_j (w = 1 where ``weights`` b is None) are added left
     to right, beside the magnitudes sum_j |c_j| (u + |n_j|) + |log_w[i]| and sum_j |b_j| (u +
-    |n_j|) that bound their rounding. One ``np.exp`` takes every e and then ``also``. Returns the
-    terms, their bounds, w and exp(e) per node, and exp(``also``)."""
+    |n_j|) that bound their rounding. One ``np.exp`` takes every e, refused past the float range,
+    and then ``also``. Returns the terms, their bounds, w and exp(e) per node, and exp(``also``)."""
     unit = _ROUNDING_ULPS * _EPS
     weighted = weights is not None
     pieces = [(c, abs(c), b, abs(b), n, abs(n))
@@ -147,6 +148,8 @@ def _node_terms(coeffs, weights, norms, us, log_w, also=()) -> tuple:
         ms.append(m + abs(lw))
         ws.append(w)
         mws.append(mw)
+    if max(es) > _MAX_EXPONENT:
+        raise ConvergenceError("the integral leaves the float range: a term overflows at a node")
     ps = np.exp([*es, *also]).tolist()
     ts, rs = [], []
     for p, m, w, mw in zip(ps, ms, ws, mws):
@@ -321,7 +324,7 @@ def _cubature(integrand: _Integrand, rules, us, norms, moves=None) -> OracleEsti
     return tuple.__new__(OracleEstimate, (value, bound, CUBATURE, len(ts)))
 
 
-def _univariate(fam: Family, integrand: _Integrand, proposal: list[float]) -> OracleEstimate:
+def _univariate(fam: Family, integrand: _Integrand, proposal: tuple | list) -> OracleEstimate:
     """Integrate over the line in z = (x - m) / s for a Gaussian proposal
     N(m, s^2), and over the half-line in z = |x| / scale for an exponential or
     zero-mean Laplacian one, whose integrands depend on |x| only. Member j's log-density is
@@ -437,9 +440,9 @@ def _check_alpha(alpha: float | None, *, positive: bool = True) -> float:
 
 def _carried(fam: Family, theta: NaturalParam, label: str = "natural parameter"):
     """``theta`` checked once, as the oracle carries a member: an mvn member as it is, whose
-    blocks _gaussian factors, and any other as its coordinates, a list of floats."""
+    blocks _gaussian factors, and any other as its coordinates, the member's tuple of floats."""
     theta = fam.member(theta, label)
-    return theta if fam.matrix_dim else theta.vector.tolist()
+    return theta if fam.matrix_dim else theta._coords
 
 
 def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None):
@@ -535,10 +538,16 @@ def _finish(est: OracleEstimate, value: float, err: float, roundings: int) -> Or
     return tuple.__new__(OracleEstimate, (value, bound, est.method, est.evaluations))
 
 
+def _log(est: OracleEstimate) -> float:
+    """log(I) of a power integral I, refused where I underflowed to 0."""
+    if not est.value > 0.0:
+        raise ConvergenceError("the integral underflows to 0, so its log leaves the float range")
+    return math.log(est.value)
+
+
 def _renyi(est: OracleEstimate, denom: float) -> OracleEstimate:
     """log(I) / denom for a power integral I, with denom = +-(1 - alpha)."""
-    err = est.error_bound / (abs(est.value) * abs(denom))
-    return _finish(est, math.log(est.value) / denom, err, 2)
+    return _finish(est, _log(est) / denom, est.error_bound / (abs(est.value) * abs(denom)), 2)
 
 
 def _tsallis(est: OracleEstimate, denom: float) -> OracleEstimate:
@@ -547,7 +556,7 @@ def _tsallis(est: OracleEstimate, denom: float) -> OracleEstimate:
 
 
 def _jensen(est: OracleEstimate) -> OracleEstimate:
-    return _finish(est, -math.log(est.value), est.error_bound / abs(est.value), 1)
+    return _finish(est, -_log(est), est.error_bound / abs(est.value), 1)
 
 
 def _hellinger(est: OracleEstimate) -> OracleEstimate:

@@ -34,7 +34,14 @@ from efmeasures.errors import (
 )
 from efmeasures.families import NaturalParam
 
-from conftest import ALL_FAMILY_NAMES, _random_cov, make_family, random_source, random_theta_pair
+from conftest import (
+    ALL_FAMILY_NAMES,
+    SCALAR_FAMILY_NAMES,
+    _random_cov,
+    make_family,
+    random_source,
+    random_theta_pair,
+)
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -749,6 +756,38 @@ def test_no_call_writes_to_a_natural_parameter(name):
             assert sorted(vars(t)) == ["matrix", "vector"]
 
 
+class _Unreadable:
+    """A vector block that raises on any read: attribute, index, iteration or conversion."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a closed form read the vector block's {name}")
+
+    def _refuse(self, *args):
+        raise AssertionError("a closed form read the vector block")
+
+    __getitem__ = __iter__ = __len__ = __float__ = __index__ = __array__ = _refuse
+
+
+@pytest.mark.parametrize("name", SCALAR_FAMILY_NAMES)
+def test_scalar_closed_forms_read_no_numpy_per_call(name):
+    # A member keeps its coordinates as floats from when it is made: with its vector block
+    # swapped for one that raises on any read, every sweep cell keeps the member's bits.
+    fam = make_family(name)
+    rng = np.random.default_rng(30)
+    pairs = [[dict(src) for src in VERIFY_PAIRS[name]], [random_source(name, rng) for _ in "pq"]]
+    cells = [(m, a) for m in M.MEASURES for a in (_SWEEP_ORDERS if m.order else (None,))]
+    for pair in pairs:
+        members, swapped = ([fam.to_natural(src) for src in pair] for _ in "ms")
+        for t in swapped:
+            object.__setattr__(t, "vector", _Unreadable())
+        got, want = (
+            [M.evaluate_measure(fam, m.name, p, q if m.needs_pair else None, a).value.hex()
+             for m, a in cells]
+            for p, q in (swapped, members)
+        )
+        assert got == want
+
+
 def test_a_member_of_another_family_is_checked_again(tally):
     # Laplacian and exponential members share their shape and domain, theta < 0.
     lap, lap2 = (em.LAPLACIAN.to_natural(em.LaplacianParams(scale=s)) for s in (0.5, 2.0))
@@ -1278,9 +1317,9 @@ class TestPoissonSeries:
         assert len(windows) == 4
 
     def test_a_fifth_window_past_the_cap_names_the_window_and_the_cap(self):
-        # At rate 1 and alpha = 1e-8 the tail bound asks for ~3.3e8 counts, past 2^22.
+        # At rate 1 and alpha = 1e-8 the first window's tail bound asks for ~4e8 counts, past 2^22.
         theta = em.POISSON.to_natural(em.PoissonParams(rate=1.0))
-        want = (r"did not converge: its tail bound asks for a window of 3\.26e\+08 counts, "
+        want = (r"did not converge: its tail bound asks for a window of 4\.05e\+08 counts, "
                 r"past the cap of 4194304 \(2\^22\)")
         with pytest.raises(ConvergenceError, match=want):
             M.evaluate_measure(em.POISSON, "renyi", theta, None, 1e-8)
@@ -1385,6 +1424,14 @@ class TestPoissonRecord:
         assert _entropy_bits(theta, cells, partner) == want
         assert len(builds) == 5 and [lo for lo, _ in builds] == [0] * 5
         assert [n for _, n in builds] == sorted({n for _, n in builds})
+
+    def test_an_order_past_the_cap_builds_only_its_first_window(self, monkeypatch):
+        # At rate 30 and alpha = 1e-8 the first window's tail bound asks for ~4.6e8 counts, and
+        # still past 2^22 at the ratio (k!)^-alpha reaches by the cap: no wider window is built.
+        builds = self._builds(monkeypatch)
+        with pytest.raises(ConvergenceError, match="past the cap"):
+            M.evaluate_measure(em.POISSON, "renyi", _poisson_theta(30.0), alpha=1e-8)
+        assert len(builds) == 1
 
     def test_distinct_orders_keep_the_record_at_its_bound(self):
         theta = _poisson_theta(42.0)

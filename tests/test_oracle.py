@@ -242,6 +242,23 @@ class TestFloatMembers:
             with pytest.raises(exc, match=f"^{re.escape(message)}$"):
                 O.oracle_measure(fam, measure, theta, theta2, alpha)
 
+    @pytest.mark.parametrize("name, measure, t, t2, alpha, message", [
+        # rate 10 at alpha = 1e3: the integral, 10^1000 / 1e4, overflows at every node.
+        ("exponential", "renyi", (-10.0,), None, 1000.0, "a term overflows"),
+        # N(0, 1) and N(100, 1) at alpha = 1/2: the integral, e^-1250, underflows to 0.
+        ("gaussian", "renyi-div", (0.0, -0.5), (100.0, -0.5), 0.5, "underflows to 0"),
+        ("gaussian", "jensen", (0.0, -0.5), (100.0, -0.5), 0.5, "underflows to 0"),
+    ])
+    def test_a_power_integral_past_the_float_range_is_refused(self, name, measure, t, t2, alpha,
+                                                               message):
+        # Was an overflow warning (under warnings as errors; -inf otherwise) or a bare
+        # ZeroDivisionError, and a math domain error for jensen.
+        theta2 = None if t2 is None else NaturalParam(t2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=message):
+                O.oracle_measure(make_family(name), measure, NaturalParam(t), theta2, alpha)
+
     @pytest.mark.parametrize("measure, t, alpha", [
         ("shannon", (0.0, -1e-310), None),  # the member's variance overflows
         ("renyi", (0.0, -1.0), 1e-320),  # the alpha-scaled proposal's does
