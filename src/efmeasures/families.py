@@ -167,13 +167,6 @@ class NaturalParam:
                 mat = _symmetrized(mat, "matrix block")
             object.__setattr__(self, "matrix", _readonly(mat))
 
-    @property
-    def order(self) -> int:
-        n = int(self.vector.size)
-        if self.matrix is not None:
-            n += int(self.matrix.size)
-        return n
-
     def _check_like(self, other: "NaturalParam") -> None:
         if self.vector.shape != other.vector.shape:
             raise ValueError("mismatched vector blocks")
@@ -181,14 +174,6 @@ class NaturalParam:
             raise ValueError("one parameter has a matrix block, the other does not")
         if self.matrix is not None and self.matrix.shape != other.matrix.shape:
             raise ValueError("mismatched matrix blocks")
-
-    def dot(self, other: "NaturalParam") -> float:
-        """Composite inner product: vector dot plus matrix trace pairing."""
-        self._check_like(other)
-        out = float(self.vector @ other.vector)
-        if self.matrix is not None:
-            out += float(np.sum(self.matrix * other.matrix))
-        return out
 
     @classmethod
     def _derived(cls, vec, mat: np.ndarray | None) -> "NaturalParam":
@@ -361,9 +346,13 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
 
 
 def _checked(name: str, x: float, positive: bool = True) -> float:
-    """``x``, refused unless a finite (and positive) float: the refusal of the records below,
-    which a family's _source makes too."""
-    if not (math.isfinite(x) and (x > 0 or not positive)):
+    """``x``, refused unless a finite (and positive) real number: the refusal of the records
+    below, which a family's _source makes too."""
+    try:
+        inside = math.isfinite(x) and (x > 0 or not positive)
+    except TypeError:  # a string, None, a list
+        raise ParameterDomainError(f"{name} must be a real number, got {x!r}") from None
+    if not inside:
         raise ParameterDomainError(f"{name} must be {'> 0' if positive else 'finite'}, got {x}")
     return x
 
@@ -389,7 +378,11 @@ class BernoulliParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
+        try:
+            inside = math.isfinite(self.p) and 0.0 < self.p < 1.0
+        except TypeError:  # as _checked refuses it
+            raise ParameterDomainError(f"p must be a real number, got {self.p!r}") from None
+        if not inside:
             raise ParameterDomainError(f"p must lie in (0, 1), got {self.p}")
 
 
@@ -409,10 +402,13 @@ class MultivariateGaussianParams:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        try:
+            mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+            cov = np.asarray(self.cov, dtype=float)
+        except (TypeError, ValueError):  # a string, a ragged list
+            raise ParameterDomainError("mu and cov must be arrays of real numbers") from None
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
             raise ParameterDomainError("mu must be a finite vector")
-        cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape != (mu.size, mu.size):
             raise ParameterDomainError(f"cov must be {mu.size}x{mu.size}, got shape {cov.shape}")
         if not np.all(np.isfinite(cov)):
@@ -570,8 +566,8 @@ class Family(ABC):
     """One exponential family: canonical decomposition plus a sampler.
 
     Subclasses fill in the class-level descriptors and the abstract
-    operations; the generic density assembly, domain guards, and the
-    default (zero-carrier) moment logic live here.
+    operations; the domain guards and the default (zero-carrier) moment
+    logic live here.
     """
 
     name: ClassVar[str]
@@ -642,34 +638,12 @@ class Family(ABC):
                 f"(must be {self.support.requirement})"
             )
 
-    # -- generic density assembly --------------------------------------
-
-    def log_density(self, theta: NaturalParam, x) -> float:
-        """<t(x), theta> - F(theta) + k(x) of one observation: log_density_batch at N=1."""
-        theta = self.member(theta)
-        self.require_support(x)
-        return float(self.log_density_batch(theta, np.asarray([x]))[0])
-
-    def sufficient_stat(self, x) -> NaturalParam:
-        """t(x) of one observation: sufficient_stat_batch at N=1."""
-        self.require_support(x)
-        return self.compose(self.sufficient_stat_batch(np.asarray([x]))[0])
-
-    def carrier(self, x) -> float:
-        """k(x) of one observation; zero unless the family overrides it."""
-        self.require_support(x)
-        return 0.0
-
     # -- carrier moments (identically trivial unless k(x) != 0) ---------
-    # Both check theta and the alpha-scaled member alpha*theta the moment is taken
+    # The moment checks theta and the alpha-scaled member alpha*theta it is taken
     # under; the closed forms read the primitives below instead.
 
-    def carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
-        """Expectation of exp((alpha-1) k(x)) under the alpha-scaled member."""
-        return math.exp(self.log_carrier_moment(theta, alpha))
-
     def log_carrier_moment(self, theta: NaturalParam, alpha: float) -> float:
-        """Log of carrier_moment, finite where carrier_moment under- or overflows."""
+        """Log of the expectation of exp((alpha-1) k(x)) under the alpha-scaled member."""
         if not (math.isfinite(alpha) and alpha > 0):
             raise DomainError(f"alpha must be > 0, got {alpha}")
         theta = self.member(theta)
@@ -885,10 +859,6 @@ class PoissonFamily(Family):
         if not (math.isfinite(e) and e > 0):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
         return self.member(NaturalParam([math.log(e)]))
-
-    def carrier(self, x) -> float:
-        self.require_support(x)
-        return -math.lgamma(float(x) + 1.0)
 
     def in_support_batch(self, xs: np.ndarray) -> np.ndarray:
         x, integral = _counts(xs)

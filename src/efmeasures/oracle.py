@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NaturalDomainError
+from .errors import ConvergenceError, DomainError
 from .families import CenteredLaplacianFamily, Family, GaussianFamily
 from .families import NaturalParam, _log_factorials, _lower_inverse, _tail, count_series
 
@@ -60,7 +60,6 @@ __all__ = [
     "CUBATURE",
     "oracle_i_alpha_self",
     "oracle_i_alpha_cross",
-    "oracle_grad_check",
     "oracle_measure",
 ]
 
@@ -496,36 +495,6 @@ def _log_integral(fam: Family, b: tuple[float, ...], members) -> OracleEstimate:
     return _integrate(fam, integrand, around=members, proposal=members[0])
 
 
-def oracle_grad_check(fam: Family, theta: NaturalParam, step: float = 1e-5) -> float:
-    """Max relative gap between central differences of F and its gradient.
-
-    Matrix coordinates are perturbed symmetrically (half the step on each of
-    the two mirrored entries), matching the trace pairing.
-    """
-    if not (math.isfinite(step) and step != 0.0):
-        raise ValueError(f"finite-difference step must be finite and nonzero, got {step}")
-    theta = fam.member(theta)
-    grad = fam.grad_log_normalizer(theta).flat()
-    base = theta.flat()
-    worst = 0.0
-    for i in range(base.size):
-        unit = np.zeros(base.size)
-        row, col = divmod(i - fam.vector_dim, fam.matrix_dim or 1)
-        if i < fam.vector_dim or row == col:
-            unit[i] = 1.0
-        else:  # half the step on this entry and half on its mirror
-            unit[i] = unit[fam.vector_dim + col * fam.matrix_dim + row] = 0.5
-        plus = fam.compose(base + step * unit)
-        minus = fam.compose(base - step * unit)
-        if not (fam.in_natural_domain(plus) and fam.in_natural_domain(minus)):
-            raise NaturalDomainError(
-                f"{fam.name}: finite-difference step leaves the natural domain"
-            )
-        fd = (fam.log_normalizer(plus) - fam.log_normalizer(minus)) / (2.0 * step)
-        worst = max(worst, abs(fd - grad[i]) / (1.0 + abs(grad[i])))
-    return worst
-
-
 # --------------------------------------------------------------------------
 # Assembled oracle values for whole measures (used by `verify` and tests).
 # --------------------------------------------------------------------------
@@ -585,6 +554,10 @@ _ASSEMBLY = {
     # B(p : q) is the relative entropy of q against p; the pair is checked as given.
     "bregman": lambda fam, p, q, a: _log_integral(fam, (1.0, -1.0), _check_pair(fam, p, q)[::-1]),
 }
+# At alpha = 1 exactly, where the Renyi and Tsallis forms divide by 1 - alpha = 0, the integrals
+# of their limits, as the closed forms take them; a gap integral in the phi-form
+# E[l phi((1 - alpha) l)], phi(x) = expm1(x) / x, is finite there and will replace this table.
+_AT_ONE = {"renyi": "shannon", "tsallis": "shannon", "renyi-div": "kl", "tsallis-div": "kl"}
 
 
 def oracle_measure(
@@ -595,7 +568,7 @@ def oracle_measure(
 
     ``cfg`` is accepted, positionally too, and read by nothing: the benchmark
     harness still passes it (see OracleConfig)."""
-    assemble = _ASSEMBLY.get(measure)
+    assemble = _ASSEMBLY.get(_AT_ONE.get(measure, measure) if alpha == 1.0 else measure)
     if assemble is None:
         raise ValueError(f"unknown measure {measure!r}")
     return assemble(fam, theta, theta2, alpha)

@@ -1,4 +1,5 @@
-"""Shared test helpers: family iteration and in-domain parameter generators.
+"""Shared test helpers: family iteration, in-domain parameter generators, and the
+composite pairing and finite-difference check that tie F and grad F together.
 
 Pair generators keep the two members close enough that every mixed
 parameter alpha*theta + (1-alpha)*theta' with alpha in [0, 2] stays inside
@@ -8,6 +9,7 @@ guard by construction.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 
@@ -96,6 +98,45 @@ def family_name(request) -> str:
 @pytest.fixture
 def family(family_name) -> em.Family:
     return make_family(family_name)
+
+
+def pairing(a: em.NaturalParam, b: em.NaturalParam) -> float:
+    """The composite pairing <a, b> = a_vec . b_vec + tr(a_mat^T b_mat)."""
+    out = float(a.vector @ b.vector)
+    if a.matrix is not None:
+        out += float(np.sum(a.matrix * b.matrix))
+    return out
+
+
+def grad_check(fam: em.Family, theta: em.NaturalParam, step: float = 1e-5) -> float:
+    """Max relative gap between central differences of F and its gradient at ``theta``.
+
+    Matrix coordinates are perturbed symmetrically (half the step on each of
+    the two mirrored entries), matching the trace pairing. A zero or non-finite
+    step is a ValueError, and one that leaves the domain a NaturalDomainError.
+    """
+    if not (math.isfinite(step) and step != 0.0):
+        raise ValueError(f"finite-difference step must be finite and nonzero, got {step}")
+    theta = fam.member(theta)
+    grad = fam.grad_log_normalizer(theta).flat()
+    base = theta.flat()
+    worst = 0.0
+    for i in range(base.size):
+        unit = np.zeros(base.size)
+        row, col = divmod(i - fam.vector_dim, fam.matrix_dim or 1)
+        if i < fam.vector_dim or row == col:
+            unit[i] = 1.0
+        else:  # half the step on this entry and half on its mirror
+            unit[i] = unit[fam.vector_dim + col * fam.matrix_dim + row] = 0.5
+        plus = fam.compose(base + step * unit)
+        minus = fam.compose(base - step * unit)
+        if not (fam.in_natural_domain(plus) and fam.in_natural_domain(minus)):
+            raise em.NaturalDomainError(
+                f"{fam.name}: finite-difference step leaves the natural domain"
+            )
+        fd = (fam.log_normalizer(plus) - fam.log_normalizer(minus)) / (2.0 * step)
+        worst = max(worst, abs(fd - grad[i]) / (1.0 + abs(grad[i])))
+    return worst
 
 
 def run_cli(*args: str, timeout: float = 300.0):

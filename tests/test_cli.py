@@ -102,6 +102,19 @@ class TestExitCodes:
         assert code == 3
         assert "var" in err
 
+    @pytest.mark.parametrize("family, params", [
+        ("exponential", '{"rate":"abc"}'),
+        ("exponential", '{"rate":null}'),
+        ("gaussian", '{"mu":[1],"var":1}'),
+        ("bernoulli", '{"p":"0.5"}'),
+        ("mvn", '{"mu":[0,"a"],"sigma":[[1,0],[0,1]]}'),
+        ("mvn", '{"mu":[0,0],"sigma":[[1,0],[0]]}'),
+    ])
+    def test_source_values_that_are_not_numbers_are_domain_errors(self, family, params):
+        code, out, err = run_cli("entropy", "--family", family, "--params", params, "--measure", "shannon")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_invalid_json_is_usage_error(self):
         code, _, _ = run_cli(
             "entropy", "--family", "gaussian", "--params", "{not json",
@@ -585,7 +598,8 @@ import numpy as np
 import efmeasures as em
 theta = em.POISSON.to_natural(em.PoissonParams(rate=80.0))
 em.POISSON.sample(theta, 1000, seed=0)
-em.POISSON.log_density(theta, 3)
+em.POISSON.require_support(3)
+em.POISSON.log_density_batch(theta, np.asarray([3]))
 em.POISSON.log_density_batch(theta, np.arange(100.0))
 em.GAUSSIAN.sample(em.GAUSSIAN.to_natural(em.GaussianParams(mu=0.0, var=1.0)), 1000, seed=0)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))

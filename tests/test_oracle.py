@@ -15,7 +15,15 @@ from efmeasures import oracle as O
 from efmeasures.errors import ConvergenceError, DomainError, NaturalDomainError, ParameterDomainError
 from efmeasures.families import NaturalParam
 
-from conftest import ALL_FAMILY_NAMES, _random_cov, make_family, random_source, random_theta_pair
+from conftest import (
+    ALL_FAMILY_NAMES,
+    _random_cov,
+    grad_check,
+    make_family,
+    pairing,
+    random_source,
+    random_theta_pair,
+)
 
 CFG = em.OracleConfig()
 
@@ -120,6 +128,9 @@ class TestNormalization:
 
 
 class TestGradCheck:
+    """grad F is F's gradient by central differences (conftest.grad_check);
+    test_families.TestPrimitivesMatchF ties the closed forms' primitives to both."""
+
     @pytest.mark.parametrize(
         "name, theta",
         [
@@ -129,7 +140,7 @@ class TestGradCheck:
         ],
     )
     def test_named_points(self, name, theta):
-        assert O.oracle_grad_check(make_family(name), theta, 1e-5) < 1e-6
+        assert grad_check(make_family(name), theta, 1e-5) < 1e-6
 
     @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
     def test_randomized_parameters(self, name):
@@ -137,16 +148,16 @@ class TestGradCheck:
         rng = np.random.default_rng(101)
         for _ in range(10):
             theta = fam.to_natural(random_source(name, rng))
-            assert O.oracle_grad_check(fam, theta, 1e-5) < 1e-6
+            assert grad_check(fam, theta, 1e-5) < 1e-6
 
     def test_step_leaving_domain_is_reported(self):
         with pytest.raises(NaturalDomainError):
-            O.oracle_grad_check(em.EXPONENTIAL, NaturalParam([-1e-7]), 1e-5)
+            grad_check(em.EXPONENTIAL, NaturalParam([-1e-7]), 1e-5)
 
     @pytest.mark.parametrize("step", [0.0, math.nan, math.inf, -math.inf])
     def test_zero_or_non_finite_step_is_a_value_error(self, step):
         with pytest.raises(ValueError) as info:
-            O.oracle_grad_check(em.EXPONENTIAL, NaturalParam([-2.0]), step)
+            grad_check(em.EXPONENTIAL, NaturalParam([-2.0]), step)
         assert info.type is ValueError
 
 
@@ -162,7 +173,6 @@ class TestOneEntryPoint:
             "CUBATURE",
             "oracle_i_alpha_self",
             "oracle_i_alpha_cross",
-            "oracle_grad_check",
             "oracle_measure",
         ]
 
@@ -357,6 +367,22 @@ class TestJensenOrders:
             except (ValueError, DomainError) as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+class TestOrderOne:
+    """At alpha = 1 exactly the Renyi and Tsallis values are their limits, Shannon's entropy
+    and the KL divergence, in the closed forms and in the oracle alike."""
+
+    @pytest.mark.parametrize("alpha", [1.0, np.float64(1.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("measure", ["renyi", "tsallis", "renyi-div", "tsallis-div"])
+    def test_verify_pairs_agree_at_alpha_one(self, measure, alpha):
+        pair = M.measure_needs_pair(measure)
+        for fam, p, q in _verify_pairs():
+            second = q if pair else None
+            closed = M.evaluate_measure(fam, measure, p, second, alpha).value
+            est = O.oracle_measure(fam, measure, p, second, alpha)
+            assert _agrees(closed, est), (fam.name, closed, est)
+            assert est == O.oracle_measure(fam, "kl" if pair else "shannon", p, second)
 
 
 def _doubled_factor(self, theta):
@@ -741,5 +767,5 @@ class TestWrongLogNormalizer:
         fam, p, q = _mvn_pair(2, np.random.default_rng(5))
         step = NaturalParam(p.vector - q.vector, p.matrix - q.matrix)
         from_f = fam.log_normalizer(p) - fam.log_normalizer(q)
-        from_f -= step.dot(fam.grad_log_normalizer(q))
+        from_f -= pairing(step, fam.grad_log_normalizer(q))
         assert abs(fam._gap(p, q) - from_f) > 1e-6 * abs(from_f)
