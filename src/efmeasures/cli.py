@@ -340,7 +340,7 @@ def _estimate_block(fam: Family, est) -> dict:
         source = {"mu": params.mu.tolist(), "sigma": params.cov.tolist()}
     else:
         source = {k: getattr(params, k) for k in fam.source_keys}
-    theta = {"vector": est.theta.vector.tolist()}
+    theta = {"vector": list(est.theta.vector)}
     if est.theta.matrix is not None:
         theta["matrix"] = est.theta.matrix.tolist()
     return {

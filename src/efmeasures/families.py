@@ -40,15 +40,9 @@ the other's and m's are diagonal. Their B is the first of these gaps at m = thet
 
 All values are immutable and every operation is a pure function of its
 inputs (samplers take an explicit seed), so concurrent use is unrestricted.
-A ``Member`` keeps its coordinates as floats from when it is made, and an mvn one its
-precision factor and that factor's spread from its check and its moments from their first
-read, outside its fields; every reader gets the first fill. It also keeps the whitened axes
-of the last pair it whitened, built outside that fill's lock and stored whole: a racing
-recompute gives the same bits. A Poisson ``Member`` keeps, in the
-same ``moments`` slot, the log-masses, masses and ``p log p`` terms of its entropies' count
-series over the widest window built (none past 2^12 counts) and the (H, G) of its last 16
-orders, stored whole in the same way; every order sums a slice of them, bit for bit what a
-fresh member sums.
+A natural parameter stores its vector block once, as a tuple of floats. What a ``Member``
+keeps outside its fields (see ``Member``) is stored whole, in one assignment, and read once
+a call: threads that race never mix two records, and every value is a fresh member's bits.
 The count series share one read-only table of log k! (at most 2^17 entries): a fill
 assigns a new, complete array and a call reads it once, so every reader slices a whole one.
 """
@@ -56,7 +50,6 @@ assigns a new, complete array and a call reads it once, so every reader slices a
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -141,23 +134,23 @@ class NaturalParam:
     """Composite parameter: a vector block plus an optional matrix block.
 
     Used both for natural parameters and for the matching expectation
-    coordinates returned by ``grad_log_normalizer``. The matrix block is
-    symmetrized on construction (averaged with its transpose); input whose
-    asymmetry exceeds the tolerance is rejected outright. ``scaled`` and
-    ``mix`` make ``c M`` and ``w A + (1-w) B`` of exactly symmetric blocks,
-    exactly symmetric too, and do not re-symmetrize them. ``Family.member``
-    checks one into a ``Member`` of a family.
+    coordinates returned by ``grad_log_normalizer``. The vector block is stored
+    once, as a tuple of floats; ``np.asarray(t.vector)`` is an array of it. The
+    matrix block is a read-only array, symmetrized on construction (averaged
+    with its transpose); input whose asymmetry exceeds the tolerance is
+    rejected outright. ``scaled`` and ``mix`` make ``c M`` and ``w A + (1-w) B``
+    of exactly symmetric blocks, exactly symmetric too, and do not re-symmetrize
+    them. ``Family.member`` checks one into a ``Member`` of a family.
     """
 
-    vector: np.ndarray
+    vector: tuple[float, ...]
     matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=float, ndmin=1)  # a copy, frozen below
+        vec = np.array(self.vector, dtype=float, ndmin=1)
         if vec.ndim != 1:
             raise ValueError(f"vector block must be 1-d, got shape {vec.shape}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "vector", tuple(vec.tolist()))
         if self.matrix is not None:
             mat = np.asarray(self.matrix, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -168,7 +161,7 @@ class NaturalParam:
             object.__setattr__(self, "matrix", _readonly(mat))
 
     def _check_like(self, other: "NaturalParam") -> None:
-        if self.vector.shape != other.vector.shape:
+        if len(self.vector) != len(other.vector):
             raise ValueError("mismatched vector blocks")
         if (self.matrix is None) != (other.matrix is None):
             raise ValueError("one parameter has a matrix block, the other does not")
@@ -177,13 +170,11 @@ class NaturalParam:
 
     @classmethod
     def _derived(cls, vec, mat: np.ndarray | None) -> "NaturalParam":
-        """A member of exactly symmetric blocks: the vector copied, both frozen, nothing checked."""
+        """A member of exactly symmetric blocks, a float tuple and a frozen matrix: unchecked."""
         out = object.__new__(cls)
-        vector = np.array(vec, dtype=float)
-        vector.setflags(write=False)
         if mat is not None:
             mat.setflags(write=False)
-        out.__dict__.update(vector=vector, matrix=mat)
+        out.__dict__.update(vector=tuple(vec), matrix=mat)
         return out
 
     # A scaled or mixed parameter can overflow to inf, and the domain check
@@ -191,7 +182,7 @@ class NaturalParam:
     # vector block is computed in Python floats, which overflow quietly (and
     # cost less than a numpy error state); the matrix block under one.
     def scaled(self, factor: float) -> "NaturalParam":
-        vec = [factor * x for x in self.vector.tolist()]
+        vec = [factor * x for x in self.vector]
         if self.matrix is None:
             return NaturalParam._derived(vec, None)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -201,21 +192,16 @@ class NaturalParam:
         """Convex-style combination ``weight*self + (1-weight)*other``."""
         self._check_like(other)
         rest = 1.0 - weight
-        vec = [weight * x + rest * y for x, y in zip(self.vector.tolist(), other.vector.tolist())]
+        vec = [weight * x + rest * y for x, y in zip(self.vector, other.vector)]
         if self.matrix is None:
             return NaturalParam._derived(vec, None)
         with np.errstate(over="ignore", invalid="ignore"):
             return NaturalParam._derived(vec, weight * self.matrix + rest * other.matrix)
 
-    @property
-    def _coords(self) -> tuple[float, ...]:
-        """The vector block as floats, what the closed forms read; a Member keeps them."""
-        return tuple(self.vector.tolist())
-
     def flat(self) -> np.ndarray:
         """All coordinates as one vector: vector block, then matrix row-major."""
         if self.matrix is None:
-            return self.vector.copy()
+            return np.array(self.vector)
         return np.concatenate([self.vector, self.matrix.ravel()])
 
 
@@ -223,20 +209,17 @@ class NaturalParam:
 class Member(NaturalParam):
     """A natural parameter that ``Family.member`` checked inside ``family``'s domain;
     one made another way (its constructor, ``dataclasses.replace``, a copy) has no
-    ``family`` and is checked again. Each keeps its vector block as floats, ``_coords``; an mvn
-    member also ``factor``, its diagonal's ``spread`` max / min, ``moments`` and ``pair``: the
-    whitened axes of the last pair it whitened, and that partner, held weakly. A Poisson
-    member's ``moments`` holds (first count, log-masses, masses, p log p) over its widest
-    window of at most 2^12 counts, and a map of at most 16 orders to their (H, G)."""
+    ``family`` and is checked again. An mvn member keeps from that check its precision
+    ``factor``, its diagonal's ``spread`` max / min and its ``moments`` (mean, covariance,
+    inverse factor, log det), and later ``pair``: the whitened axes of the last pair it
+    whitened, and that partner, held weakly. A Poisson member's ``moments`` holds (first
+    count, log-masses, masses, p log p) over its widest window of at most 2^12 counts, and
+    a map of at most 16 orders to their (H, G)."""
 
-    __slots__ = ("_coords", "family", "factor", "spread", "moments", "pair")
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "_coords", tuple(self.vector.tolist()))
+    __slots__ = ("family", "factor", "spread", "moments", "pair")
 
     def __reduce__(self):
-        return NaturalParam._derived, (self.vector.tolist(), self.matrix)
+        return NaturalParam._derived, (self.vector, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -345,14 +328,22 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+# Python counts a bool an int, and numpy reads True as 1 and "1e0" as 1.0: none is a number here.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def _finite(name: str, x) -> bool:
+    """Whether ``x`` is finite; ParameterDomainError unless it is a real number."""
+    try:  # a float, what the oracle's _source passes, skips the slower isinstance
+        return math.isfinite(x if type(x) is float or not isinstance(x, _NOT_NUMBERS) else None)
+    except TypeError:  # a bool, a string, None, a list
+        raise ParameterDomainError(f"{name} must be a real number, got {x!r}") from None
+
+
 def _checked(name: str, x: float, positive: bool = True) -> float:
     """``x``, refused unless a finite (and positive) real number: the refusal of the records
     below, which a family's _source makes too."""
-    try:
-        inside = math.isfinite(x) and (x > 0 or not positive)
-    except TypeError:  # a string, None, a list
-        raise ParameterDomainError(f"{name} must be a real number, got {x!r}") from None
-    if not inside:
+    if not (_finite(name, x) and (x > 0 or not positive)):
         raise ParameterDomainError(f"{name} must be {'> 0' if positive else 'finite'}, got {x}")
     return x
 
@@ -378,11 +369,7 @@ class BernoulliParams:
     p: float
 
     def __post_init__(self) -> None:
-        try:
-            inside = math.isfinite(self.p) and 0.0 < self.p < 1.0
-        except TypeError:  # as _checked refuses it
-            raise ParameterDomainError(f"p must be a real number, got {self.p!r}") from None
-        if not inside:
+        if not (_finite("p", self.p) and 0.0 < self.p < 1.0):
             raise ParameterDomainError(f"p must lie in (0, 1), got {self.p}")
 
 
@@ -402,10 +389,13 @@ class MultivariateGaussianParams:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
+        try:  # each entry a number itself, as numpy's conversion does not ask
+            entries = (e for x in (self.mu, self.cov) for e in np.asarray(x, dtype=object).flat)
+            if any(isinstance(e, _NOT_NUMBERS) for e in entries):
+                raise TypeError
             mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
             cov = np.asarray(self.cov, dtype=float)
-        except (TypeError, ValueError):  # a string, a ragged list
+        except (TypeError, ValueError):  # a bool, a string, a ragged list
             raise ParameterDomainError("mu and cov must be arrays of real numbers") from None
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
             raise ParameterDomainError("mu must be a finite vector")
@@ -436,8 +426,6 @@ class LaplacianParams:
     def __post_init__(self) -> None:
         _checked("scale", self.scale)
 
-
-_MOMENTS_FILL = threading.Lock()
 
 # What a Poisson member keeps for its entropies: log-masses over at most this many
 # counts (96 KiB in all), and the (H, G) of at most this many orders.
@@ -585,19 +573,18 @@ class Family(ABC):
     # -- shape and domain guards --------------------------------------
 
     def check_shape(self, theta: NaturalParam) -> None:
-        if theta.vector.size != self.vector_dim:
+        if len(theta.vector) != self.vector_dim:
             raise ValueError(
                 f"{self.name}: expected vector block of length {self.vector_dim}, "
-                f"got {theta.vector.size}"
+                f"got {len(theta.vector)}"
             )
         if self.matrix_dim == 0:
             if theta.matrix is not None:
                 raise ValueError(f"{self.name}: unexpected matrix block")
-        else:
-            if theta.matrix is None or theta.matrix.shape != (self.matrix_dim, self.matrix_dim):
-                raise ValueError(
-                    f"{self.name}: expected a {self.matrix_dim}x{self.matrix_dim} matrix block"
-                )
+        elif theta.matrix is None or theta.matrix.shape != (self.matrix_dim, self.matrix_dim):
+            raise ValueError(
+                f"{self.name}: expected a {self.matrix_dim}x{self.matrix_dim} matrix block"
+            )
 
     def in_natural_domain(self, theta: NaturalParam) -> bool:
         """True iff theta lies in the open natural parameter space."""
@@ -612,7 +599,6 @@ class Family(ABC):
             return theta
         out = object.__new__(Member)
         out.__dict__.update(vector=theta.vector, matrix=theta.matrix)  # frozen already
-        object.__setattr__(out, "_coords", tuple(theta.vector.tolist()))
         self._guard(self.in_natural_domain(out), label)
         object.__setattr__(out, "family", self)
         return out
@@ -667,19 +653,20 @@ class Family(ABC):
     def _entropy(self, theta: NaturalParam) -> float:
         """Shannon entropy H(theta) = F - <theta, grad F> - E[k(x)], in nats."""
 
-    # A family of one coordinate t states its open domain, _inside(t), and its gap,
-    # _gap_at(ta, tb), on floats; the Gaussian families override the three methods below.
+    # A scalar family states its open domain on its coordinates, _inside(*t), and a family of
+    # one coordinate its gap, _gap_at(ta, tb), on floats; the Gaussian families override the
+    # two gaps below, and mvn the domain too.
     def _in_domain(self, theta: NaturalParam) -> bool:
-        return self._inside(theta._coords[0])
+        return self._inside(*theta.vector)
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         """Bregman gap B(theta : base) >= 0, from the step theta - base."""
-        return self._gap_at(theta._coords[0], base._coords[0])
+        return self._gap_at(theta.vector[0], base.vector[0])
 
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         """B(theta : m), B(theta' : m) at m = alpha theta + (1 - alpha) theta', if m is inside.
         No closed form builds m as a NaturalParam: here m is the float NaturalParam.mix rounds."""
-        ta, tb = theta._coords[0], theta2._coords[0]
+        ta, tb = theta.vector[0], theta2.vector[0]
         m = alpha * ta + (1.0 - alpha) * tb
         if not self._inside(m):  # the message is formatted only to raise it
             self._guard(False, _MIXED.format(alpha), MixedParameterError)
@@ -714,7 +701,7 @@ class Family(ABC):
         """A member's source record ``_record``, of the floats ``_source(t)`` reads off its
         coordinates t and refuses as the record does; mvn and Bernoulli override it."""
         self.member(theta)
-        return self._record(*self._source(theta.vector.tolist()))
+        return self._record(*self._source(theta.vector))
 
     @abstractmethod
     def log_normalizer(self, theta: NaturalParam) -> float: ...
@@ -785,20 +772,21 @@ class ExponentialDistFamily(Family):
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
-        return -math.log(-float(theta.vector[0]))
+        return -math.log(-theta.vector[0])
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         self.member(theta)
-        return NaturalParam([-1.0 / float(theta.vector[0])])
+        return NaturalParam([-1.0 / theta.vector[0]])
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
-        e = float(np.atleast_1d(eta.vector)[0])
+        self.check_shape(eta)
+        e = eta.vector[0]
         if not (math.isfinite(e) and e > 0):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
         return self.member(NaturalParam([-1.0 / e]))
 
     def _entropy(self, theta: NaturalParam) -> float:
-        return 1.0 - math.log(-theta._coords[0])
+        return 1.0 - math.log(-theta.vector[0])
 
     _gap_at = staticmethod(_rate_gap)  # B(a : b) = q - 1 - log q with q = rate_a / rate_b
 
@@ -810,12 +798,12 @@ class ExponentialDistFamily(Family):
         return np.asarray(xs, dtype=float).reshape(-1, 1)
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        t = float(theta.vector[0])
+        t = theta.vector[0]
         return t * np.asarray(xs, dtype=float) + math.log(-t)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         theta = self._check_sample_args(theta, n)
-        return np.random.default_rng(seed).exponential(-1.0 / float(theta.vector[0]), n)
+        return np.random.default_rng(seed).exponential(-1.0 / theta.vector[0], n)
 
 
 @dataclass(frozen=True)
@@ -848,14 +836,15 @@ class PoissonFamily(Family):
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
-        return math.exp(float(theta.vector[0]))
+        return math.exp(theta.vector[0])
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         self.member(theta)
-        return NaturalParam([math.exp(float(theta.vector[0]))])
+        return NaturalParam([math.exp(theta.vector[0])])
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
-        e = float(np.atleast_1d(eta.vector)[0])
+        self.check_shape(eta)
+        e = eta.vector[0]
         if not (math.isfinite(e) and e > 0):
             raise ExpectationDomainError(f"{self.name}: mean statistic must be > 0, got {e}")
         return self.member(NaturalParam([math.log(e)]))
@@ -868,7 +857,7 @@ class PoissonFamily(Family):
         return np.asarray(xs, dtype=float).reshape(-1, 1)
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        t = float(theta.vector[0])
+        t = theta.vector[0]
         ks = np.asarray(xs, dtype=float)
         log_fact = np.fromiter(map(math.lgamma, (ks + 1.0).tolist()), float, ks.size)
         return ks * t - math.exp(t) - log_fact
@@ -877,14 +866,14 @@ class PoissonFamily(Family):
         # The alpha-scaled member's mass at k is p_k^alpha e^(alpha rate - rate^alpha)
         # (k!)^(alpha - 1), so the log moment is log sum p^alpha = G + (1 - alpha) H, from
         # the entropies' series, plus alpha rate - rate^alpha: nothing of size rate^alpha is summed.
-        t = float(theta.vector[0])
+        t = theta.vector[0]
         h, gap = self._renyi_gap(theta, alpha)
         rate_terms = math.exp(t) * ((alpha - 1.0) - math.expm1((alpha - 1.0) * t))
         return gap + (1.0 - alpha) * h + rate_terms
 
     def _carrier_expectation(self, theta: Member) -> float:
         # E[k(x)] = -E[log x!] under the member itself.
-        t = float(theta.vector[0])
+        t = theta.vector[0]
         rate = math.exp(t)
 
         def terms(ks: np.ndarray) -> np.ndarray:
@@ -917,7 +906,7 @@ class PoissonFamily(Family):
         kept = getattr(theta, "moments", None) or _NOTHING_KEPT  # one read: a fill replaces it
         if alpha in kept[4]:
             return kept[4][alpha]
-        t = theta._coords[0]
+        t = theta.vector[0]
         rate = math.exp(t)
         shift = alpha * (int(rate) * t - rate - math.lgamma(int(rate) + 1.0))
 
@@ -947,7 +936,7 @@ class PoissonFamily(Family):
         h = 0.0 - mean_log_p  # the sum of the -p l bit for bit: terms of one sign, and +0.0 at 0
         log_power = math.log1p(y) if y > -0.5 else shift + math.log(power)
         result = h, log_power + (alpha - 1.0) * h
-        if isinstance(theta, Member):  # outside any lock: racing threads compute the same bits
+        if isinstance(theta, Member):  # racing threads compute the same bits
             orders = {**kept[4], alpha: result}
             if len(orders) > _POISSON_KEPT_ORDERS:
                 del orders[next(iter(orders))]  # the oldest
@@ -956,7 +945,7 @@ class PoissonFamily(Family):
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         theta = self._check_sample_args(theta, n)
-        return np.random.default_rng(seed).poisson(math.exp(float(theta.vector[0])), n)
+        return np.random.default_rng(seed).poisson(math.exp(theta.vector[0]), n)
 
 
 @dataclass(frozen=True)
@@ -982,27 +971,28 @@ class BernoulliFamily(Family):
 
     def from_natural(self, theta: NaturalParam) -> BernoulliParams:
         self.member(theta)
-        return BernoulliParams(p=_sigmoid(float(theta.vector[0])))
+        return BernoulliParams(p=_sigmoid(theta.vector[0]))
 
     def _inside(self, t: float) -> bool:
         return math.isfinite(t)
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
-        return _softplus(float(theta.vector[0]))
+        return _softplus(theta.vector[0])
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         self.member(theta)
-        return NaturalParam([_sigmoid(float(theta.vector[0]))])
+        return NaturalParam([_sigmoid(theta.vector[0])])
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
-        e = float(np.atleast_1d(eta.vector)[0])
+        self.check_shape(eta)
+        e = eta.vector[0]
         if not (math.isfinite(e) and 0.0 < e < 1.0):
             raise ExpectationDomainError(f"{self.name}: mean statistic must lie in (0, 1), got {e}")
         return self.member(NaturalParam([math.log(e) - math.log1p(-e)]))
 
     def _entropy(self, theta: NaturalParam) -> float:
-        t = abs(theta._coords[0])
+        t = abs(theta.vector[0])
         e = math.exp(-t)
         return math.log1p(e) + t * (e / (1.0 + e))  # e / (1 + e) is _sigmoid(-t)
 
@@ -1020,7 +1010,7 @@ class BernoulliFamily(Family):
 
     def _renyi_gap(self, theta: Member, alpha: float):
         # B(alpha theta : theta) depends on theta here: the one family that forms alpha theta.
-        t = theta._coords[0]
+        t = theta.vector[0]
         scaled = alpha * t  # as NaturalParam.scaled rounds it
         self._guard(self._inside(scaled), "alpha-scaled parameter", ScaledParameterError)
         return self._entropy(theta), self._gap_at(scaled, t)
@@ -1033,11 +1023,11 @@ class BernoulliFamily(Family):
         return np.asarray(xs, dtype=float).reshape(-1, 1)
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(xs, dtype=float) * float(theta.vector[0]) - self.log_normalizer(theta)
+        return np.asarray(xs, dtype=float) * theta.vector[0] - self.log_normalizer(theta)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         theta = self._check_sample_args(theta, n)
-        p = _sigmoid(float(theta.vector[0]))
+        p = _sigmoid(theta.vector[0])
         rng = np.random.default_rng(seed)
         return (rng.random(n) < p).astype(np.int64)
 
@@ -1069,36 +1059,32 @@ class GaussianFamily(Family):
         var = _checked("var", -0.5 / t[1])  # first: where var overflows, mu = t1 var is 0 inf
         return _checked("mu", t[0] * var, positive=False), var
 
-    def _in_domain(self, theta: NaturalParam) -> bool:
-        return self._inside(*theta._coords)
-
     def _inside(self, t1: float, t2: float) -> bool:
         return math.isfinite(t1) and math.isfinite(t2) and t2 < 0
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
-        t1, t2 = theta.vector.tolist()
+        t1, t2 = theta.vector
         # In natural coordinates F = -t1^2/(4 t2) + log(pi / -t2) / 2, which
         # equals mu^2/(2 var) + log(2 pi var) / 2 in source coordinates.
         return -t1 * t1 / (4.0 * t2) + 0.5 * (math.log(math.pi) - math.log(-t2))
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         self.member(theta)
-        t1, t2 = theta.vector.tolist()
+        t1, t2 = theta.vector
         return NaturalParam([-t1 / (2.0 * t2), t1 * t1 / (4.0 * t2 * t2) - 1.0 / (2.0 * t2)])
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
-        e = np.atleast_1d(np.asarray(eta.vector, dtype=float))
-        if e.size != 2:
-            raise ValueError(f"{self.name}: expected 2 expectation coordinates")
-        var = float(e[1] - e[0] * e[0])
+        self.check_shape(eta)
+        mean, second = eta.vector
+        var = second - mean * mean
         if not (math.isfinite(var) and var > 0):
             raise ExpectationDomainError(f"{self.name}: implied variance must be > 0, got {var}")
-        return self.to_natural(GaussianParams(mu=float(e[0]), var=var))
+        return self.to_natural(GaussianParams(mu=mean, var=var))
 
     def _entropy(self, theta: NaturalParam) -> float:
         # log(2 pi e var) / 2 with var = -1 / (2 theta2).
-        return 0.5 * (1.0 + math.log(math.pi) - math.log(-theta._coords[1]))
+        return 0.5 * (1.0 + math.log(math.pi) - math.log(-theta.vector[1]))
 
     def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
         return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
@@ -1106,7 +1092,7 @@ class GaussianFamily(Family):
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         # mvn's at d = 1: lam = theta2' / theta2, z = w / sqrt(-2 theta2) for the step
         # w = (mu - mu') / var, from theta's own coordinates or the step: the smaller terms.
-        (t1, t2), (u1, u2) = theta._coords, theta2._coords
+        (t1, t2), (u1, u2) = theta.vector, theta2.vector
         ratio = u1 / u2  # -2 mu'
         w = t1 - u1 - ratio * (t2 - u2) if t2 / u2 > 0.5 else t1 - ratio * t2
         lam = u2 / t2  # log lam from both logs only where lam under- or overflows
@@ -1123,7 +1109,7 @@ class GaussianFamily(Family):
             return np.column_stack([xs, xs * xs])
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        t1, t2 = theta.vector.tolist()
+        t1, t2 = theta.vector
         xs = np.asarray(xs, dtype=float)
         return t1 * xs + t2 * xs * xs - self.log_normalizer(theta)
 
@@ -1172,7 +1158,7 @@ class MultivariateGaussianFamily(Family):
     def _factor(self, theta: NaturalParam) -> np.ndarray | None:
         """Cholesky factor of -2M (the precision matrix); None outside the domain
         (a non-finite coordinate, or -2M not positive-definite)."""
-        if np.isfinite(theta.vector).all() and np.isfinite(theta.matrix).all():
+        if all(map(math.isfinite, theta.vector)) and np.isfinite(theta.matrix).all():
             try:
                 chol = np.linalg.cholesky(-2.0 * theta.matrix)
             except np.linalg.LinAlgError:
@@ -1187,45 +1173,40 @@ class MultivariateGaussianFamily(Family):
             params = MultivariateGaussianParams(mu=d["mu"], cov=d.get("cov", d.get("sigma")))
         inv_chol = _lower_inverse(params._chol)
         precision = inv_chol.T @ inv_chol  # numpy forms A^T A as one triangle, mirrored
-        return self.member(NaturalParam._derived(precision @ params.mu, -0.5 * precision))
+        vector = (precision @ params.mu).tolist()
+        return self.member(NaturalParam._derived(vector, -0.5 * precision))
 
-    def _moments(self, theta: Member) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The member's mean, covariance = C^-T C^-1, C^-1 and log det(-2M) = log det
-        C C^T, from its factor C, kept on the member once first read; raises where
-        the covariance overflows."""
-        moments = getattr(theta, "moments", None)
-        if moments is not None:
-            return moments
-        with _MOMENTS_FILL:  # one fill per member, which every reader gets
-            if getattr(theta, "moments", None) is None:
-                chol = theta.factor
-                with np.errstate(over="ignore", invalid="ignore"):
-                    inv_chol = np.linalg.inv(chol)
-                    cov = inv_chol.T @ inv_chol
-                    mean = cov @ theta.vector
-                # Every entry of cov meets one of theta's, so an overflow leaves inf or nan in mean.
-                self._guard(bool(np.isfinite(mean).all()))
-                log_det = 2.0 * sum(map(math.log, chol.diagonal().tolist()))
-                object.__setattr__(theta, "moments", (mean, cov, inv_chol, log_det))
-        return theta.moments
+    def _moments(self, chol: np.ndarray, vector: tuple[float, ...]):
+        """Mean, covariance = C^-T C^-1, C^-1 and log det(-2M) = log det C C^T of the member
+        of vector block ``vector`` and precision factor C; None where the covariance overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_chol = np.linalg.inv(chol)
+            cov = inv_chol.T @ inv_chol
+            mean = cov @ vector
+        # Every entry of cov meets one of the vector's, so an overflow leaves inf or nan in mean.
+        if not np.isfinite(mean).all():
+            return None
+        return mean, cov, inv_chol, 2.0 * sum(map(math.log, chol.diagonal().tolist()))
 
     def from_natural(self, theta: NaturalParam) -> MultivariateGaussianParams:
-        mean, cov, _, _ = self._moments(self.member(theta))
+        mean, cov, _, _ = self.member(theta).moments
         return MultivariateGaussianParams(mu=mean, cov=cov)
 
     def _in_domain(self, theta: NaturalParam) -> bool:
+        """Whether -2M has a factor and a finite covariance; a member being made keeps both."""
         chol = self._factor(theta)
-        if type(theta) is Member and not hasattr(theta, "family"):  # a member being made keeps it
+        moments = None if chol is None else self._moments(chol, theta.vector)
+        if moments is not None and type(theta) is Member and not hasattr(theta, "family"):
+            diag = chol.diagonal().tolist()
             object.__setattr__(theta, "factor", chol)
-            if chol is not None:
-                diag = chol.diagonal().tolist()
-                object.__setattr__(theta, "spread", max(diag) / min(diag))
-        return chol is not None
+            object.__setattr__(theta, "spread", max(diag) / min(diag))
+            object.__setattr__(theta, "moments", moments)
+        return moments is not None
 
-    # F and grad F read the member's moments; a finite result is their domain check.
+    # F and grad F read the member's moments; a finite result is F's domain check.
     def log_normalizer(self, theta: NaturalParam) -> float:
         theta = self.member(theta)
-        _, _, inv_chol, log_det = self._moments(theta)
+        _, _, inv_chol, log_det = theta.moments
         with np.errstate(over="ignore", invalid="ignore"):
             y = inv_chol @ theta.vector
             value = 0.5 * (self.dim * _LOG_2PI - log_det + float(y @ y))
@@ -1233,14 +1214,13 @@ class MultivariateGaussianFamily(Family):
         return value
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
-        mean, cov, _, _ = self._moments(self.member(theta))
+        mean, cov, _, _ = self.member(theta).moments
         return NaturalParam(mean, cov + np.outer(mean, mean))
 
     def _entropy(self, theta: NaturalParam) -> float:
-        return 0.5 * (self.dim * (1.0 + _LOG_2PI) - self._moments(theta)[3])
+        return 0.5 * (self.dim * (1.0 + _LOG_2PI) - theta.moments[3])
 
-    def _gap(self, theta: NaturalParam, base: NaturalParam) -> float:
-        return self._jensen_gaps(theta, base, 0.0)[0]  # m = base at alpha = 0
+    _gap = GaussianFamily._gap  # the first of its whitened gaps at m = base
 
     def _jensen_gaps(self, theta: NaturalParam, theta2: NaturalParam, alpha: float):
         # The step w reads b's mean, which loses digits to b's conditioning: b's factor spreads
@@ -1250,7 +1230,7 @@ class MultivariateGaussianFamily(Family):
         pair = getattr(a, "pair", None)  # one read: a racing fill replaces it, whole
         if pair is None or pair[0]() is not b:  # b held weakly: no new object at its address
             pair = (weakref.ref(b), self._whiten(a, b))
-            object.__setattr__(a, "pair", pair)  # outside _MOMENTS_FILL: _whiten reads _moments
+            object.__setattr__(a, "pair", pair)
         return _whitened_gaps(self, alpha, pair[1], swap)
 
     def _whiten(self, a: Member, b: Member):
@@ -1258,10 +1238,10 @@ class MultivariateGaussianFamily(Family):
         factor C, b's precision is I + G, G = 2 C^-1 (M_a - M_b) C^-T, the mixture's weighted I + G;
         in G's eigenbasis U, the mean step is z = U^T C^-1 w for w = v_a - v_b + 2 (M_a -
         M_b) mu_b, since mu_a - mu_b = C^-T C^-1 w."""
-        inv_a, (mean_b, _, inv_b, _) = self._moments(a)[2], self._moments(b)
+        inv_a, (mean_b, _, inv_b, _) = a.moments[2], b.moments
         dm = 2.0 * (a.matrix - b.matrix)
         g, basis = np.linalg.eigh(inv_a @ dm @ inv_a.T)
-        z = basis.T @ (inv_a @ (a.vector - b.vector + dm @ mean_b))
+        z = basis.T @ (inv_a @ (np.subtract(a.vector, b.vector) + dm @ mean_b))
         g, lam, z = g.tolist(), (1.0 + g).tolist(), z.tolist()
         if g[0] <= -0.5:  # lam to eps of itself, not of the largest: 1 / u^T (I + G)^-1 u
             y = inv_b @ a.factor @ basis
@@ -1277,8 +1257,7 @@ class MultivariateGaussianFamily(Family):
         return list(zip(g, lam, log_lam, z))
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
-        if eta.matrix is None or eta.vector.size != self.dim:
-            raise ValueError(f"{self.name}: expectation parameter has the wrong shape")
+        self.check_shape(eta)
         cov = eta.matrix - np.outer(eta.vector, eta.vector)
         try:
             params = MultivariateGaussianParams(eta.vector, cov)  # its check factors cov
@@ -1346,20 +1325,21 @@ class CenteredLaplacianFamily(Family):
 
     def log_normalizer(self, theta: NaturalParam) -> float:
         self.member(theta)
-        return math.log(2.0) - math.log(-float(theta.vector[0]))
+        return math.log(2.0) - math.log(-theta.vector[0])
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         self.member(theta)
-        return NaturalParam([-1.0 / float(theta.vector[0])])
+        return NaturalParam([-1.0 / theta.vector[0]])
 
     def grad_inverse(self, eta: NaturalParam) -> Member:
-        e = float(np.atleast_1d(eta.vector)[0])
+        self.check_shape(eta)
+        e = eta.vector[0]
         if not (math.isfinite(e) and e > 0):
             raise ExpectationDomainError(f"{self.name}: mean absolute value must be > 0, got {e}")
         return self.member(NaturalParam([-1.0 / e]))
 
     def _entropy(self, theta: NaturalParam) -> float:
-        return 1.0 + math.log(2.0) - math.log(-theta._coords[0])
+        return 1.0 + math.log(2.0) - math.log(-theta.vector[0])
 
     _gap_at = staticmethod(_rate_gap)  # F is the exponential's plus log 2: the same B
 
@@ -1370,12 +1350,12 @@ class CenteredLaplacianFamily(Family):
         return np.abs(np.asarray(xs, dtype=float)).reshape(-1, 1)
 
     def log_density_batch(self, theta: NaturalParam, xs: np.ndarray) -> np.ndarray:
-        t = float(theta.vector[0])
+        t = theta.vector[0]
         return t * np.abs(np.asarray(xs, dtype=float)) - self.log_normalizer(theta)
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
         theta = self._check_sample_args(theta, n)
-        return np.random.default_rng(seed).laplace(0.0, -1.0 / float(theta.vector[0]), n)
+        return np.random.default_rng(seed).laplace(0.0, -1.0 / theta.vector[0], n)
 
 
 def _softplus(t: float) -> float:

@@ -441,7 +441,7 @@ def _carried(fam: Family, theta: NaturalParam, label: str = "natural parameter")
     """``theta`` checked once, as the oracle carries a member: an mvn member as it is, whose
     blocks _gaussian factors, and any other as its coordinates, the member's tuple of floats."""
     theta = fam.member(theta, label)
-    return theta if fam.matrix_dim else theta._coords
+    return theta if fam.matrix_dim else theta.vector
 
 
 def _check_pair(fam: Family, theta: NaturalParam, theta2: NaturalParam | None):

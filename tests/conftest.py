@@ -102,7 +102,7 @@ def family(family_name) -> em.Family:
 
 def pairing(a: em.NaturalParam, b: em.NaturalParam) -> float:
     """The composite pairing <a, b> = a_vec . b_vec + tr(a_mat^T b_mat)."""
-    out = float(a.vector @ b.vector)
+    out = float(np.dot(a.vector, b.vector))
     if a.matrix is not None:
         out += float(np.sum(a.matrix * b.matrix))
     return out

@@ -109,6 +109,12 @@ class TestExitCodes:
         ("bernoulli", '{"p":"0.5"}'),
         ("mvn", '{"mu":[0,"a"],"sigma":[[1,0],[0,1]]}'),
         ("mvn", '{"mu":[0,0],"sigma":[[1,0],[0]]}'),
+        ("exponential", '{"rate":true}'),
+        ("gaussian", '{"mu":false,"var":true}'),
+        ("bernoulli", '{"p":true}'),
+        ("mvn", '{"mu":["0","1e0"],"sigma":[[1,0],[0,1]]}'),
+        ("mvn", '{"mu":[0,0],"sigma":[[1,0],[0,"1"]]}'),
+        ("mvn", '{"mu":[0,0],"sigma":[[true,0],[0,1]]}'),
     ])
     def test_source_values_that_are_not_numbers_are_domain_errors(self, family, params):
         code, out, err = run_cli("entropy", "--family", family, "--params", params, "--measure", "shannon")

@@ -148,6 +148,17 @@ class TestConversions:
         ("bernoulli", {"p": "0.5"}, "p must be a real number, got '0.5'"),
         ("mvn", {"mu": [0, "a"], "cov": np.eye(2)}, "mu and cov must be arrays of real numbers"),
         ("mvn", {"mu": [0, 0], "cov": [[1, 0], [0]]}, "mu and cov must be arrays of real numbers"),
+        # Python counts a bool an int, and numpy reads True as 1 and "1e0" as 1.0.
+        ("exponential", {"rate": True}, "rate must be a real number, got True"),
+        ("exponential", {"rate": np.True_}, "rate must be a real number, got np.True_"),
+        ("gaussian", {"mu": False, "var": True}, "mu must be a real number, got False"),
+        ("gaussian", {"mu": 0.0, "var": True}, "var must be a real number, got True"),
+        ("bernoulli", {"p": True}, "p must be a real number, got True"),
+        ("mvn", {"mu": ["0", "1e0"], "cov": np.eye(2)}, "mu and cov must be arrays of real numbers"),
+        ("mvn", {"mu": [0, True], "cov": np.eye(2)}, "mu and cov must be arrays of real numbers"),
+        ("mvn", {"mu": [0, 0], "cov": [[1, 0], [0, "1"]]}, "mu and cov must be arrays of real numbers"),
+        ("mvn", {"mu": [0, 0], "cov": [[True, 0], [0, 1]]}, "mu and cov must be arrays of real numbers"),
+        ("mvn", {"mu": [0, 0], "cov": np.eye(2, dtype=bool)}, "mu and cov must be arrays of real numbers"),
         ("exponential", {"rate": -1}, "rate must be > 0, got -1"),
         ("gaussian", {"mu": math.inf, "var": 1.0}, "mu must be finite, got inf"),
         ("bernoulli", {"p": math.nan}, "p must lie in (0, 1), got nan"),
@@ -203,6 +214,15 @@ class TestNaturalDomain:
                        lambda th: em.measures.evaluate_measure(em.POISSON, "kl", inside, th).value):
                 with pytest.raises(NaturalDomainError):
                     fn(theta)
+
+    def test_mvn_member_whose_covariance_overflows_is_refused(self):
+        # -2M = diag(1e-310, 1) has a factor, but its covariance overflows: refused when the
+        # member is made, not at its first F.
+        fam = em.get_family("mvn", 2)
+        theta = NaturalParam([1.0, 0.0], -0.5 * np.diag([1e-310, 1.0]))
+        assert not fam.in_natural_domain(theta)
+        with pytest.raises(NaturalDomainError):
+            fam.member(theta)
 
     def test_mvn_overflow_is_a_domain_error_not_a_warning(self):
         # -2M is positive-definite, but the mean and F overflow: the domain error,
@@ -276,7 +296,8 @@ class TestPrimitivesMatchF:
         for _ in range(6):
             a, b = random_theta_pair(name, rng)
             for x, y in ((a, b), (b, a)):
-                step = NaturalParam(x.vector - y.vector, x.matrix - y.matrix if name == "mvn" else None)
+                matrix = x.matrix - y.matrix if name == "mvn" else None
+                step = NaturalParam(np.subtract(x.vector, y.vector), matrix)
                 from_f = fam.log_normalizer(x) - fam.log_normalizer(y)
                 from_f -= pairing(step, fam.grad_log_normalizer(y))
                 assert fam._gap(x, y) == pytest.approx(from_f, rel=1e-12)
@@ -332,6 +353,18 @@ class TestGradInverse:
         fam = em.get_family("mvn", 2)
         with pytest.raises(em.ExpectationDomainError):
             fam.grad_inverse(NaturalParam([1.0, 0.0], np.array([[1.0, 0.0], [0.0, 0.5]])))
+
+    @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+    def test_wrong_shapes_rejected(self, name):
+        # Each family reads only an expectation parameter of its own shape: a scalar family
+        # does not take the first of two coordinates, nor one with a matrix block.
+        fam = make_family(name)
+        eta = fam.grad_log_normalizer(fam.to_natural(random_source(name, np.random.default_rng(3))))
+        longer = NaturalParam([*eta.vector, 7.0], eta.matrix)
+        other = NaturalParam(eta.vector, None if eta.matrix is not None else [[1.0]])
+        for bad in (longer, other):
+            with pytest.raises(ValueError, match=f"^{name}: (expected|unexpected)"):
+                fam.grad_inverse(bad)
 
 
 def _stat(fam, x) -> list[float]:
