@@ -123,6 +123,19 @@ def _symmetrized(m: np.ndarray, label: str) -> np.ndarray:
     return half + half.T
 
 
+# Python counts a bool an int, and numpy reads True as 1 and "1e0" as 1.0: none is a number here.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+
+
+def _numbers(x, label: str):
+    """``x``, a number, a sequence or an array; ValueError if an entry is one of _NOT_NUMBERS."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu") and any(
+        isinstance(e, _NOT_NUMBERS) for e in np.asarray(x, dtype=object).flat
+    ):
+        raise ValueError(f"{label} must hold real numbers, got {x!r}")
+    return x
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -147,12 +160,16 @@ class NaturalParam:
     matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        vec = np.array(self.vector, dtype=float, ndmin=1)
-        if vec.ndim != 1:
-            raise ValueError(f"vector block must be 1-d, got shape {vec.shape}")
-        object.__setattr__(self, "vector", tuple(vec.tolist()))
+        vec = self.vector
+        # Python floats, what every package path passes, are stored as they are, without numpy.
+        if type(vec) not in (list, tuple) or not all(type(x) is float for x in vec):
+            vec = np.array(_numbers(vec, "vector block"), dtype=float, ndmin=1)
+            if vec.ndim != 1:
+                raise ValueError(f"vector block must be 1-d, got shape {vec.shape}")
+            vec = vec.tolist()
+        object.__setattr__(self, "vector", tuple(vec))
         if self.matrix is not None:
-            mat = np.asarray(self.matrix, dtype=float)
+            mat = np.asarray(_numbers(self.matrix, "matrix block"), dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"matrix block must be square, got shape {mat.shape}")
             # A symmetric m stays as it is, since halving rounds a subnormal.
@@ -212,9 +229,8 @@ class Member(NaturalParam):
     ``family`` and is checked again. An mvn member keeps from that check its precision
     ``factor``, its diagonal's ``spread`` max / min and its ``moments`` (mean, covariance,
     inverse factor, log det), and later ``pair``: the whitened axes of the last pair it
-    whitened, and that partner, held weakly. A Poisson member's ``moments`` holds (first
-    count, log-masses, masses, p log p) over its widest window of at most 2^12 counts, and
-    a map of at most 16 orders to their (H, G)."""
+    whitened, and that partner, held weakly. A Poisson member's ``moments`` is a map of
+    at most 16 orders to their (H, G)."""
 
     __slots__ = ("family", "factor", "spread", "moments", "pair")
 
@@ -328,10 +344,6 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-# Python counts a bool an int, and numpy reads True as 1 and "1e0" as 1.0: none is a number here.
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
-
-
 def _finite(name: str, x) -> bool:
     """Whether ``x`` is finite; ParameterDomainError unless it is a real number."""
     try:  # a float, what the oracle's _source passes, skips the slower isinstance
@@ -390,11 +402,8 @@ class MultivariateGaussianParams:
 
     def __post_init__(self) -> None:
         try:  # each entry a number itself, as numpy's conversion does not ask
-            entries = (e for x in (self.mu, self.cov) for e in np.asarray(x, dtype=object).flat)
-            if any(isinstance(e, _NOT_NUMBERS) for e in entries):
-                raise TypeError
-            mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-            cov = np.asarray(self.cov, dtype=float)
+            mu = np.atleast_1d(np.asarray(_numbers(self.mu, "mu"), dtype=float))
+            cov = np.asarray(_numbers(self.cov, "cov"), dtype=float)
         except (TypeError, ValueError):  # a bool, a string, a ragged list
             raise ParameterDomainError("mu and cov must be arrays of real numbers") from None
         if mu.ndim != 1 or not np.all(np.isfinite(mu)):
@@ -427,11 +436,7 @@ class LaplacianParams:
         _checked("scale", self.scale)
 
 
-# What a Poisson member keeps for its entropies: log-masses over at most this many
-# counts (96 KiB in all), and the (H, G) of at most this many orders.
-_POISSON_KEPT_COUNTS = 2**12
-_POISSON_KEPT_ORDERS = 16
-_NOTHING_KEPT = (0, np.empty(0), np.empty(0), np.empty(0), {})
+_POISSON_KEPT_ORDERS = 16  # the (H, G) a Poisson member keeps for its entropies' orders
 
 _LOG_FACTORIAL_CAP = 2**17  # entries: 1 MiB, the windows up to rate ~1.2e5
 _log_factorial_table = np.empty(0)  # lgamma(k + 1) at k, grown by doubling from 64; never written
@@ -474,7 +479,7 @@ def _counts_past(edge: float, inner: float, total: float, drop: float = 0.0) -> 
     return 0 if need >= 1.0 or r == 0.0 else math.ceil(math.log(need) / math.log(r))
 
 
-def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float, int]:
+def count_series(terms, peaks, alpha: float = 1.0) -> tuple[list, list, list, int]:
     """Sum ``terms(ks)`` over the counts k = 0, 1, 2, ... from a window around ``peaks``.
 
     The window spans the peaks +- (9 sqrt(peak / min(alpha, 1)) + 20), nine
@@ -489,9 +494,9 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
     A failing window refuses at once where that bound asks past the 2^22-count cap
     even at the ratio r ((lo + cap) / edge)^-alpha that terms e^(k theta) (k!)^-alpha
     reach at the cap, over the magnitudes plus their tail bound.
-    Returns (pairwise sum, sum of magnitudes, tail bound, number of terms); a
-    non-finite term raises ConvergenceError. ``terms`` may return rows of terms,
-    one per sum over the window; then the first three are lists, one entry a row.
+    ``terms`` returns rows of terms, one per sum over the window. Returns lists,
+    one entry a row, of the pairwise sums, the sums of magnitudes and the tail
+    bounds, and the number of terms; a non-finite term raises ConvergenceError.
     """
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
     spread = 9.0 / math.sqrt(min(alpha, 1.0))
@@ -512,18 +517,12 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[float, float, float,
         with np.errstate(over="ignore", invalid="ignore"):
             ts = np.asarray(terms(ks), dtype=float)
         mags = np.abs(ts)
-        if ts.ndim == 1:  # one row: its sums as floats, the bits of a row among rows
-            totals, abs_totals = [float(np.add.reduce(ts))], [float(np.add.reduce(mags))]
-            edges = [mags.take(_EDGES).tolist()]
-        else:
-            totals, abs_totals = (np.add.reduce(x, axis=1).tolist() for x in (ts, mags))
-            edges = mags.take(_EDGES, axis=1).tolist()
+        totals, abs_totals = (np.add.reduce(x, axis=1).tolist() for x in (ts, mags))
+        edges = mags.take(_EDGES, axis=1).tolist()
         if not all(map(math.isfinite, totals)):
             raise ConvergenceError("a count series term is not finite")
         tails = [_tail(e3, e2) + (_tail(e0, e1) if lo > 0 else 0.0) for e0, e1, e2, e3 in edges]
         if all(t <= _SERIES_TAIL * a for t, a in zip(tails, abs_totals)):
-            if ts.ndim == 1:
-                return totals[0], abs_totals[0], tails[0], ks.size
             return totals, abs_totals, tails, ks.size
         ups, downs = zip(*(
             (_counts_past(e3, e2, a), _counts_past(e0, e1, a) if lo > 0 else 0)
@@ -876,11 +875,11 @@ class PoissonFamily(Family):
         t = theta.vector[0]
         rate = math.exp(t)
 
-        def terms(ks: np.ndarray) -> np.ndarray:
+        def terms(ks: np.ndarray) -> list[np.ndarray]:
             lg = _log_factorials(ks)
-            return np.exp(ks * t - rate - lg) * lg
+            return [np.exp(ks * t - rate - lg) * lg]
 
-        total, _, _, _ = count_series(terms, [rate])
+        (total,), _, _, _ = count_series(terms, [rate])
         return -total
 
     def _gap_at(self, ta: float, tb: float) -> float:
@@ -900,47 +899,30 @@ class PoissonFamily(Family):
         # log sum p^alpha = log1p(y) keeps its digits near alpha = 1, and, for
         # where y is near -1, sum p^alpha itself shifted by its largest term. A mass of 0
         # whose log overflowed to -inf (k theta at theta = -1e307) adds 0 to H, not 0 * inf.
-        # The member keeps (first count, l, p, p l) over the widest window built, and the
-        # (H, G) of its last orders: each window is a slice of the kept arrays, so every
-        # order sums the terms of a fresh member, bit for bit.
-        kept = getattr(theta, "moments", None) or _NOTHING_KEPT  # one read: a fill replaces it
-        if alpha in kept[4]:
-            return kept[4][alpha]
+        # The member keeps the (H, G) of its last orders; a new order sums a fresh window.
+        kept = getattr(theta, "moments", None) or {}  # one read: a fill replaces it
+        if alpha in kept:
+            return kept[alpha]
         t = theta.vector[0]
         rate = math.exp(t)
         shift = alpha * (int(rate) * t - rate - math.lgamma(int(rate) + 1.0))
 
         def terms(ks: np.ndarray):
-            nonlocal kept
-            first, log_p, p, p_log_p, orders = kept
-            start = int(ks[0]) - first
-            if not 0 <= start <= log_p.size - ks.size:  # widen to the union of both windows
-                counts = ks
-                if log_p.size and ks.size <= _POISSON_KEPT_COUNTS:
-                    lo, hi = min(int(ks[0]), first), max(int(ks[-1]) + 1, first + log_p.size)
-                    counts = np.arange(lo, hi)
-                log_p = counts * t - rate - _log_factorials(counts)
-                p, p_log_p, start = np.exp(log_p), None, int(ks[0] - counts[0])
-                if counts.size <= _POISSON_KEPT_COUNTS:
-                    p_log_p = p * np.fmax(log_p, -_DBL_MAX)
-                    kept = (int(counts[0]), log_p, p, p_log_p, orders)
-            window = slice(start, start + ks.size)
-            log_p, p = log_p[window], p[window]
+            log_p = ks * t - rate - _log_factorials(ks)
+            p = np.exp(log_p)
             x, power = (alpha - 1.0) * log_p, np.exp(alpha * log_p - shift)
             y = np.where(x < 1.0, p * np.expm1(x), power * math.exp(shift) - p)
-            if p_log_p is None:  # a window past the cap: made last, as no member keeps it
-                return p * np.fmax(log_p, -_DBL_MAX), y, power
-            return p_log_p[window], y, power
+            return p * np.fmax(log_p, -_DBL_MAX), y, power
 
         (mean_log_p, y, power), _, _, _ = count_series(terms, [rate], alpha)
         h = 0.0 - mean_log_p  # the sum of the -p l bit for bit: terms of one sign, and +0.0 at 0
         log_power = math.log1p(y) if y > -0.5 else shift + math.log(power)
         result = h, log_power + (alpha - 1.0) * h
         if isinstance(theta, Member):  # racing threads compute the same bits
-            orders = {**kept[4], alpha: result}
+            orders = {**kept, alpha: result}
             if len(orders) > _POISSON_KEPT_ORDERS:
                 del orders[next(iter(orders))]  # the oldest
-            object.__setattr__(theta, "moments", (*kept[:4], orders))
+            object.__setattr__(theta, "moments", orders)
         return result
 
     def sample(self, theta: NaturalParam, n: int, seed: int) -> np.ndarray:
@@ -1215,7 +1197,10 @@ class MultivariateGaussianFamily(Family):
 
     def grad_log_normalizer(self, theta: NaturalParam) -> NaturalParam:
         mean, cov, _, _ = self.member(theta).moments
-        return NaturalParam(mean, cov + np.outer(mean, mean))
+        with np.errstate(over="ignore", invalid="ignore"):
+            second = cov + np.outer(mean, mean)
+        self._guard(bool(np.isfinite(second).all()))
+        return NaturalParam(mean, second)
 
     def _entropy(self, theta: NaturalParam) -> float:
         return 0.5 * (self.dim * (1.0 + _LOG_2PI) - theta.moments[3])

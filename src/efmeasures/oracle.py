@@ -204,10 +204,10 @@ def _series(fam: Family, integrand: _Integrand, around, alpha: float) -> OracleE
         ts = np.exp(sums[0, 0])
         out = ts if b is None else sums[1, 0] * ts
         last["window"] = ks, x, sums, ts, out
-        return out
+        return [out]
 
     # count_series sums the last window it evaluated; p is log-concave past it too.
-    _, _, tail, _ = count_series(terms, rates.values(), alpha)
+    _, _, (tail,), _ = count_series(terms, rates.values(), alpha)
     ks, x, sums, ts, weighted = last["window"]
     ps = np.exp(x[0])
     masses = ps.tolist()

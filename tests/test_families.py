@@ -45,6 +45,32 @@ class TestNaturalParam:
         with pytest.raises(ParameterDomainError, match="not symmetric"):
             NaturalParam([0.0, 0.0], [[-1.0, 1e308], [-1e308, -1.0]])
 
+    @pytest.mark.parametrize(
+        "vector, matrix",
+        [
+            (["-1.5"], None),
+            ("-2", None),
+            ([b"1"], None),
+            ([True, False], None),
+            ([-1.5, True], None),
+            (True, None),
+            ([np.bool_(False)], None),
+            (np.array([True]), None),
+            ([0.0, 0.0], [["-1", "0"], ["0", "-1"]]),
+            ([0.0], [[True]]),
+            ([0.0], np.array([[False]])),
+        ],
+    )
+    def test_strings_and_booleans_are_not_coordinates(self, vector, matrix):
+        # numpy reads "-1.5" as -1.5 and True as 1.0; a source record refuses both.
+        with pytest.raises(ValueError, match="must hold real numbers"):
+            NaturalParam(vector, matrix)
+
+    def test_numbers_of_any_type_are_coordinates(self):
+        for vector in (-2, [-2], (-2.0,), np.float64(-2.0), [np.int64(-2)], np.array([-2.0])):
+            assert NaturalParam(vector).vector == (-2.0,)
+        assert NaturalParam([0.0], [[-1]]).matrix.tolist() == [[-1.0]]
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatched vector blocks"):
             NaturalParam([1.0]).mix(NaturalParam([1.0, 2.0]), 0.5)
@@ -223,6 +249,15 @@ class TestNaturalDomain:
         assert not fam.in_natural_domain(theta)
         with pytest.raises(NaturalDomainError):
             fam.member(theta)
+
+    def test_mvn_second_moment_overflow_is_a_domain_error_not_a_warning(self):
+        # At theta = ((1e200, 0), -I/2) the mean 1e200 is finite, but F and mu mu^T are not:
+        # grad F refuses the member as F does, with no numpy overflow warning first.
+        fam = em.get_family("mvn", 2)
+        theta = NaturalParam([1e200, 0.0], -0.5 * np.eye(2))
+        for fn in (fam.log_normalizer, fam.grad_log_normalizer):
+            with pytest.raises(NaturalDomainError):
+                fn(theta)
 
     def test_mvn_overflow_is_a_domain_error_not_a_warning(self):
         # -2M is positive-definite, but the mean and F overflow: the domain error,

@@ -1270,9 +1270,9 @@ class TestPoissonSeries:
 
     def test_non_finite_or_undecaying_series_raise(self):
         with pytest.raises(ConvergenceError, match="not finite"):
-            F.count_series(lambda ks: np.where(ks == 3, np.inf, 1.0), [2.0])
+            F.count_series(lambda ks: [np.where(ks == 3, np.inf, 1.0)], [2.0])
         with pytest.raises(ConvergenceError):
-            F.count_series(lambda ks: np.ones(ks.size), [2.0])
+            F.count_series(lambda ks: [np.ones(ks.size)], [2.0])
 
     def test_swamped_series_never_returns_a_non_finite_value(self):
         # At rate 9999 and alpha = 5, rate^alpha ~ 1e20: the entropies sum p^alpha
@@ -1389,9 +1389,9 @@ class TestPoissonSeries:
 
         def terms(ks):
             windows.append(ks.size)
-            return np.exp(-0.01 * ks)
+            return [np.exp(-0.01 * ks)]
 
-        total, _, tail, n = F.count_series(terms, [1.0])
+        (total,), _, (tail,), n = F.count_series(terms, [1.0])
         assert len(windows) == 5 and n == windows[-1]
         assert total == pytest.approx(-1.0 / math.expm1(-0.01), rel=1e-15)
         assert tail <= 2.0**-60 * total
@@ -1402,7 +1402,7 @@ class TestPoissonSeries:
 
         def terms(ks):
             windows.append(ks.size)
-            return np.exp(-1e-9 * ks)
+            return [np.exp(-1e-9 * ks)]
 
         with pytest.raises(ConvergenceError, match="did not converge"):
             F.count_series(terms, [1.0])
@@ -1423,8 +1423,8 @@ class TestPoissonSeries:
         signed=st.booleans(),
     )
     def test_one_row_is_summed_as_a_row_among_rows(self, peak, alpha, signed):
-        # The oracle hands count_series one row, the closed-form entropies three: the
-        # one-row bookkeeping returns what the rows path returns for that row, bit for bit.
+        # The oracle hands count_series one row, the closed-form entropies three: a lone
+        # row sums, bounds and sizes as the same row among other rows, bit for bit.
         # Poisson-type terms p^alpha, or (k - peak) p^alpha, whose signs change at the peak.
         log_rate = math.log(peak)
 
@@ -1432,7 +1432,7 @@ class TestPoissonSeries:
             power = np.exp(alpha * (ks * log_rate - peak - F._log_factorials(ks)))
             return (ks - peak) * power if signed else power
 
-        total, abs_total, tail, n = F.count_series(row, [peak], alpha)
+        (total,), (abs_total,), (tail,), n = F.count_series(lambda ks: [row(ks)], [peak], alpha)
         totals, abs_totals, tails, n2 = F.count_series(lambda ks: (row(ks), row(ks)), [peak], alpha)
         assert isinstance(total, float) and isinstance(abs_total, float)
         assert n == n2 and totals[0] == totals[1]
@@ -1442,7 +1442,7 @@ class TestPoissonSeries:
 
 
 # --------------------------------------------------------------------------
-# A Poisson member keeps its window's log-masses and each order's (H, G).
+# A Poisson member keeps each order's (H, G), and sums a fresh window for a new one.
 # --------------------------------------------------------------------------
 
 _SWEEP_ORDERS = (0.5, 0.9, 1.0 - 1e-4, 1.0 + 1e-4, 1.0 + 1e-7, 2.0)
@@ -1468,7 +1468,7 @@ class TestPoissonRecord:
     _RATES = (0.1, 1.0, 10.0, 1e3, 1e4)
 
     @staticmethod
-    def _builds(monkeypatch):
+    def _calls(monkeypatch):
         """The runs of counts every _log_factorials call reads, as (first, count)."""
         seen, table = [], F._log_factorials
         monkeypatch.setattr(
@@ -1476,83 +1476,81 @@ class TestPoissonRecord:
         )
         return seen
 
-    @pytest.mark.parametrize("rate", _RATES)
-    def test_one_window_build_per_widening_in_sweep_order(self, monkeypatch, rate):
-        builds = self._builds(monkeypatch)
-        M.evaluate_measure(em.POISSON, "renyi", _poisson_theta(rate), alpha=0.5)
-        widest = builds[:]  # alpha = 1/2 asks the widest window, once per widening
-        builds.clear()
-        theta, partner = _poisson_theta(rate), _poisson_theta(1.3 * rate)
-        per_cell = []
-        for cell in _POISSON_ENTROPY_CELLS:
-            before = len(builds)
-            _entropy_bits(theta, [cell], partner)
-            per_cell.append(len(builds) - before)
-        assert builds == widest
-        assert per_cell == [len(widest)] + [0] * 13
-        _entropy_bits(theta, _POISSON_ENTROPY_CELLS, partner)  # all 14 again: all kept
-        assert builds == widest
+    @classmethod
+    def _kept_member(cls, monkeypatch, rate, cells, partner):
+        """Runs the cells in turn on one member of the rate, and returns it. Each cell gives a
+        fresh member's bits; an order the member keeps makes no _log_factorials call, and a
+        new one makes exactly the calls a fresh member makes for that cell."""
+        calls = cls._calls(monkeypatch)
+        theta, kept = _poisson_theta(rate), set()
+        for cell in cells:
+            want = _entropy_bits(_poisson_theta(rate), [cell], partner)
+            fresh = calls[:]
+            calls.clear()
+            assert _entropy_bits(theta, [cell], partner) == want, cell
+            assert calls == ([] if (cell[1] or 1.0) in kept else fresh), cell
+            calls.clear()
+            kept.add(cell[1] or 1.0)
+        return theta
 
     @pytest.mark.parametrize("rate", _RATES)
-    def test_a_wider_order_widens_the_kept_window(self, monkeypatch, rate):
-        # Descending orders ask ever wider windows: each build covers the kept one.
-        theta, partner = _poisson_theta(rate), _poisson_theta(1.3 * rate)
+    def test_a_kept_member_gives_a_fresh_members_bits_in_sweep_order(self, monkeypatch, rate):
+        # Renyi and Tsallis share each order, Shannon and the cross entropy alpha = 1; all
+        # 14 again are all kept.
+        cells = _POISSON_ENTROPY_CELLS * 2
+        theta = self._kept_member(monkeypatch, rate, cells, _poisson_theta(1.3 * rate))
+        assert type(theta.moments) is dict and list(theta.moments) == [*_SWEEP_ORDERS, 1.0]
+
+    @pytest.mark.parametrize("rate", _RATES)
+    def test_a_kept_member_gives_a_fresh_members_bits_in_descending_order(self, monkeypatch, rate):
+        # Descending orders ask ever wider windows, each summed afresh.
         cells = sorted(_POISSON_ENTROPY_CELLS, key=lambda c: -(c[1] or 1.0))
-        want = [_entropy_bits(_poisson_theta(rate), [cell], partner)[0] for cell in cells]
-        builds = self._builds(monkeypatch)
-        assert _entropy_bits(theta, cells, partner) == want
-        assert 1 <= len(builds) <= len(_SWEEP_ORDERS)
-        for (lo, n), (lo2, n2) in zip(builds, builds[1:]):
-            assert lo2 <= lo and lo + n <= lo2 + n2 and n < n2
-        first, log_p = theta.moments[0], theta.moments[1]
-        assert (first, log_p.size) == builds[-1]
+        self._kept_member(monkeypatch, rate, cells, _poisson_theta(1.3 * rate))
 
-    def test_a_small_order_builds_once_per_widening_too(self, monkeypatch):
-        # At rate 1, alpha = 0.005 takes all five windows; the sweep's orders then read them.
-        theta, partner = _poisson_theta(1.0), _poisson_theta(1.3)
-        cells = [("renyi", 0.005), *_POISSON_ENTROPY_CELLS]
-        want = [_entropy_bits(_poisson_theta(1.0), [cell], partner)[0] for cell in cells]
-        builds = self._builds(monkeypatch)
-        assert _entropy_bits(theta, cells, partner) == want
-        assert len(builds) == 5 and [lo for lo, _ in builds] == [0] * 5
-        assert [n for _, n in builds] == sorted({n for _, n in builds})
+    def test_a_small_order_takes_five_windows_and_the_series_value(self, monkeypatch):
+        # At rate 1, alpha = 0.005 takes all five windows; sum p^alpha is
+        # sum_k e^(-alpha (1 + log k!)), whose terms are below e^-200 past k = 6000.
+        mpmath = pytest.importorskip("mpmath")
+        alpha = 0.005
+        calls = self._calls(monkeypatch)
+        value = M.evaluate_measure(em.POISSON, "renyi", _poisson_theta(1.0), alpha=alpha).value
+        assert len(calls) == 5 and [lo for lo, _ in calls] == [0] * 5
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            total = mpmath.fsum(mpmath.exp(-a * (1 + mpmath.loggamma(k + 1))) for k in range(6000))
+            want = float(mpmath.log(total) / (1 - a))
+        assert value == pytest.approx(want, rel=1e-13)
+        cells = [("renyi", alpha), *_POISSON_ENTROPY_CELLS]
+        self._kept_member(monkeypatch, 1.0, cells, _poisson_theta(1.3))
 
     def test_an_order_past_the_cap_builds_only_its_first_window(self, monkeypatch):
         # At rate 30 and alpha = 1e-8 the first window's tail bound asks for ~4.6e8 counts, and
         # still past 2^22 at the ratio (k!)^-alpha reaches by the cap: no wider window is built.
-        builds = self._builds(monkeypatch)
+        calls = self._calls(monkeypatch)
         with pytest.raises(ConvergenceError, match="past the cap"):
             M.evaluate_measure(em.POISSON, "renyi", _poisson_theta(30.0), alpha=1e-8)
-        assert len(builds) == 1
+        assert len(calls) == 1
 
     def test_distinct_orders_keep_the_record_at_its_bound(self):
         theta = _poisson_theta(42.0)
         orders = [0.5 + k / 1000 for k in range(1000)]
         got = [M.evaluate_measure(em.POISSON, "renyi", theta, alpha=a).value for a in orders]
-        first, log_p, p, p_log_p, kept = theta.moments
-        assert len(kept) == F._POISSON_KEPT_ORDERS == 16
-        assert list(kept) == orders[-16:]
-        assert log_p.size == p.size == p_log_p.size <= F._POISSON_KEPT_COUNTS == 2**12
+        assert len(theta.moments) == F._POISSON_KEPT_ORDERS == 16
+        assert list(theta.moments) == orders[-16:]
         for a, value in list(zip(orders, got))[::97]:
             fresh = M.evaluate_measure(em.POISSON, "renyi", _poisson_theta(42.0), alpha=a).value
             assert value.hex() == fresh.hex(), a
 
-    def test_a_window_past_the_cap_is_not_kept(self):
-        # At rate 1e6 the window spans ~2.5e4 counts: each order sums its own, as a fresh
-        # member does, and only the orders' values are kept.
-        theta = _poisson_theta(1e6)
+    def test_a_window_of_over_4096_counts_gives_a_fresh_members_bits(self, monkeypatch):
+        # At rate 1e6 the window spans ~2.5e4 counts, past what a member once kept.
         cells = [("renyi", 0.5), ("tsallis", 0.5), ("renyi", 2.0), ("shannon", None)]
-        fresh = [_entropy_bits(_poisson_theta(1e6), [cell], None)[0] for cell in cells]
-        assert _entropy_bits(theta, cells, None) == fresh
-        first, log_p, p, p_log_p, kept = theta.moments
-        assert log_p.size == p.size == p_log_p.size == 0
-        assert list(kept) == [0.5, 2.0, 1.0]
-        assert _entropy_bits(theta, cells, None) == fresh
+        theta = self._kept_member(monkeypatch, 1e6, cells * 2, None)
+        assert list(theta.moments) == [0.5, 2.0, 1.0]
 
     def test_a_copied_member_carries_no_record(self):
         theta = _poisson_theta(10.0)
         want = _entropy_bits(theta, _POISSON_ENTROPY_CELLS, _poisson_theta(13.0))
-        assert theta.moments[1].size > 0
+        assert len(theta.moments) == len(_SWEEP_ORDERS) + 1
         for made in (
             pickle.loads(pickle.dumps(theta)),
             dataclasses.replace(theta),
@@ -1562,16 +1560,16 @@ class TestPoissonRecord:
             assert getattr(made, "moments", None) is None
             assert _entropy_bits(made, _POISSON_ENTROPY_CELLS, _poisson_theta(13.0)) == want
 
-    def test_the_oracle_reads_no_record(self, monkeypatch):
+    def test_the_oracle_reads_no_record(self):
         theta = _poisson_theta(10.0)
         _entropy_bits(theta, _POISSON_ENTROPY_CELLS, _poisson_theta(13.0))
-        kept = theta.moments
-        # A record that would give wrong values, were the oracle to read it.
-        object.__setattr__(theta, "moments", (kept[0], kept[1] + 1.0, *kept[2:4], {}))
+        # A record that gives wrong values to the closed forms, and would to the oracle.
+        poisoned = {a: (h + 1.0, g + 1.0) for a, (h, g) in theta.moments.items()}
+        object.__setattr__(theta, "moments", poisoned)
         for m, a in (("renyi", 0.5), ("shannon", None)):
-            est = O.oracle_measure(em.POISSON, m, theta, None, a)
             fresh = O.oracle_measure(em.POISSON, m, _poisson_theta(10.0), None, a)
-            assert est.value == fresh.value
+            assert M.evaluate_measure(em.POISSON, m, theta, None, a).value != fresh.value
+            assert O.oracle_measure(em.POISSON, m, theta, None, a).value == fresh.value
 
     @pytest.mark.parametrize("rate", _RATES)
     def test_concurrent_readers_get_a_fresh_members_bits(self, rate):
