@@ -109,6 +109,7 @@ _EDGES = np.array([0, 1, -2, -1])  # a window's two terms at each edge
 _MIXED = "mixed parameter alpha*theta + (1-alpha)*theta' at alpha={:g}"
 
 _DBL_MAX = float(np.finfo(float).max)
+_CERTAIN = 2.0**42  # 2^-10 / eps: see MultivariateGaussianFamily.to_natural
 _MAX_LOG_RATE = math.log(_DBL_MAX)  # the largest Poisson theta of finite rate
 
 
@@ -123,8 +124,8 @@ def _symmetrized(m: np.ndarray, label: str) -> np.ndarray:
     return half + half.T
 
 
-# Python counts a bool an int, and numpy reads True as 1 and "1e0" as 1.0: none is a number here.
-_NOT_NUMBERS = (bool, np.bool_, str, bytes)
+# Python counts a bool an int; numpy reads True as 1, "1e0" as 1.0, None as nan: no numbers here.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, type(None))
 
 
 def _numbers(x, label: str):
@@ -134,12 +135,6 @@ def _numbers(x, label: str):
     ):
         raise ValueError(f"{label} must hold real numbers, got {x!r}")
     return x
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +164,14 @@ class NaturalParam:
             vec = vec.tolist()
         object.__setattr__(self, "vector", tuple(vec))
         if self.matrix is not None:
-            mat = np.asarray(_numbers(self.matrix, "matrix block"), dtype=float)
+            mat = np.array(_numbers(self.matrix, "matrix block"), dtype=float)  # a copy
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"matrix block must be square, got shape {mat.shape}")
             # A symmetric m stays as it is, since halving rounds a subnormal.
             if (mat != mat.T).any():
                 mat = _symmetrized(mat, "matrix block")
-            object.__setattr__(self, "matrix", _readonly(mat))
+            mat.setflags(write=False)
+            object.__setattr__(self, "matrix", mat)
 
     def _check_like(self, other: "NaturalParam") -> None:
         if len(self.vector) != len(other.vector):
@@ -226,11 +222,10 @@ class NaturalParam:
 class Member(NaturalParam):
     """A natural parameter that ``Family.member`` checked inside ``family``'s domain;
     one made another way (its constructor, ``dataclasses.replace``, a copy) has no
-    ``family`` and is checked again. An mvn member keeps from that check its precision
-    ``factor``, its diagonal's ``spread`` max / min and its ``moments`` (mean, covariance,
-    inverse factor, log det), and later ``pair``: the whitened axes of the last pair it
-    whitened, and that partner, held weakly. A Poisson member's ``moments`` is a map of
-    at most 16 orders to their (H, G)."""
+    ``family`` and is checked again. An mvn member keeps its triangular precision ``factor``,
+    its ``spread`` and its ``moments`` from birth (``_keep``), and later ``pair``: the whitened
+    axes of the last pair it whitened, and that partner, held weakly. A Poisson member's
+    ``moments`` is a map of at most 16 orders to their (H, G)."""
 
     __slots__ = ("family", "factor", "spread", "moments", "pair")
 
@@ -330,7 +325,7 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     row by row, scaling by the reciprocal diagonal as LAPACK's triangular solve does."""
     d = chol.shape[-1]
     identity = np.eye(d)
-    inv_diag = 1.0 / np.diagonal(chol, 0, -2, -1)
+    inv_diag = 1.0 / chol.diagonal(0, -2, -1)
     out = np.zeros(chol.shape)
     out[..., 0, 0] = inv_diag[..., 0]
     for i in range(1, d):
@@ -401,27 +396,31 @@ class MultivariateGaussianParams:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
+        mu, rows = self.mu, self.cov
+        # Lists of finite Python floats, as parsed and generated records hold, need no scan.
+        plain = type(mu) is type(rows) is list and all(type(r) is list for r in rows) and all(
+            type(x) is float and -math.inf < x < math.inf for r in (mu, *rows) for x in r)
         try:  # each entry a number itself, as numpy's conversion does not ask
-            mu = np.atleast_1d(np.asarray(_numbers(self.mu, "mu"), dtype=float))
-            cov = np.asarray(_numbers(self.cov, "cov"), dtype=float)
-        except (TypeError, ValueError):  # a bool, a string, a ragged list
+            mu = np.array(mu if plain else _numbers(mu, "mu"), dtype=float, ndmin=1)
+            cov = np.array(rows if plain else _numbers(rows, "cov"), dtype=float)
+        except (TypeError, ValueError):  # a bool, a string, None, a ragged list
             raise ParameterDomainError("mu and cov must be arrays of real numbers") from None
-        if mu.ndim != 1 or not np.all(np.isfinite(mu)):
+        if mu.ndim != 1 or not (plain or np.isfinite(mu).all()):
             raise ParameterDomainError("mu must be a finite vector")
-        if cov.ndim != 2 or cov.shape != (mu.size, mu.size):
+        if cov.shape != (mu.size, mu.size):
             raise ParameterDomainError(f"cov must be {mu.size}x{mu.size}, got shape {cov.shape}")
-        if not np.all(np.isfinite(cov)):
+        if not (plain or np.isfinite(cov).all()):
             raise ParameterDomainError("cov must be finite")
-        if (cov != cov.T).any():  # as NaturalParam symmetrizes its matrix
+        if (rows != [*map(list, zip(*rows))]) if plain else (cov != cov.T).any():  # as NaturalParam
             cov = _symmetrized(cov, "cov")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ParameterDomainError("cov is not positive-definite") from None
-        object.__setattr__(self, "mu", _readonly(mu))
-        object.__setattr__(self, "cov", _readonly(cov))
-        chol.setflags(write=False)
-        object.__setattr__(self, "_chol", chol)  # the check's factor, which to_natural reads
+        # Each made here, so no other reference writes it; _chol, the factor to_natural reads.
+        for name, a in (("mu", mu), ("cov", cov), ("_chol", chol)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -479,7 +478,7 @@ def _counts_past(edge: float, inner: float, total: float, drop: float = 0.0) -> 
     return 0 if need >= 1.0 or r == 0.0 else math.ceil(math.log(need) / math.log(r))
 
 
-def count_series(terms, peaks, alpha: float = 1.0) -> tuple[list, list, list, int]:
+def count_series(terms, peaks, alpha: float = 1.0, one_sign=False) -> tuple[list, list, list, int]:
     """Sum ``terms(ks)`` over the counts k = 0, 1, 2, ... from a window around ``peaks``.
 
     The window spans the peaks +- (9 sqrt(peak / min(alpha, 1)) + 20), nine
@@ -494,8 +493,9 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[list, list, list, in
     A failing window refuses at once where that bound asks past the 2^22-count cap
     even at the ratio r ((lo + cap) / edge)^-alpha that terms e^(k theta) (k!)^-alpha
     reach at the cap, over the magnitudes plus their tail bound.
-    ``terms`` returns rows of terms, one per sum over the window. Returns lists,
-    one entry a row, of the pairwise sums, the sums of magnitudes and the tail
+    ``terms`` returns rows of terms, one per sum over the window. Returns lists, one entry a
+    row, of the pairwise sums, the sums of magnitudes (with ``one_sign``, rows of terms of one
+    sign, the sums' own: a pairwise sum of -t is that of t, negated, bit for bit) and the tail
     bounds, and the number of terms; a non-finite term raises ConvergenceError.
     """
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
@@ -516,9 +516,9 @@ def count_series(terms, peaks, alpha: float = 1.0) -> tuple[list, list, list, in
         ks = np.arange(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             ts = np.asarray(terms(ks), dtype=float)
-        mags = np.abs(ts)
-        totals, abs_totals = (np.add.reduce(x, axis=1).tolist() for x in (ts, mags))
-        edges = mags.take(_EDGES, axis=1).tolist()
+        totals = np.add.reduce(ts, 1).tolist()
+        abs_totals = list(map(abs, totals)) if one_sign else np.add.reduce(abs(ts), 1).tolist()
+        edges = abs(ts.take(_EDGES, 1)).tolist()
         if not all(map(math.isfinite, totals)):
             raise ConvergenceError("a count series term is not finite")
         tails = [_tail(e3, e2) + (_tail(e0, e1) if lo > 0 else 0.0) for e0, e1, e2, e3 in edges]
@@ -879,7 +879,7 @@ class PoissonFamily(Family):
             lg = _log_factorials(ks)
             return [np.exp(ks * t - rate - lg) * lg]
 
-        (total,), _, _, _ = count_series(terms, [rate])
+        (total,), _, _, _ = count_series(terms, [rate], one_sign=True)
         return -total
 
     def _gap_at(self, ta: float, tb: float) -> float:
@@ -907,15 +907,21 @@ class PoissonFamily(Family):
         rate = math.exp(t)
         shift = alpha * (int(rate) * t - rate - math.lgamma(int(rate) + 1.0))
 
-        def terms(ks: np.ndarray):
+        def terms(ks: np.ndarray) -> np.ndarray:
+            rows = np.empty((1 if alpha == 1.0 else 3, ks.size))  # p l, then y and the powers
             log_p = ks * t - rate - _log_factorials(ks)
             p = np.exp(log_p)
-            x, power = (alpha - 1.0) * log_p, np.exp(alpha * log_p - shift)
-            y = np.where(x < 1.0, p * np.expm1(x), power * math.exp(shift) - p)
-            return p * np.fmax(log_p, -_DBL_MAX), y, power
+            np.multiply(p, np.fmax(log_p, -_DBL_MAX), out=rows[0])
+            if alpha != 1.0:
+                x, power = (alpha - 1.0) * log_p, np.exp(alpha * log_p - shift, out=rows[2])
+                y = np.multiply(p, np.expm1(x), out=rows[1])
+                if alpha < 1.0:  # above 1, x = (alpha - 1) l <= 0 as l <= 0: no large-x branch
+                    rows[1] = np.where(x < 1.0, y, power * math.exp(shift) - p)
+            return rows
 
-        (mean_log_p, y, power), _, _, _ = count_series(terms, [rate], alpha)
+        (mean_log_p, *rest), _, _, _ = count_series(terms, [rate], alpha, one_sign=True)
         h = 0.0 - mean_log_p  # the sum of the -p l bit for bit: terms of one sign, and +0.0 at 0
+        y, power = rest or (0.0, 1.0)  # alpha = 1: y = 0, G = 0, and H's row sizes the window
         log_power = math.log1p(y) if y > -0.5 else shift + math.log(power)
         result = h, log_power + (alpha - 1.0) * h
         if isinstance(theta, Member):  # racing threads compute the same bits
@@ -1142,48 +1148,63 @@ class MultivariateGaussianFamily(Family):
         (a non-finite coordinate, or -2M not positive-definite)."""
         if all(map(math.isfinite, theta.vector)) and np.isfinite(theta.matrix).all():
             try:
-                chol = np.linalg.cholesky(-2.0 * theta.matrix)
+                return np.linalg.cholesky(-2.0 * theta.matrix)
             except np.linalg.LinAlgError:
                 return None
-            chol.setflags(write=False)
-            return chol
         return None
 
     def to_natural(self, params: MultivariateGaussianParams) -> Member:
+        """The member of precision P = A^T A and vector block P mu, A = L^-1 for the record's
+        Sigma = L L^T, kept whole from L alone: factor A^T, moments mu, Sigma, L^T and -2 sum log
+        diag L. Past the certificate below, ``member`` checks its coordinates (one more factor)."""
         if not isinstance(params, MultivariateGaussianParams):
             d = _params_as_dict(params)
             params = MultivariateGaussianParams(mu=d["mu"], cov=d.get("cov", d.get("sigma")))
-        inv_chol = _lower_inverse(params._chol)
+        chol, cov = params._chol, params.cov
+        inv_chol = _lower_inverse(chol)
         precision = inv_chol.T @ inv_chol  # numpy forms A^T A as one triangle, mirrored
         vector = (precision @ params.mu).tolist()
-        return self.member(NaturalParam._derived(vector, -0.5 * precision))
+        member = Member._derived(vector, -0.5 * precision)
+        # cond(Sigma) <= trace(Sigma) trace(P) < 2^-10 / ((d + 1)^2 eps) keeps the rounded P, -2M
+        # (to subnormals of it while trace(Sigma) < 2^1000) and their Cholesky positive-definite:
+        # member()'s covariance is Sigma's to 2^-8, and its mean under trace(Sigma) |v|_1.
+        scale = sum(cov.diagonal().tolist())
+        if not (scale * sum(precision.diagonal().tolist()) * (self.dim + 1) ** 2 < _CERTAIN
+                and scale < 2.0**1000 and scale * sum(map(abs, vector)) < _DBL_MAX / 2.0):
+            return self.member(member)
+        log_det = -2.0 * sum(map(math.log, chol.diagonal().tolist()))
+        self._keep(member, inv_chol.T, (params.mu, cov, chol.T, log_det))
+        object.__setattr__(member, "family", self)
+        return member
 
-    def _moments(self, chol: np.ndarray, vector: tuple[float, ...]):
-        """Mean, covariance = C^-T C^-1, C^-1 and log det(-2M) = log det C C^T of the member
-        of vector block ``vector`` and precision factor C; None where the covariance overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv_chol = np.linalg.inv(chol)
-            cov = inv_chol.T @ inv_chol
-            mean = cov @ vector
-        # Every entry of cov meets one of the vector's, so an overflow leaves inf or nan in mean.
-        if not np.isfinite(mean).all():
-            return None
-        return mean, cov, inv_chol, 2.0 * sum(map(math.log, chol.diagonal().tolist()))
+    def _keep(self, member: Member, factor: np.ndarray, moments: tuple) -> None:
+        """Keep on a member being made, either way, its triangular ``factor`` F (F F^T = -2M), F's
+        diagonal ``spread`` max / min and ``moments``: mean, F^-T F^-1, F^-1, log det(-2M)."""
+        diag = factor.diagonal().tolist()
+        factor.setflags(write=False)
+        object.__setattr__(member, "factor", factor)
+        object.__setattr__(member, "spread", max(diag) / min(diag))
+        object.__setattr__(member, "moments", moments)
 
     def from_natural(self, theta: NaturalParam) -> MultivariateGaussianParams:
         mean, cov, _, _ = self.member(theta).moments
         return MultivariateGaussianParams(mu=mean, cov=cov)
 
     def _in_domain(self, theta: NaturalParam) -> bool:
-        """Whether -2M has a factor and a finite covariance; a member being made keeps both."""
+        """Whether -2M has a factor C and a finite mean C^-T C^-1 v, which a new member keeps."""
         chol = self._factor(theta)
-        moments = None if chol is None else self._moments(chol, theta.vector)
-        if moments is not None and type(theta) is Member and not hasattr(theta, "family"):
-            diag = chol.diagonal().tolist()
-            object.__setattr__(theta, "factor", chol)
-            object.__setattr__(theta, "spread", max(diag) / min(diag))
-            object.__setattr__(theta, "moments", moments)
-        return moments is not None
+        if chol is None:
+            return False
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_chol = np.linalg.inv(chol)
+            cov = inv_chol.T @ inv_chol
+            mean = cov @ theta.vector
+        # Every entry of cov meets one of the vector's, so an overflow leaves inf or nan in mean.
+        inside = bool(np.isfinite(mean).all())
+        if inside and type(theta) is Member and not hasattr(theta, "family"):
+            log_det = 2.0 * sum(map(math.log, chol.diagonal().tolist()))
+            self._keep(theta, chol, (mean, cov, inv_chol, log_det))
+        return inside
 
     # F and grad F read the member's moments; a finite result is F's domain check.
     def log_normalizer(self, theta: NaturalParam) -> float:

@@ -115,6 +115,7 @@ class TestExitCodes:
         ("mvn", '{"mu":["0","1e0"],"sigma":[[1,0],[0,1]]}'),
         ("mvn", '{"mu":[0,0],"sigma":[[1,0],[0,"1"]]}'),
         ("mvn", '{"mu":[0,0],"sigma":[[true,0],[0,1]]}'),
+        ("mvn", '{"mu":[null,0],"sigma":[[1,0],[0,1]]}'),
     ])
     def test_source_values_that_are_not_numbers_are_domain_errors(self, family, params):
         code, out, err = run_cli("entropy", "--family", family, "--params", params, "--measure", "shannon")

@@ -119,18 +119,18 @@ class TestMle:
             mle(SampleSet(make_family(name), obs))
 
     def test_mvn_fit_factors_each_matrix_once(self, monkeypatch):
-        # The parameter record's check factors the covariance and the member's check
-        # -2M; to_natural and grad_inverse reuse the first. The estimate command's
-        # report adds from_natural's record: 3 in all, from 5.
+        # The parameter record's check factors the covariance, and grad_inverse's to_natural
+        # makes the member from that factor alone. The estimate command's report adds
+        # from_natural's record: 2 in all, from 5.
         fam = make_family("mvn")
         sample = SampleSet(fam, np.random.default_rng(4).normal(size=(50, 2)))
         calls = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
         est = mle(sample)
-        assert len(calls) == 2
+        assert len(calls) == 1
         fam.from_natural(est.theta)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 def _fsum_means(stats: np.ndarray) -> np.ndarray:

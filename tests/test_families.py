@@ -66,6 +66,23 @@ class TestNaturalParam:
         with pytest.raises(ValueError, match="must hold real numbers"):
             NaturalParam(vector, matrix)
 
+    @pytest.mark.parametrize(
+        "vector, matrix",
+        [
+            ([None], None),
+            ([-1.5, None], None),
+            (None, None),
+            ((None,), None),
+            (np.array([None, 1.0], dtype=object), None),
+            ([0.0], [[None]]),
+            ([0.0, 0.0], [[-1.0, None], [None, -1.0]]),
+        ],
+    )
+    def test_none_is_not_a_coordinate(self, vector, matrix):
+        # numpy reads None as nan, which would be refused only later, as outside a domain.
+        with pytest.raises(ValueError, match="block must hold real numbers"):
+            NaturalParam(vector, matrix)
+
     def test_numbers_of_any_type_are_coordinates(self):
         for vector in (-2, [-2], (-2.0,), np.float64(-2.0), [np.int64(-2)], np.array([-2.0])):
             assert NaturalParam(vector).vector == (-2.0,)
@@ -185,6 +202,8 @@ class TestConversions:
         ("mvn", {"mu": [0, 0], "cov": [[1, 0], [0, "1"]]}, "mu and cov must be arrays of real numbers"),
         ("mvn", {"mu": [0, 0], "cov": [[True, 0], [0, 1]]}, "mu and cov must be arrays of real numbers"),
         ("mvn", {"mu": [0, 0], "cov": np.eye(2, dtype=bool)}, "mu and cov must be arrays of real numbers"),
+        ("mvn", {"mu": [None, 0], "cov": np.eye(2)}, "mu and cov must be arrays of real numbers"),
+        ("mvn", {"mu": [0, 0], "cov": [[1, None], [None, 1]]}, "mu and cov must be arrays of real numbers"),
         ("exponential", {"rate": -1}, "rate must be > 0, got -1"),
         ("gaussian", {"mu": math.inf, "var": 1.0}, "mu must be finite, got inf"),
         ("bernoulli", {"p": math.nan}, "p must lie in (0, 1), got nan"),
@@ -249,6 +268,40 @@ class TestNaturalDomain:
         assert not fam.in_natural_domain(theta)
         with pytest.raises(NaturalDomainError):
             fam.member(theta)
+
+    def test_mvn_records_are_refused_as_member_refuses_their_coordinates(self, monkeypatch):
+        # Seeded covariances at d = 2 to 4 with condition numbers up to 1e19. Of those the record
+        # accepts, to_natural refuses exactly the ones whose coordinates member() refuses: 41 here,
+        # where the rounded precision A^T A is not positive-definite.
+        rng = np.random.default_rng(36)
+        accepted, refused = 0, []
+        for i in range(3000):
+            d = 2 + i % 3
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            c = rng.uniform(0.0, 19.0)
+            eig = 10.0 ** np.concatenate(([0.0, -c], rng.uniform(-c, 0.0, size=d - 2)))
+            cov = (q * eig) @ q.T * 10.0 ** rng.uniform(-3.0, 3.0)
+            try:
+                record = em.MultivariateGaussianParams(mu=rng.normal(size=d), cov=(cov + cov.T) / 2.0)
+            except ParameterDomainError:
+                continue
+            fam = em.get_family("mvn", d)
+            try:
+                theta = fam.to_natural(record)
+            except NaturalDomainError:
+                refused.append(record)
+                continue
+            fam.member(NaturalParam(theta.vector, theta.matrix))
+            accepted += 1
+        assert accepted > 2000 and len(refused) >= 20
+        # A one-factor path certain of every precision makes a member of each refused record,
+        # whose own coordinates member() refuses.
+        monkeypatch.setattr(em.families, "_CERTAIN", math.inf)
+        for record in refused:
+            fam = em.get_family("mvn", record.dim)
+            theta = fam.to_natural(record)
+            with pytest.raises(NaturalDomainError):
+                fam.member(NaturalParam(theta.vector, theta.matrix))
 
     def test_mvn_second_moment_overflow_is_a_domain_error_not_a_warning(self):
         # At theta = ((1e200, 0), -I/2) the mean 1e200 is finite, but F and mu mu^T are not:

@@ -1132,20 +1132,58 @@ class TestMemberMemo:
                     _raises_exactly(NaturalDomainError, fn, bad)
                 _raises_exactly(NaturalDomainError, M.evaluate_measure, fam, "kl", good, bad)
 
-    def test_members_are_whole_from_birth(self):
-        # Each way of making an mvn member leaves it with its factor, spread and moments,
-        # before any measure reads them.
-        fam, p, q = _fresh_mvn_pair(3, 17)
-        made = [p, q, fam.member(_bare(p)), fam.grad_inverse(fam.grad_log_normalizer(p))]
-        for t in made:
-            mean, cov, inv_chol, log_det = t.moments
-            diag = t.factor.diagonal().tolist()
-            assert t.spread == max(diag) / min(diag)
-            assert np.array_equal(t.factor, np.linalg.cholesky(-2.0 * t.matrix))
-            assert np.array_equal(inv_chol, np.linalg.inv(t.factor))
-            assert np.array_equal(mean, cov @ np.asarray(t.vector))
-            assert log_det == 2.0 * sum(map(math.log, diag))
-            assert not hasattr(t, "pair")
+    def test_members_are_whole_from_birth(self, monkeypatch):
+        # Each way of making an mvn member leaves it, before any measure reads it, with a
+        # triangular factor F of -2M, the spread of F's diagonal and moments (mean, covariance,
+        # F^-1, log det(-2M)), each within a few ulps of what it stands for. to_natural makes
+        # F from the record's one Cholesky factor, unless the record is ill-conditioned (or, at
+        # d = 1, of a scale past 2^1000), where member() factors -2M too.
+        eps = np.finfo(float).eps
+        calls, cholesky = [], F.np.linalg.cholesky
+        monkeypatch.setattr(F.np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        for dim in (1, 2, 3, 4):
+            fam, p, q = _fresh_mvn_pair(dim, 17 + dim)
+            basis, _ = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))
+            ill = (basis * np.logspace(0.0, -12.0, dim)) @ basis.T if dim > 1 else [[1e302]]
+            records = [em.MultivariateGaussianParams(mu=np.ones(dim), cov=c) for c in (np.eye(dim), ill)]
+            calls.clear()
+            certain, factored = (fam.to_natural(r) for r in records)
+            assert len(calls) == 1  # the ill-conditioned record's -2M
+            made = [p, q, certain, factored, fam.member(_bare(p)),
+                    fam.grad_inverse(fam.grad_log_normalizer(p))]
+            for t in made:
+                mean, cov, inverse, log_det = t.moments
+                f, v, precision = t.factor, np.asarray(t.vector), -2.0 * t.matrix
+                assert np.array_equal(f, np.triu(f)) or np.array_equal(f, np.tril(f))
+                diag = f.diagonal().tolist()
+                assert t.spread == max(diag) / min(diag)
+                ulps = (dim + 1) * eps
+                assert (abs(f @ f.T - precision) <= ulps * (abs(f) @ abs(f.T))).all()
+                assert abs(inverse @ f - np.eye(dim)).max() <= ulps * (abs(inverse) @ abs(f)).max()
+                assert (abs(inverse.T @ inverse - cov) <= ulps * (abs(inverse.T) @ abs(inverse))).all()
+                assert (abs(cov @ v - mean) <= 2.0 * ulps * (abs(cov) @ (abs(precision) @ abs(mean)))).all()
+                logs = [math.log(x) for x in diag]
+                assert abs(log_det - 2.0 * sum(logs)) <= 2.0 * ulps * (1.0 + sum(map(abs, logs)))
+                assert not hasattr(t, "pair")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_both_ways_of_making_a_member_give_each_measure(self, dim):
+        # to_natural's member keeps the record's factor, member()'s the factor of -2M: every
+        # measure, F and grad F agree within 1e-13 relative, in both orders and mixed.
+        for seed in range(5):
+            fam, p, q = _fresh_mvn_pair(dim, 300 + 10 * dim + seed)
+            checked = {t: fam.member(_bare(t)) for t in (p, q)}
+            for a, b in ((p, q), (q, p)):
+                for x, y in ((checked[a], checked[b]), (a, checked[b]), (checked[a], b)):
+                    for m, alpha in _MEMO_CELLS:
+                        second = M.measure_needs_pair(m)
+                        want = M.evaluate_measure(fam, m, a, b if second else None, alpha).value
+                        got = M.evaluate_measure(fam, m, x, y if second else None, alpha).value
+                        assert abs(got - want) <= 1e-13 * abs(want), (m, alpha, got, want)
+                want, got = fam.grad_log_normalizer(a).flat(), fam.grad_log_normalizer(checked[a]).flat()
+                assert (abs(got - want) <= 1e-13 * abs(want).max()).all()
+                want = fam.log_normalizer(a)
+                assert abs(fam.log_normalizer(checked[a]) - want) <= 1e-13 * abs(want)
 
     def test_concurrent_readers_get_identical_bits(self):
         fam, p, q = _fresh_mvn_pair(3, 13)
@@ -1439,6 +1477,26 @@ class TestPoissonSeries:
         assert [total.hex(), abs_total.hex(), tail.hex()] == [
             totals[0].hex(), abs_totals[0].hex(), tails[0].hex()
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        peak=st.floats(1e-2, 1e3),
+        alpha=st.floats(0.05, 5.0),
+        negated=st.booleans(),
+    )
+    def test_rows_of_one_sign_sum_their_magnitudes_as_any_rows(self, peak, alpha, negated):
+        # The Poisson entropies' rows are each of one sign, so count_series takes their sums of
+        # magnitudes from their sums: the same sums, bounds and window, bit for bit.
+        log_rate = math.log(peak)
+
+        def terms(ks):
+            power = np.exp(alpha * (ks * log_rate - peak - F._log_factorials(ks)))
+            return (-power, power * np.log1p(ks)) if negated else (power, ks * power)
+
+        want = F.count_series(terms, [peak], alpha)
+        got = F.count_series(terms, [peak], alpha, one_sign=True)
+        assert got[3] == want[3]
+        assert [[x.hex() for x in row] for row in got[:3]] == [[x.hex() for x in row] for row in want[:3]]
 
 
 # --------------------------------------------------------------------------

@@ -744,22 +744,32 @@ class TestWrongLogNormalizer:
 
     def test_one_percent_log_det_error_fails_every_mvn_cell(self, monkeypatch, capsys):
         mvn = em.families.MultivariateGaussianFamily
-        right = mvn._moments
+        right = mvn._keep
 
-        def wrong(self, chol, vector):
-            # log det(-2M) 1% too large in magnitude, with the covariance and
+        def wrong(self, member, factor, moments):
+            # log det(-2M) 1% too large in magnitude, with the factor, covariance and inverse
             # factor of the precision s (-2M) that has it, s = exp(0.01 log det / d).
-            mean, cov, inv_chol, log_det = right(self, chol, vector)
+            mean, cov, inverse, log_det = moments
             s = math.exp(0.01 * log_det / self.dim)
-            return mean, cov / s, inv_chol / math.sqrt(s), 1.01 * log_det
+            root = math.sqrt(s)
+            right(self, member, root * factor, (mean, cov / s, inverse / root, 1.01 * log_det))
 
-        monkeypatch.setattr(mvn, "_moments", wrong)
+        monkeypatch.setattr(mvn, "_keep", wrong)
         self._assert_every_mvn_cell_fails(capsys)
 
     def test_doubled_precision_factor_fails_every_mvn_cell(self, monkeypatch, capsys):
-        # The member's kept factor is that of -4M: the oracle, which factors -2M
-        # itself, still integrates the right densities.
-        monkeypatch.setattr(em.families.MultivariateGaussianFamily, "_factor", _doubled_factor)
+        # Every member keeps the factor and moments of -4M, twice its precision: the oracle,
+        # which factors -2M itself, still integrates the right densities.
+        mvn = em.families.MultivariateGaussianFamily
+        right = mvn._keep
+
+        def doubled(self, member, factor, moments):
+            mean, cov, inverse, log_det = moments
+            root = math.sqrt(2.0)
+            halved = (mean / 2.0, cov / 2.0, inverse / root, log_det + self.dim * math.log(2.0))
+            right(self, member, root * factor, halved)
+
+        monkeypatch.setattr(mvn, "_keep", doubled)
         self._assert_every_mvn_cell_fails(capsys)
 
     def test_one_percent_log_det_error_in_f_breaks_its_tie_to_the_gap(self, monkeypatch):
