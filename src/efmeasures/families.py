@@ -478,7 +478,7 @@ def _counts_past(edge: float, inner: float, total: float, drop: float = 0.0) -> 
     return 0 if need >= 1.0 or r == 0.0 else math.ceil(math.log(need) / math.log(r))
 
 
-def count_series(terms, peaks, alpha: float = 1.0, one_sign=False) -> tuple[list, list, list, int]:
+def count_series(terms, peaks, alpha: float = 1.0) -> tuple[list, list, list, int]:
     """Sum ``terms(ks)`` over the counts k = 0, 1, 2, ... from a window around ``peaks``.
 
     The window spans the peaks +- (9 sqrt(peak / min(alpha, 1)) + 20), nine
@@ -493,9 +493,8 @@ def count_series(terms, peaks, alpha: float = 1.0, one_sign=False) -> tuple[list
     A failing window refuses at once where that bound asks past the 2^22-count cap
     even at the ratio r ((lo + cap) / edge)^-alpha that terms e^(k theta) (k!)^-alpha
     reach at the cap, over the magnitudes plus their tail bound.
-    ``terms`` returns rows of terms, one per sum over the window. Returns lists, one entry a
-    row, of the pairwise sums, the sums of magnitudes (with ``one_sign``, rows of terms of one
-    sign, the sums' own: a pairwise sum of -t is that of t, negated, bit for bit) and the tail
+    ``terms`` returns rows of terms, one per sum over the window. Returns lists,
+    one entry a row, of the pairwise sums, the sums of magnitudes and the tail
     bounds, and the number of terms; a non-finite term raises ConvergenceError.
     """
     low, high = min(peaks), max(peaks)  # where the window's edges are outermost
@@ -516,9 +515,9 @@ def count_series(terms, peaks, alpha: float = 1.0, one_sign=False) -> tuple[list
         ks = np.arange(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):
             ts = np.asarray(terms(ks), dtype=float)
-        totals = np.add.reduce(ts, 1).tolist()
-        abs_totals = list(map(abs, totals)) if one_sign else np.add.reduce(abs(ts), 1).tolist()
-        edges = abs(ts.take(_EDGES, 1)).tolist()
+        mags = np.abs(ts)
+        totals, abs_totals = (np.add.reduce(x, axis=1).tolist() for x in (ts, mags))
+        edges = mags.take(_EDGES, axis=1).tolist()
         if not all(map(math.isfinite, totals)):
             raise ConvergenceError("a count series term is not finite")
         tails = [_tail(e3, e2) + (_tail(e0, e1) if lo > 0 else 0.0) for e0, e1, e2, e3 in edges]
@@ -879,7 +878,7 @@ class PoissonFamily(Family):
             lg = _log_factorials(ks)
             return [np.exp(ks * t - rate - lg) * lg]
 
-        (total,), _, _, _ = count_series(terms, [rate], one_sign=True)
+        (total,), _, _, _ = count_series(terms, [rate])
         return -total
 
     def _gap_at(self, ta: float, tb: float) -> float:
@@ -919,7 +918,7 @@ class PoissonFamily(Family):
                     rows[1] = np.where(x < 1.0, y, power * math.exp(shift) - p)
             return rows
 
-        (mean_log_p, *rest), _, _, _ = count_series(terms, [rate], alpha, one_sign=True)
+        (mean_log_p, *rest), _, _, _ = count_series(terms, [rate], alpha)
         h = 0.0 - mean_log_p  # the sum of the -p l bit for bit: terms of one sign, and +0.0 at 0
         y, power = rest or (0.0, 1.0)  # alpha = 1: y = 0, G = 0, and H's row sizes the window
         log_power = math.log1p(y) if y > -0.5 else shift + math.log(power)
@@ -1165,6 +1164,7 @@ class MultivariateGaussianFamily(Family):
         precision = inv_chol.T @ inv_chol  # numpy forms A^T A as one triangle, mirrored
         vector = (precision @ params.mu).tolist()
         member = Member._derived(vector, -0.5 * precision)
+        self.check_shape(member)  # a record of another dimension, either way
         # cond(Sigma) <= trace(Sigma) trace(P) < 2^-10 / ((d + 1)^2 eps) keeps the rounded P, -2M
         # (to subnormals of it while trace(Sigma) < 2^1000) and their Cholesky positive-definite:
         # member()'s covariance is Sigma's to 2^-8, and its mean under trace(Sigma) |v|_1.

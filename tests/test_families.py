@@ -303,6 +303,19 @@ class TestNaturalDomain:
             with pytest.raises(NaturalDomainError):
                 fam.member(NaturalParam(theta.vector, theta.matrix))
 
+    @pytest.mark.parametrize("certain", [math.inf, 0.0], ids=["record-factor", "member-check"])
+    def test_mvn_record_of_another_dimension_is_refused(self, monkeypatch, certain):
+        # A d = 1 or d = 3 record given to the d = 2 family is a shape error, whether to_natural
+        # keeps the record's own factor or hands the coordinates to member(): never a member
+        # of mvn(2) that holds blocks of another size.
+        monkeypatch.setattr(em.families, "_CERTAIN", certain)
+        fam = em.get_family("mvn", 2)
+        for cov in (np.eye(3), np.diag([2.0, 1.0, 0.5]), [[2.0]]):
+            for record in (em.MultivariateGaussianParams(mu=np.ones(len(cov)), cov=cov),
+                           {"mu": [1.0] * len(cov), "sigma": np.asarray(cov).tolist()}):
+                with pytest.raises(ValueError, match="expected vector block of length 2"):
+                    fam.to_natural(record)
+
     def test_mvn_second_moment_overflow_is_a_domain_error_not_a_warning(self):
         # At theta = ((1e200, 0), -I/2) the mean 1e200 is finite, but F and mu mu^T are not:
         # grad F refuses the member as F does, with no numpy overflow warning first.

@@ -1478,26 +1478,6 @@ class TestPoissonSeries:
             totals[0].hex(), abs_totals[0].hex(), tails[0].hex()
         ]
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        peak=st.floats(1e-2, 1e3),
-        alpha=st.floats(0.05, 5.0),
-        negated=st.booleans(),
-    )
-    def test_rows_of_one_sign_sum_their_magnitudes_as_any_rows(self, peak, alpha, negated):
-        # The Poisson entropies' rows are each of one sign, so count_series takes their sums of
-        # magnitudes from their sums: the same sums, bounds and window, bit for bit.
-        log_rate = math.log(peak)
-
-        def terms(ks):
-            power = np.exp(alpha * (ks * log_rate - peak - F._log_factorials(ks)))
-            return (-power, power * np.log1p(ks)) if negated else (power, ks * power)
-
-        want = F.count_series(terms, [peak], alpha)
-        got = F.count_series(terms, [peak], alpha, one_sign=True)
-        assert got[3] == want[3]
-        assert [[x.hex() for x in row] for row in got[:3]] == [[x.hex() for x in row] for row in want[:3]]
-
 
 # --------------------------------------------------------------------------
 # A Poisson member keeps each order's (H, G), and sums a fresh window for a new one.
